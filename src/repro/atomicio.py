@@ -47,9 +47,8 @@ def append_jsonl(path, obj):
     The record is serialised first and written with one ``os.write`` on
     an ``O_APPEND`` descriptor, so concurrent appenders interleave at
     line granularity and a killed writer can leave at most one torn
-    *final* line — which :func:`read_jsonl_tolerant` skips.  This is
-    the durability model the fleet journal uses, shared here for the
-    bench-history ledger.  Returns the byte count written.
+    *final* line — which :func:`read_jsonl_tolerant` skips.  The
+    bench-history ledger relies on it.  Returns the byte count written.
     """
     path = os.fspath(path)
     line = json.dumps(obj, sort_keys=True,

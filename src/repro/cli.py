@@ -17,10 +17,6 @@ Commands
 ``compare``     diff two ledger runs knob-by-knob / span-by-span
 ``gate``        check a run's headlines against expectations.json
 ``report``      render a run manifest as a static HTML dashboard
-``serve``       run the distributed sweep job server
-``worker``      run one self-healing sweep worker (``--connect``)
-``status``      live fleet view of a running job server
-``chaos``       sabotage a dist sweep, assert byte-parity vs serial
 
 Experiment runs record a manifest in the run ledger (``runs/`` by
 default; ``--no-ledger`` opts out) — see docs/LEDGER.md.
@@ -33,7 +29,6 @@ Exit codes
 3  instruction budget / watchdog exceeded
 4  partial results (some sweep cells degraded by faults)
 5  regression gate failed / compared runs differ
-6  dist server unreachable and fallback disabled (--no-dist-fallback)
 """
 
 import argparse
@@ -46,7 +41,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_PARTIAL = 4
 EXIT_GATE = 5
-EXIT_UNREACHABLE = 6
 
 
 #: Scaled-down knob overlays: ``--quick`` runs and every profiled
@@ -141,27 +135,6 @@ def _add_exec(parser):
     parser.add_argument(
         "--no-cell-cache", action="store_true",
         help="always compute cells, never replay memoized results",
-    )
-    parser.add_argument(
-        "--backend", choices=("serial", "pool", "dist"), default=None,
-        help="execution backend (default: serial, or the warm pool "
-             "when --jobs > 1; 'dist' runs the sweep on a repro serve "
-             "job server and needs --connect)",
-    )
-    parser.add_argument(
-        "--connect", metavar="HOST:PORT", default=None,
-        help="dist job server address (implies --backend dist)",
-    )
-    parser.add_argument(
-        "--no-dist-fallback", action="store_true",
-        help="fail with exit code 6 when the dist server is "
-             "unreachable, instead of degrading to the local warm-pool "
-             "backend",
-    )
-    parser.add_argument(
-        "--dist-deadline", type=float, default=10.0, metavar="S",
-        help="seconds to keep retrying an unreachable dist server "
-             "before degrading (or failing; default 10)",
     )
 
 
@@ -487,117 +460,6 @@ def build_parser():
                    help="band profile for tile verdicts (default: quick)")
 
     p = sub.add_parser(
-        "serve",
-        help="run the distributed sweep job server (leases, "
-             "heartbeats, hedged re-dispatch; see docs/DISTRIBUTED.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=0,
-                   help="bind port (default 0 = pick a free port; the "
-                        "bound port is printed as 'listening on "
-                        "HOST:PORT')")
-    p.add_argument("--lease-timeout", type=float, default=5.0,
-                   metavar="S",
-                   help="seconds without a heartbeat before a batch "
-                        "lease is revoked and requeued (default 5)")
-    p.add_argument("--attempt-budget", type=int, default=3, metavar="N",
-                   help="times one cell may be re-leased after "
-                        "revocations before degrading to a failed-cell "
-                        "outcome (default 3)")
-    p.add_argument("--batch-size", type=int, default=None, metavar="N",
-                   help="cells per leased batch (default: auto, "
-                        "targeting 2 batches per connected worker)")
-    p.add_argument("--no-hedge", action="store_true",
-                   help="disable hedged re-dispatch of stale tail "
-                        "batches to idle workers")
-    p.add_argument("--journal", metavar="FILE", default=None,
-                   help="append fleet lifecycle events (worker joins, "
-                        "lease expiries, requeues, stat samples) to this "
-                        "JSONL journal (see docs/OBSERVABILITY.md)")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="atomically rewrite a Prometheus text "
-                        "exposition of the fleet here (scrape it with a "
-                        "textfile collector)")
-    p.add_argument("--stats-interval", type=float, default=1.0,
-                   metavar="S",
-                   help="minimum seconds between journalled stat "
-                        "samples / metrics-out rewrites (default 1)")
-
-    p = sub.add_parser(
-        "status",
-        help="live fleet view of a running repro serve job server "
-             "(workers, waves, leases, requeue/expiry counters)",
-    )
-    p.add_argument("--connect", metavar="HOST:PORT", required=True,
-                   help="job server address")
-    p.add_argument("--json", action="store_true",
-                   help="emit one snapshot as JSON and exit")
-    p.add_argument("--watch", type=float, default=None, metavar="S",
-                   help="refresh the table view every S seconds until "
-                        "interrupted")
-    p.add_argument("--timeout", type=float, default=5.0, metavar="S",
-                   help="per-request connect/answer timeout (default 5)")
-
-    p = sub.add_parser(
-        "worker",
-        help="run one sweep worker against a repro serve job server",
-    )
-    p.add_argument("--connect", metavar="HOST:PORT", required=True,
-                   help="job server address")
-    p.add_argument("--id", default=None, metavar="NAME",
-                   help="worker id for logs and lease attribution "
-                        "(default: w<pid>)")
-    p.add_argument("--deadline", type=float, default=30.0, metavar="S",
-                   help="per-outage reconnect deadline before the "
-                        "worker gives up (default 30)")
-    p.add_argument("--chaos", metavar="JSON", default=None,
-                   help="transport chaos spec for the chaos harness, "
-                        "e.g. '{\"seed\": 7, \"frame_drop\": 0.05}' "
-                        "(keys: seed, frame_drop, frame_corrupt, "
-                        "heartbeat_delay_s)")
-    _add_seed(p)
-
-    p = sub.add_parser(
-        "chaos",
-        help="chaos harness: run a dist sweep while killing workers, "
-             "delaying heartbeats, corrupting frames and partitioning "
-             "the server; assert the ledger manifest is byte-identical "
-             "to an undisturbed serial run",
-    )
-    _add_seed(p)
-    p.add_argument("--workers", type=int, default=3, metavar="N",
-                   help="worker processes to deploy (default 3)")
-    p.add_argument("--kills", type=int, default=1, metavar="N",
-                   help="workers to SIGKILL mid-sweep (default 1)")
-    p.add_argument("--no-respawn", action="store_true",
-                   help="do not spawn replacement workers after kills")
-    p.add_argument("--partition", type=float, default=0.0, metavar="S",
-                   help="SIGSTOP the server for S seconds mid-sweep "
-                        "(default 0 = no partition)")
-    p.add_argument("--heartbeat-delay", type=float, default=0.0,
-                   metavar="S",
-                   help="stretch one worker's heartbeat interval by S "
-                        "seconds (default 0)")
-    p.add_argument("--frame-drop", type=float, default=0.0,
-                   metavar="RATE",
-                   help="worker-side frame drop rate (default 0)")
-    p.add_argument("--frame-corrupt", type=float, default=0.0,
-                   metavar="RATE",
-                   help="worker-side frame corruption rate (default 0)")
-    p.add_argument("--lease-timeout", type=float, default=1.0,
-                   metavar="S",
-                   help="server lease timeout for the chaos run "
-                        "(default 1; short, so revocations happen)")
-    p.add_argument("--ledger", metavar="DIR", default=None,
-                   help="also record both manifests under DIR/serial "
-                        "and DIR/dist for repro compare")
-    p.add_argument("--journal", metavar="FILE", default=None,
-                   help="fleet event journal: the server logs joins/"
-                        "expiries/requeues and the harness logs its "
-                        "kills and partitions into the same JSONL file")
-
-    p = sub.add_parser(
         "smoke",
         help="resilience smoke run for CI: quick fig4 sweep plus a "
              "calibration under injected faults and retries",
@@ -770,56 +632,18 @@ def cmd_experiment(args):
             cell_cache = CellCache(cache_dir)
             kwargs["cell_cache"] = cell_cache
 
+    # --jobs alone picks the backend (the runner calls backend_for):
+    # 1 = the serial reference, N > 1 = the warm pool with N workers.
     jobs = getattr(args, "jobs", 1) or 1
-    backend_choice = getattr(args, "backend", None)
-    if getattr(args, "connect", None) and backend_choice is None:
-        backend_choice = "dist"
-    if backend_choice == "dist" and not getattr(args, "connect", None):
-        print("repro: --backend dist requires --connect HOST:PORT",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if backend_choice is None:
-        backend_choice = "pool" if jobs > 1 else "serial"
-
-    dist_backend = None
-    dist_events = None
-    if backend_choice == "serial":
-        jobs = 1
-    elif backend_choice == "pool":
-        from repro.exec import ProcessPoolBackend
-
-        jobs = max(2, jobs)
-        kwargs["backend"] = ProcessPoolBackend(jobs)
-    else:
-        from repro.exec import DistBackend
-
-        dist_events = {}
-        dist_backend = DistBackend(
-            args.connect, seed=args.seed,
-            fallback=not getattr(args, "no_dist_fallback", False),
-            fallback_jobs=max(2, jobs),
-            connect_deadline=getattr(args, "dist_deadline", 10.0),
-            cache_stats=(cell_cache.stats
-                         if cell_cache is not None else None),
-        )
-        kwargs["backend"] = dist_backend
-
-    if jobs > 1 or backend_choice == "dist":
+    if jobs > 1:
         from repro.exec import SweepProgress
 
         plan, _ = _plan_and_store(args.command, kwargs)
         kwargs["jobs"] = jobs
-        progress = SweepProgress(
+        kwargs["progress"] = SweepProgress(
             args.command, total=sum(1 for _ in plan), jobs=jobs,
             cell_cache=cell_cache,
         )
-        kwargs["progress"] = progress
-        if dist_backend is not None:
-            def on_dist_event(kind, **info):
-                dist_events[kind] = dist_events.get(kind, 0) + 1
-                progress.event(kind, **info)
-
-            dist_backend.events = on_dist_event
 
     import time
 
@@ -871,18 +695,15 @@ def cmd_experiment(args):
                 # volatile like the rest of this section.
                 "phases": dict(phases),
                 # Volatile by design (like everything in timing): a
-                # dist run and the serial reference must compare clean,
-                # whichever backend did the work and however many
-                # leases were requeued along the way.
-                "backend": backend_choice,
+                # pool run and the serial reference must compare clean,
+                # whichever backend did the work.
+                "backend": "pool" if jobs > 1 else "serial",
                 "cells": {key: round(value, 6) for key, value
                           in kwargs["timings"].items()},
                 "cell_cache": (
                     {"enabled": True, **cell_cache.stats()}
                     if cell_cache is not None else {"enabled": False}
                 ),
-                **({"dist_events": dist_events}
-                   if dist_events is not None else {}),
             },
         )
         manifest_path = write_manifest(ledger_dir, manifest)
@@ -956,13 +777,8 @@ def cmd_hotspots(args):
         kwargs = {"seed": args.seed, "uarch": args.uarch,
                   "profile": config, "profiles": profiles}
         kwargs.update(QUICK_KNOBS[args.experiment])
-        jobs = args.jobs or 1
-        if jobs > 1:
-            from repro.exec import ProcessPoolBackend
-
-            jobs = max(2, jobs)
-            kwargs["backend"] = ProcessPoolBackend(jobs)
-            kwargs["jobs"] = jobs
+        if args.jobs > 1:
+            kwargs["jobs"] = args.jobs
         result = runner(**kwargs)
         # The experiment's own summary goes to stderr so stdout stays
         # clean for --collapsed / --json pipelines.
@@ -1237,86 +1053,6 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def cmd_serve(args):
-    """Run the distributed sweep job server until interrupted."""
-    from repro.exec import DistServer
-
-    server = DistServer(
-        host=args.host, port=args.port,
-        lease_timeout=args.lease_timeout,
-        attempt_budget=args.attempt_budget,
-        batch_size=args.batch_size,
-        hedge=not args.no_hedge,
-        journal=args.journal,
-        metrics_out=args.metrics_out,
-        stats_interval=args.stats_interval,
-    )
-    return server.run()
-
-
-def cmd_status(args):
-    """Live fleet view of a running job server (``repro status``)."""
-    from repro.exec import fleet_status
-    from repro.obs.fleet import format_fleet_table
-
-    if args.json:
-        import json
-
-        snapshot = fleet_status(args.connect, timeout=args.timeout)
-        print(json.dumps(snapshot, sort_keys=True, indent=1))
-        return EXIT_OK
-    if args.watch is None:
-        print(format_fleet_table(
-            fleet_status(args.connect, timeout=args.timeout)
-        ))
-        return EXIT_OK
-    import time as _time
-
-    interval = max(0.1, args.watch)
-    try:
-        while True:
-            snapshot = fleet_status(args.connect, timeout=args.timeout)
-            if sys.stdout.isatty():     # pragma: no cover - interactive
-                print("\x1b[2J\x1b[H", end="")
-            print(format_fleet_table(snapshot), flush=True)
-            _time.sleep(interval)
-    except KeyboardInterrupt:           # pragma: no cover - interactive
-        return EXIT_OK
-
-
-def cmd_worker(args):
-    """Run one sweep worker against a job server."""
-    from repro.exec import run_worker
-
-    chaos = None
-    if args.chaos:
-        import json
-
-        try:
-            chaos = json.loads(args.chaos)
-        except ValueError as exc:
-            print(f"repro: bad --chaos spec: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    return run_worker(
-        args.connect, worker_id=args.id,
-        reconnect_deadline=args.deadline, seed=args.seed, chaos=chaos,
-    )
-
-
-def cmd_chaos(args):
-    """Sabotage a dist sweep; exit 0 iff byte-parity with serial holds."""
-    from repro.exec.chaos import run_chaos
-
-    return run_chaos(
-        seed=args.seed, workers=args.workers, kills=args.kills,
-        respawn=not args.no_respawn, partition_s=args.partition,
-        heartbeat_delay_s=args.heartbeat_delay,
-        frame_drop=args.frame_drop, frame_corrupt=args.frame_corrupt,
-        lease_timeout=args.lease_timeout, ledger=args.ledger,
-        journal=args.journal,
-    )
-
-
 def cmd_smoke(args):
     """Resilience smoke (CI): sweep + calibration under injected faults.
 
@@ -1384,15 +1120,10 @@ def main(argv=None):
         "compare": cmd_compare,
         "gate": cmd_gate,
         "report": cmd_report,
-        "serve": cmd_serve,
-        "status": cmd_status,
-        "worker": cmd_worker,
-        "chaos": cmd_chaos,
     }
     from repro.errors import (
         BudgetExceededError,
         ReproError,
-        ServerUnreachableError,
         is_transient,
     )
 
@@ -1401,9 +1132,6 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"repro: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ServerUnreachableError as exc:
-        print(f"repro: dist server unreachable: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
     except ReproError as exc:
         kind = "transient error (retries exhausted)" \
             if is_transient(exc) else "fatal error"

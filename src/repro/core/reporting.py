@@ -99,16 +99,13 @@ def format_duration(seconds):
 
 
 def format_progress(experiment, done, total, key, status, elapsed,
-                    eta_seconds=None, metrics=None, rate=None, cache=None,
-                    requeues=None):
+                    eta_seconds=None, metrics=None, rate=None, cache=None):
     """One live sweep-progress line (``repro.exec`` cell completions).
 
     *metrics* (a pre-rendered ``cycles=… miss=…`` string) rides along
     when the sweep traces, so the stderr stream doubles as a coarse
     per-cell cost profile.  *rate* is observed throughput in cells/s;
-    *cache* is a pre-rendered ``hits/lookups`` cell-cache ratio;
-    *requeues* is the dist backend's running requeued-cell count
-    (only shown once nonzero — a healthy fleet stays quiet).
+    *cache* is a pre-rendered ``hits/lookups`` cell-cache ratio.
     """
     line = (f"[{experiment} {done}/{total}] {status:>6} {key} "
             f"({format_duration(elapsed)})")
@@ -119,8 +116,6 @@ def format_progress(experiment, done, total, key, status, elapsed,
             else f"  {rate:.2f} cells/s"
     if cache is not None:
         line += f"  cache {cache}"
-    if requeues:
-        line += f"  req {requeues}"
     if eta_seconds is not None and done < total:
         line += f"  eta ~{format_duration(eta_seconds)}"
     return line

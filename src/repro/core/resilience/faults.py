@@ -22,15 +22,6 @@ and in the CI smoke run:
     A run loop (e.g. an injected ROP chain) never terminates — the
     watchdog's :class:`~repro.errors.BudgetExceededError` is the only
     way out.
-
-The distributed tier registers its own chaos kinds (consulted by the
-``repro chaos`` harness and the worker-side transport, never by cell
-bodies): ``worker_kill`` (SIGKILL a worker mid-batch),
-``heartbeat_delay`` (stretch heartbeats past the lease timeout),
-``frame_drop`` / ``frame_corrupt`` (swallow or bit-flip protocol
-frames), and ``partition`` (SIGSTOP the job server).  Routing them
-through this injector is what makes chaos runs reproducible from a
-seed — see docs/DISTRIBUTED.md.
 """
 
 import dataclasses
@@ -49,12 +40,6 @@ FAULT_KINDS = (
     "miscalibration",
     "classifier_divergence",
     "runaway_speculation",
-    # Distributed-tier chaos kinds (repro chaos / worker transport).
-    "worker_kill",
-    "heartbeat_delay",
-    "frame_drop",
-    "frame_corrupt",
-    "partition",
 )
 
 #: Assembly image that never halts: what a runaway injected chain or a

@@ -24,7 +24,7 @@ step-loop run of the same experiment exits 0 — that byte-parity *is*
 the engine's acceptance test.
 
 :func:`set_engine_mode` mirrors the choice into ``REPRO_ENGINE`` so
-spawn-based pool and dist workers (which import this module fresh)
+spawn-based pool workers (which import this module fresh)
 inherit the driver's engine.
 """
 
@@ -35,7 +35,7 @@ import os
 ENGINE_MODES = ("step", "fast", "sb")
 
 #: Environment variable consulted at import; how the driver's choice
-#: propagates to spawn-based pool/dist workers.
+#: propagates to spawn-based pool workers.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 DEFAULT_ENGINE = "sb"

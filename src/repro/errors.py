@@ -159,44 +159,6 @@ class WorkerCrashError(TransientError):
     """
 
 
-class DistError(ReproError):
-    """Base class for distributed-sweep (``repro.exec.dist``) errors."""
-
-
-class FrameError(DistError, TransientError):
-    """A protocol frame was truncated, corrupted or oversized.
-
-    Transient: the connection that produced it is torn down and the
-    peer reconnects; the frame's payload is re-sent or its lease is
-    revoked and requeued, so one garbled frame never loses work.
-    """
-
-
-class ProtocolError(DistError):
-    """A structurally valid frame carried a message the peer cannot
-    honour (unknown type, bad handshake, unresolvable cell body)."""
-
-
-class ServerUnreachableError(DistError):
-    """The dist job server could not be reached within the deadline.
-
-    Raised only when graceful degradation to the local warm-pool
-    backend is disabled (``--no-dist-fallback``); maps to its own CLI
-    exit code so orchestrators can tell "the service is down" from
-    "the sweep is wrong".
-    """
-
-
-class LeaseExpiredError(DistError, TransientError):
-    """A worker's lease lapsed (missed heartbeats, dropped connection).
-
-    Transient by the same argument as :class:`WorkerCrashError`: cells
-    are deterministic, so the revoked batch is requeued and recomputed
-    elsewhere; only a cell that exhausts its per-cell attempt budget
-    degrades into a failed-cell outcome.
-    """
-
-
 class RetryExhaustedError(ReproError):
     """All retry attempts failed; ``__cause__`` holds the last error."""
 

@@ -3,14 +3,13 @@
 The subsystem every experiment runner dispatches through: a sweep is
 declared as a :class:`SweepPlan` of :class:`Cell`\\ s (each with a
 derived seed and explicit dependencies), executed by a backend —
-:class:`SerialBackend` in-process, :class:`ProcessPoolBackend` over
-spawn-safe warm workers, or :class:`DistBackend` against a
-lease-granting :class:`DistServer` over the wire (see
-``docs/DISTRIBUTED.md``) — and merged back into the resilience layer's
-:class:`~repro.core.resilience.CheckpointStore`.  Parallel and
-distributed output is bit-identical to serial output under the same
-root seed; see ``docs/PARALLELISM.md`` for the seed-derivation scheme
-and the determinism guarantee.
+:class:`SerialBackend` in-process or :class:`ProcessPoolBackend` over
+spawn-safe warm workers, picked from ``--jobs`` by :func:`backend_for`
+— and merged back into the resilience layer's
+:class:`~repro.core.resilience.CheckpointStore`.  Parallel output is
+bit-identical to serial output under the same root seed; see
+``docs/PARALLELISM.md`` for the seed-derivation scheme and the
+determinism guarantee.
 """
 
 from repro.exec.backends import (
@@ -19,13 +18,6 @@ from repro.exec.backends import (
     invoke_cell,
 )
 from repro.exec.cellcache import CellCache
-from repro.exec.dist import (
-    DistBackend,
-    DistServer,
-    fleet_status,
-    run_worker,
-)
-from repro.exec.lease import Lease, LeaseTable
 from repro.exec.plan import Cell, SweepPlan
 from repro.exec.pool import shutdown_all, shutdown_pools, warmup
 from repro.exec.progress import SweepProgress
@@ -42,10 +34,6 @@ __all__ = [
     "Cell",
     "CellCache",
     "CellExecutionError",
-    "DistBackend",
-    "DistServer",
-    "Lease",
-    "LeaseTable",
     "ProcessPoolBackend",
     "SerialBackend",
     "SweepPlan",
@@ -54,10 +42,8 @@ __all__ = [
     "derive_seed",
     "describe_plan",
     "execute_plan",
-    "fleet_status",
     "invoke_cell",
     "open_store",
-    "run_worker",
     "shutdown_all",
     "shutdown_pools",
     "stable_hash",

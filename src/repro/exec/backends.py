@@ -17,6 +17,8 @@ Both backends speak the same outcome protocol, produced by
     {"status": "err", "chain": "...", "recoverable": bool, ...}
 
 so the runner upstream cannot tell them apart — which is the point.
+They are the only two backends: :func:`repro.exec.backend_for` picks
+one from ``--jobs`` (1 = serial, N > 1 = the pool with N workers).
 """
 
 import contextlib
@@ -44,8 +46,7 @@ def invoke_cell(fn, kwargs, faults_kw=None, trace=None):
     around the body; recorded spans, the metrics snapshot and the
     profile travel back in the outcome — all virtual-timed (the
     profile's wall section aside), so the driver merges identical
-    payloads whether the cell ran here, in a pool worker, or on a dist
-    worker.
+    payloads whether the cell ran here or in a pool worker.
     """
     injector = kwargs.get(faults_kw) if faults_kw else None
     tracer = None

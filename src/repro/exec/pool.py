@@ -69,7 +69,7 @@ def shutdown_all(wait=True):
     """Shut down every warm pool *now*; returns how many were reaped.
 
     The explicit counterpart of the ``atexit`` hook: long-lived drivers
-    (the dist server's host, test suites, notebook sessions) call this
+    (test suites, notebook sessions, benchmark harnesses) call this
     between workloads so no spawned worker process outlives its last
     sweep.  Idempotent — a second call finds an empty registry.
     """
@@ -105,12 +105,18 @@ def warmup(jobs, probe_delay_s=0.05):
 
     Benchmarks call this to price pool startup separately from
     steady-state cell throughput; the executor itself never needs to —
-    workers spin up lazily on the first wave.
+    workers spin up lazily on the first wave.  Workers finish their
+    heavy imports at different times, and on a host with fewer CPUs
+    than workers the first ready ones can drain a whole round of
+    probes while the rest are still importing — so probing repeats
+    until every worker has answered (or a minute has passed).
     """
     started = time.monotonic()
     pool = shared_pool(jobs)
-    futures = [pool.submit(_probe, probe_delay_s) for _ in range(jobs)]
-    pids = {future.result() for future in futures}
+    pids = set()
+    while len(pids) < jobs and time.monotonic() - started < 60.0:
+        futures = [pool.submit(_probe, probe_delay_s) for _ in range(jobs)]
+        pids.update(future.result() for future in futures)
     return time.monotonic() - started, len(pids)
 
 

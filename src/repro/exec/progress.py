@@ -47,11 +47,6 @@ class SweepProgress:
         self.started = clock()
         self._computed = 0
         self._computed_seconds = 0.0
-        # Executor-event tallies (requeue/reconnect/fallback counts and
-        # requeued-cell totals) — the fleet-telemetry tests reconcile
-        # these against the server journal after a chaos kill.
-        self.events = {}
-        self.requeued_cells = 0
 
     def cells_per_second(self):
         """Observed computed-cell throughput on the wall clock.
@@ -87,7 +82,6 @@ class SweepProgress:
             elapsed, self.eta_seconds(),
             metrics=format_metrics_line(metrics) if metrics else None,
             rate=self.cells_per_second(), cache=cache,
-            requeues=self.requeued_cells,
         )
         print(line, file=self.stream, flush=True)
 
@@ -104,23 +98,4 @@ class SweepProgress:
         if not parts:
             return
         print(f"{self.experiment}: phases: " + ", ".join(parts),
-              file=self.stream, flush=True)
-
-    def event(self, kind, **info):
-        """Out-of-band executor events on their own lines.
-
-        The dist backend reports lease requeues, reconnects and
-        fallbacks through this hook so a watching operator sees the
-        turbulence, while the per-cell completion lines stay a clean
-        record of forward progress.  Tallies land in ``self.events``
-        (and ``self.requeued_cells`` for requeues), so later lines
-        carry a running ``req N`` suffix.
-        """
-        self.events[kind] = self.events.get(kind, 0) + 1
-        if kind == "requeue":
-            self.requeued_cells += len(info.get("keys") or [])
-        detail = ", ".join(f"{key}={value}" for key, value
-                           in sorted(info.items()))
-        print(f"{self.experiment}: ! {kind}"
-              + (f" ({detail})" if detail else ""),
               file=self.stream, flush=True)

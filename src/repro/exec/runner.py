@@ -159,11 +159,6 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
         # Scenario); they cannot be shipped to a worker.  Fall back to
         # the reference backend rather than silently running a subset.
         backend = SerialBackend()
-    bind = getattr(backend, "bind", None)
-    if bind is not None:
-        # Backends that label remote work by experiment (DistBackend)
-        # get to see the plan before the first wave ships.
-        bind(plan)
     if statuses is None:
         statuses = {}
     results = dict(plan.presets)
@@ -286,7 +281,7 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
                     cell_metrics[key] = snapshot
                 if "profile" in outcome:
                     # Same round-trip discipline: a serial profile and a
-                    # dist-frame profile must compare byte-identical.
+                    # pool-pickled profile must compare byte-identical.
                     cell_profiles[key] = _roundtrip(outcome["profile"])
                 if outcome["status"] == "ok":
                     value = _roundtrip(outcome["value"])

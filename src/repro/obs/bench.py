@@ -180,8 +180,9 @@ def append_history(path, row):
 def read_history(path, bench=None):
     """All well-formed rows of a history file, oldest first.
 
-    Torn or foreign lines are skipped (same tolerance as the fleet
-    journal); *bench* filters to one suite.
+    Torn or foreign lines are skipped (see
+    :func:`repro.atomicio.read_jsonl_tolerant`); *bench* filters to one
+    suite.
     """
     rows = [row for row in read_jsonl_tolerant(path) if validate_row(row)]
     if bench is not None:

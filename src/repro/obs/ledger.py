@@ -22,8 +22,8 @@ uninterrupted run are byte-identical once :func:`strip_volatile` drops
 the wall-clock fields.  Manifests live under ``<ledger>/<run_id>/`` and
 are indexed by ``ledger.jsonl`` at the ledger root; index entries land
 first as per-run shards under ``ledger.jsonl.d/`` (merged on read,
-consolidated under a lock) so concurrent recorders — dist clients,
-parallel CI shards, the chaos harness — never lose each other's
+consolidated under a lock) so concurrent recorders — parallel CI
+shards, several drivers sharing one ledger — never lose each other's
 entries to a read-modify-write race.  Every write goes through
 :mod:`repro.atomicio`.
 """
@@ -43,8 +43,8 @@ LEDGER_INDEX = "ledger.jsonl"
 
 #: Per-run index shard directory next to the monolithic index.  A
 #: rewrite of ``ledger.jsonl`` is a read-modify-write — unsafe when
-#: several drivers (a dist client, parallel CI shards, the chaos
-#: harness) record runs into one ledger concurrently.  So every
+#: several drivers (parallel CI shards, concurrent experiment runs)
+#: record runs into one ledger concurrently.  So every
 #: recording first lands as its own shard file (atomic rename, one
 #: file per run id, no cross-process contention) and the monolith is a
 #: *consolidation* of the shards, exactly the checkpoint-shard

@@ -14,8 +14,8 @@ time on" — the input ROADMAP item 2's superblock translator needs.  A
 
 Determinism contract: everything except the ``wall`` section is a pure
 function of (experiment, knobs, seed) — virtual cycles, counts and
-block keys are identical whether a cell ran serially, on the warm
-pool, or on a dist worker.  :func:`profile_bytes` is the canonical
+block keys are identical whether a cell ran serially or on the warm
+pool.  :func:`profile_bytes` is the canonical
 serialisation minus wall clock, mirroring
 :func:`repro.obs.ledger.manifest_bytes`; the cross-backend parity
 tests hash it.
@@ -65,7 +65,7 @@ _OP_NAMES = {int(op): op.name for op in Opcode}
 
 @dataclasses.dataclass(frozen=True)
 class ProfileConfig:
-    """Picklable profiling knobs, shipped to pool/dist workers per cell.
+    """Picklable profiling knobs, shipped to pool workers per cell.
 
     ``subsystems`` is the enabled subset of :data:`SUBSYSTEMS` (``None``
     means all).  An *empty* tuple is the "enabled but fully filtered"
@@ -376,7 +376,7 @@ NULL_PROFILER = NullProfiler()
 
 #: Ambient profiler stack, mirroring the tracer's: cores resolve their
 #: profiler here at construction instead of threading it through every
-#: signature.  Per-process (pool/dist workers activate their own).
+#: signature.  Per-process (pool workers activate their own).
 _ACTIVE = [NULL_PROFILER]
 
 

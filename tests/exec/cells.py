@@ -46,3 +46,20 @@ def fault_probe(kind, faults=None, cell_seed=0):
         kind, context=f"probe:{cell_seed}"
     ))
     return {"fired": fired}
+
+
+def fig5_manifest(knobs, seed, backend):
+    """Run a fig5 sweep and build its ledger manifest.
+
+    Compare two of these with :func:`repro.obs.ledger.manifest_bytes`
+    (which drops the volatile ``timing`` section) to check that two
+    backends produce the same artefact byte for byte.
+    """
+    from repro.core.experiments.fig5 import fig5_meta, plan_fig5, run_fig5
+    from repro.obs.ledger import build_manifest
+
+    result = run_fig5(seed=seed, backend=backend, **knobs)
+    config = fig5_meta(seed=seed, **knobs)
+    plan = plan_fig5(seed=seed, **knobs)
+    return build_manifest("fig5", config, result, plan=plan,
+                          statuses=getattr(result, "cell_status", None))

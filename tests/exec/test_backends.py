@@ -113,6 +113,66 @@ class TestParity:
         assert faults.summary() == {"hpc_drop": 2}
 
 
+def _scrub(outcome):
+    """An outcome minus wall-clock noise (what the ledger strips too)."""
+    return {key: value for key, value in outcome.items()
+            if key != "elapsed"}
+
+
+def _wave(backend, jobs):
+    return {key: _scrub(outcome) for key, outcome in backend.run_wave(jobs)}
+
+
+class TestPoolOutcomes:
+    """Raw ``run_wave`` outcomes from the pool equal the serial ones:
+    the outcome protocol survives pickling to a worker and back."""
+
+    def test_error_outcomes_travel_like_values(self):
+        jobs = [("cell/ok", seeded_value, {"tag": "x"}, None, None),
+                ("cell/boom", transient_boom, {"cell_seed": 3},
+                 None, None)]
+        got = _wave(ProcessPoolBackend(2), jobs)
+        assert got == _wave(SerialBackend(), jobs)
+        assert got["cell/boom"]["status"] == "err"
+        assert got["cell/boom"]["recoverable"] is True
+
+    def test_dependent_waves_run_back_to_back(self):
+        backend = ProcessPoolBackend(2)
+        first = dict(backend.run_wave(
+            [(f"cell/{index}", seeded_value,
+              {"tag": f"t{index}", "cell_seed": index}, None, None)
+             for index in range(3)]
+        ))
+        second_jobs = [("cell/sum", summed,
+                        {"values": first["cell/0"]["value"],
+                         "factor": 2.0}, None, None)]
+        assert _wave(backend, second_jobs) == \
+            _wave(SerialBackend(), second_jobs)
+
+    def test_fault_injector_reproduces_its_stream_in_a_worker(self):
+        def jobs():
+            injector = FaultInjector(seed=42, rates={"hpc_drop": 0.5},
+                                     max_fires=3)
+            return [(f"cell/{index}", fault_probe,
+                     {"kind": "hpc_drop", "faults": injector.derive(index),
+                      "cell_seed": index}, "faults", None)
+                    for index in range(4)]
+
+        pooled = _wave(ProcessPoolBackend(2), jobs())
+        assert pooled == _wave(SerialBackend(), jobs())
+        assert pooled == _wave(ProcessPoolBackend(2), jobs())
+
+    def test_trace_config_survives_the_trip(self):
+        from repro.obs import TraceConfig
+
+        trace = {"config": TraceConfig(categories=("exec",)),
+                 "key": "cell/0", "seed": 5}
+        jobs = [("cell/0", seeded_value, {"tag": "t"}, None, trace)]
+        pooled = _wave(ProcessPoolBackend(2), jobs)
+        assert pooled == _wave(SerialBackend(), jobs)
+        assert pooled["cell/0"]["trace"]
+
+
 class TestFailureAbsorption:
     def test_raising_worker_becomes_failed_cell(self):
         plan = _toy_plan()

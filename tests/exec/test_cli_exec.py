@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import EXIT_OK, build_parser, main
 
 
@@ -19,6 +21,15 @@ class TestParser:
         assert build_parser().parse_args(
             ["smoke", "--jobs", "2"]
         ).jobs == 2
+
+    def test_jobs_is_the_only_executor_knob(self, capsys):
+        parser = build_parser()
+        for name in ("fig4", "fig5", "fig6", "table1", "hardening"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--backend", "pool"])
+        for name in ("serve", "worker", "status", "chaos"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name])
 
 
 class TestListCells:

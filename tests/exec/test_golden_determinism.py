@@ -17,6 +17,8 @@ from repro.core.experiments import run_fig5
 from repro.core.experiments.fig5 import fig5_meta, plan_fig5
 from repro.exec import CellCache, ProcessPoolBackend, execute_plan, open_store
 
+from tests.exec.cells import fig5_manifest
+
 #: Same cross-wave shape the parity tests use: 6 cells, 3 waves.
 FIG5_KNOBS = dict(
     seed=8, attempts=2, detector_names=("lr", "nn"), training_benign=40,
@@ -117,102 +119,30 @@ def _interrupt(**kwargs):
     raise KeyboardInterrupt
 
 
-class TestDistGoldenDeterminism:
-    """Serial ≡ dist, including under lease-expiry chaos, twice.
-
-    The dist cluster runs in-process (a real ``DistServer`` on an
-    asyncio thread, real ``run_worker`` loops over real sockets) with
-    one deliberately sick worker whose heartbeats arrive far past the
-    lease timeout: its leases expire while it computes, the work
-    requeues onto the healthy worker, and its late results race the
-    retries.  None of that may be visible in the manifest — and a
-    second run with the same seed and the same chaos must produce the
-    same bytes again.
-    """
-
-    def test_requeue_chaos_is_invisible_and_repeatable(self):
-        import io
-        import time as _time
-
-        from repro.exec.dist import DistBackend
-        from repro.obs.ledger import manifest_bytes
-        from repro.exec.chaos import _fig5_manifest
-
-        from tests.exec.test_dist import _Cluster
-
-        knobs = {"host": "basicmath",
-                 **{k: v for k, v in FIG5_KNOBS.items() if k != "seed"}}
-        reference = manifest_bytes(_fig5_manifest(knobs, 8, backend=None))
-
-        requeues = []
-        for attempt in range(2):
-            cluster = _Cluster(lease_timeout=0.3, attempt_budget=6)
-            # The sick worker joins first and alone, so the opening
-            # wave lands on it and its expiring leases have victims.
-            cluster.start_worker("w-slow", chaos={
-                "seed": 8, "heartbeat_delay_s": 2.0,
-            })
-            _time.sleep(0.25)
-            cluster.start_worker("w-ok")
-            backend = DistBackend(cluster.address, seed=8,
-                                  stream=io.StringIO())
-            try:
-                chaotic = _fig5_manifest(knobs, 8, backend=backend)
-            finally:
-                backend.close()
-                cluster.stop()
-            requeues.append(cluster.server.stats["requeues"])
-            assert manifest_bytes(chaotic) == reference
-        # The chaos was real: leases actually expired and requeued.
-        assert sum(requeues) >= 1, requeues
-
-
 class TestOooGoldenDeterminism:
     """The out-of-order core's sweeps are as deterministic as the
     in-order core's: the same ``--uarch ooo`` fig5 run is byte-identical
-    whether it executes serially, on the warm worker pool, or across a
-    real dist cluster."""
+    whether it executes serially or on the warm worker pool."""
 
     KNOBS = {"host": "basicmath", "uarch": "ooo",
              **{k: v for k, v in FIG5_KNOBS.items() if k != "seed"}}
 
-    def test_serial_pool_dist_byte_identical(self):
-        import io
-
-        from repro.exec.chaos import _fig5_manifest
-        from repro.exec.dist import DistBackend
+    def test_serial_pool_byte_identical(self):
         from repro.obs.ledger import manifest_bytes
 
-        from tests.exec.test_dist import _Cluster
-
         reference = manifest_bytes(
-            _fig5_manifest(self.KNOBS, 8, backend=None)
+            fig5_manifest(self.KNOBS, 8, backend=None)
         )
-
-        pooled = _fig5_manifest(self.KNOBS, 8,
-                                backend=ProcessPoolBackend(2))
+        pooled = fig5_manifest(self.KNOBS, 8,
+                               backend=ProcessPoolBackend(2))
         assert manifest_bytes(pooled) == reference
-
-        cluster = _Cluster()
-        cluster.start_worker("w-1")
-        cluster.start_worker("w-2")
-        backend = DistBackend(cluster.address, seed=8,
-                              stream=io.StringIO())
-        try:
-            dist = _fig5_manifest(self.KNOBS, 8, backend=backend)
-        finally:
-            backend.close()
-            cluster.stop()
-        assert manifest_bytes(dist) == reference
 
     def test_uarch_is_part_of_the_run_identity(self):
         """inorder and ooo runs of the same knobs land under different
         run_ids (and genuinely different headline numbers may follow)."""
-        from repro.exec.chaos import _fig5_manifest
-
         inorder_knobs = dict(self.KNOBS, uarch="inorder")
-        ooo = _fig5_manifest(self.KNOBS, 8, backend=None)
-        inorder = _fig5_manifest(inorder_knobs, 8, backend=None)
+        ooo = fig5_manifest(self.KNOBS, 8, backend=None)
+        inorder = fig5_manifest(inorder_knobs, 8, backend=None)
         assert ooo["run_id"] != inorder["run_id"]
         assert ooo["config"]["uarch"] == "ooo"
         assert inorder["config"]["uarch"] == "inorder"

@@ -65,7 +65,7 @@ class TestEngineCompareParity:
 
 
 class TestSuperblockKillResume:
-    """Satellite: kill+resume mid-block via the chaos harness.
+    """Kill+resume while translated blocks run in pool workers.
 
     Closures are executing inside pool workers when the interrupt
     lands; the surviving checkpoint shards plus the re-run cells (all

@@ -10,7 +10,7 @@ Acceptance properties:
    bytes) is bit-identical to an unprofiled run, on both cores.
 3. **Determinism** — everything but the ``wall`` section is a pure
    function of (plan, seed): :func:`profile_bytes` is byte-identical
-   across serial, warm-pool and dist backends.
+   across the serial and warm-pool backends.
 """
 
 import io
@@ -221,20 +221,6 @@ class TestBackendParity:
     def test_serial_equals_pool(self):
         assert _profiles(SerialBackend()) == \
             _profiles(ProcessPoolBackend(2))
-
-    def test_serial_equals_dist(self):
-        from repro.exec.dist import DistBackend
-        from tests.exec.test_dist import _Cluster
-
-        serial = _profiles(SerialBackend())
-        cluster = _Cluster(lease_timeout=5.0)
-        cluster.start_worker("w0")
-        try:
-            dist = _profiles(DistBackend(cluster.address,
-                                         stream=io.StringIO()))
-        finally:
-            cluster.stop()
-        assert dist == serial
 
 
 class TestExecutorPhases:
