@@ -1,6 +1,6 @@
 """Atomic file writes: temp file + ``os.replace`` in the target dir.
 
-Every artefact this package persists (experiment checkpoints, benchmark
+Every artefact this package persists (cell-cache entries, benchmark
 tables, HPC trace CSVs) goes through these helpers so a killed run never
 leaves a truncated file behind — readers either see the old complete
 content or the new complete content, nothing in between.

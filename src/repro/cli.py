@@ -99,11 +99,6 @@ def _fault_spec(text):
 
 def _add_resilience(parser):
     parser.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="checkpoint directory: persist completed sweep cells and "
-             "skip them on re-run",
-    )
-    parser.add_argument(
         "--inject-faults", metavar="KIND=RATE", type=_fault_spec,
         action="append", default=None,
         help="arm the deterministic fault injector (repeatable), e.g. "
@@ -130,7 +125,8 @@ def _add_exec(parser):
         "--cell-cache", metavar="DIR", default=None,
         help="content-addressed cell result cache root (default: "
              "<ledger>/cellcache; disabled when the ledger is off "
-             "unless set explicitly)",
+             "unless set explicitly); re-running a killed sweep "
+             "against the same cache resumes it",
     )
     parser.add_argument(
         "--no-cell-cache", action="store_true",
@@ -219,23 +215,15 @@ def _call_accepted(fn, values):
     return fn(**{k: v for k, v in values.items() if k in accepted})
 
 
-def _plan_and_store(command, kwargs):
-    """Build the experiment's plan + checkpoint store without running it.
+def _plan(command, kwargs):
+    """Build the experiment's plan without running it.
 
     Fills every knob the runner would default, then calls the module's
-    ``plan_<command>``/``<command>_meta`` with the knobs each accepts —
-    so the described plan and the opened store match exactly what
-    ``run_<command>`` would execute and persist.
+    ``plan_<command>`` with the knobs it accepts — so the plan matches
+    exactly what ``run_<command>`` would execute.
     """
-    from repro.exec import open_store
-
     module, values = _resolve(command, kwargs)
-    store = open_store(values.get("checkpoint"), command,
-                       _call_accepted(getattr(module, f"{command}_meta"),
-                                      values),
-                       trace=values.get("trace"))
-    plan = _call_accepted(getattr(module, f"plan_{command}"), values)
-    return plan, store
+    return _call_accepted(getattr(module, f"plan_{command}"), values)
 
 
 def _build_faults(args):
@@ -564,8 +552,6 @@ def cmd_experiment(args):
               "uarch": getattr(args, "uarch", "inorder")}
     if getattr(args, "quick", False):
         kwargs.update(QUICK_KNOBS[args.command])
-    if args.resume is not None:
-        kwargs["checkpoint"] = args.resume
     faults = _build_faults(args)
     if faults is not None:
         kwargs["faults"] = faults
@@ -601,26 +587,12 @@ def cmd_experiment(args):
         kwargs["profiles"] = profiles
     phases = {}
     kwargs["phases"] = phases
-    if getattr(args, "list_cells", False):
-        from repro.exec import describe_plan
-
-        plan, store = _plan_and_store(args.command, kwargs)
-        print(describe_plan(plan, store))
-        return EXIT_OK
 
     ledger_dir = None
     if not getattr(args, "no_ledger", False):
         ledger_dir = getattr(args, "ledger", None)
-    run_id = None
-    if ledger_dir is not None:
-        from repro.obs import run_id_for
-
-        module, values = _resolve(args.command, kwargs)
-        config = _call_accepted(getattr(module, f"{args.command}_meta"),
-                                values)
-        run_id = run_id_for(args.command, config)
-        kwargs["timings"] = {}
-
+    # The cell cache is also the resume mechanism: a re-run against the
+    # same cache replays every cell a killed run completed.
     cell_cache = None
     if not getattr(args, "no_cell_cache", False):
         cache_dir = getattr(args, "cell_cache", None)
@@ -632,17 +604,36 @@ def cmd_experiment(args):
             cell_cache = CellCache(cache_dir)
             kwargs["cell_cache"] = cell_cache
 
+    if getattr(args, "list_cells", False):
+        from repro.exec import describe_plan
+
+        # A --hotspots run recomputes every cell, so none is cached.
+        print(describe_plan(_plan(args.command, kwargs),
+                            None if profile_config is not None
+                            else cell_cache,
+                            trace=trace_config))
+        return EXIT_OK
+
+    run_id = None
+    if ledger_dir is not None:
+        from repro.obs import run_id_for
+
+        module, values = _resolve(args.command, kwargs)
+        config = _call_accepted(getattr(module, f"{args.command}_meta"),
+                                values)
+        run_id = run_id_for(args.command, config)
+        kwargs["timings"] = {}
+
     # --jobs alone picks the backend (the runner calls backend_for):
     # 1 = the serial reference, N > 1 = the warm pool with N workers.
     jobs = getattr(args, "jobs", 1) or 1
     if jobs > 1:
         from repro.exec import SweepProgress
 
-        plan, _ = _plan_and_store(args.command, kwargs)
         kwargs["jobs"] = jobs
         kwargs["progress"] = SweepProgress(
-            args.command, total=sum(1 for _ in plan), jobs=jobs,
-            cell_cache=cell_cache,
+            args.command, total=len(_plan(args.command, kwargs)),
+            jobs=jobs, cell_cache=cell_cache,
         )
 
     import time
@@ -679,10 +670,9 @@ def cmd_experiment(args):
     if ledger_dir is not None:
         from repro.obs import build_manifest, write_manifest
 
-        plan = _call_accepted(getattr(module, f"plan_{args.command}"),
-                              values)
         manifest = build_manifest(
-            args.command, config, result, plan=plan,
+            args.command, config, result,
+            plan=_plan(args.command, kwargs),
             statuses=getattr(result, "cell_status", None),
             trace_files=trace_files,
             trace_root=os.path.join(ledger_dir, run_id),
@@ -1084,7 +1074,7 @@ def cmd_smoke(args):
     result = run_fig4(
         seed=args.seed, hosts=("basicmath",), classifier="lr",
         benign_per_host=40, attack_per_variant=16, variants=("v1",),
-        checkpoint=args.resume, faults=faults,
+        faults=faults,
         jobs=getattr(args, "jobs", 1) or 1,
         uarch=getattr(args, "uarch", "inorder"),
     )

@@ -26,8 +26,6 @@ _LAZY_EXPORTS = {
     "VirtualClock": "repro.core.resilience",
     "with_retry": "repro.core.resilience",
     "Watchdog": "repro.core.resilience",
-    "CheckpointStore": "repro.core.resilience",
-    "run_cell": "repro.core.resilience",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

@@ -1,46 +1,9 @@
 """Shared machinery for the per-figure experiment runners."""
 
-import os
-
 from repro.attack import PerturbParams
-from repro.core.resilience import CheckpointStore
 from repro.hid import DEFAULT_FEATURES, make_detector, samples_to_dataset
 from repro.hid.dataset import Dataset
 from repro.obs.tracer import current_tracer
-
-
-def open_checkpoint(checkpoint, experiment, meta, trace=None,
-                    profile=None):
-    """Resolve a runner's ``checkpoint`` argument into a store (or None).
-
-    ``checkpoint`` is a directory: the sweep persists to
-    ``<checkpoint>/<experiment>.json``.  ``meta`` must hold every knob
-    that changes the sweep's cells (seed, scale, hosts...) — a stored
-    checkpoint with different meta is discarded, never mixed in.  A
-    :class:`~repro.obs.TraceConfig` is part of that identity: traced
-    shards carry trace+metrics payloads an untraced run would not
-    replay, so the two never share a checkpoint.  So is an armed
-    :class:`~repro.obs.prof.ProfileConfig` — a profiled run takes the
-    instrumented interpreter loop and must not resume (or seed) an
-    unprofiled checkpoint, whose replayed cells would carry no profile.
-    """
-    if checkpoint is None:
-        return None
-    path = os.path.join(os.fspath(checkpoint), f"{experiment}.json")
-    meta = {"experiment": experiment, **meta}
-    if trace is not None:
-        meta["trace"] = {
-            "categories": (None if trace.categories is None
-                           else sorted(trace.categories)),
-            "max_records": trace.max_records,
-        }
-    if profile is not None and profile.active:
-        meta["profile"] = {
-            "subsystems": (None if profile.subsystems is None
-                           else sorted(profile.subsystems)),
-            "top_blocks": profile.top_blocks,
-        }
-    return CheckpointStore(path, meta=meta)
 
 
 def sample_training_records(host, training_benign, training_attack,

@@ -8,15 +8,14 @@ for feature sizes 16, 8, 4, 2 and 1.  Expected shape: >80 % for sizes
 Each host is one sweep *cell* of the declared :class:`SweepPlan`
 (``repro.exec``): cells are mutually independent, seeded from their
 cell key, and may run serially or fanned out over a process pool with
-identical results; with ``checkpoint`` set, completed hosts persist
-atomically and a re-run resumes with the remaining hosts; with
-``faults`` set, injected failures degrade single cells into a partial
-report instead of crashing the sweep.
+identical results; with a cell cache, each completed host is stored as
+it lands and a re-run of a killed sweep replays those hosts and
+computes only the rest; with ``faults`` set, injected failures degrade
+single cells into a partial report instead of crashing the sweep.
 """
 
 import dataclasses
 
-from repro.core.experiments.common import open_checkpoint
 from repro.core.reporting import (
     append_metrics_section,
     append_status_section,
@@ -186,21 +185,17 @@ def fig4_meta(seed, hosts, feature_sizes, classifier, benign_per_host,
 
 def run_fig4(seed=0, hosts=FIG4_HOSTS, feature_sizes=FEATURE_SIZES,
              classifier="mlp", benign_per_host=150, attack_per_variant=50,
-             variants=("v1", "rsb", "sbo"), checkpoint=None, faults=None,
+             variants=("v1", "rsb", "sbo"), faults=None,
              jobs=1, backend=None, progress=None, trace=None,
              traces=None, timings=None, cell_cache=None, profile=None,
              profiles=None, phases=None, uarch="inorder"):
     """Regenerate Figure 4.  Returns a :class:`Fig4Result`."""
-    store = open_checkpoint(checkpoint, "fig4", fig4_meta(
-        seed, hosts, feature_sizes, classifier, benign_per_host,
-        attack_per_variant, variants, uarch,
-    ), trace=trace, profile=profile)
     plan = plan_fig4(seed, hosts, feature_sizes, classifier,
                      benign_per_host, attack_per_variant, variants,
                      faults=faults, uarch=uarch)
     statuses = {}
     metrics = {}
-    results = execute_plan(plan, store=store, statuses=statuses,
+    results = execute_plan(plan, statuses=statuses,
                            backend=backend or backend_for(jobs),
                            progress=progress,
                            trace=trace, traces=traces, metrics=metrics,

@@ -15,8 +15,8 @@ Cell grid (the declared :class:`~repro.exec.SweepPlan`)::
 Every attempt is its own cell: it stages a fresh campaign from its
 derived seed and re-fits the (deterministic) detectors from the shared
 training corpus, so cells are order-independent and a ``--jobs N`` run
-is bit-identical to a serial one.  A resumed run replays completed
-cells from the checkpoint and recomputes only the rest; an injected
+is bit-identical to a serial one.  A re-run replays completed cells
+from the cell cache and computes only the rest; an injected
 fault degrades the affected cell into a partial report.
 """
 
@@ -26,7 +26,6 @@ from repro.attack import PerturbParams
 from repro.core.experiments.common import (
     DETECTOR_NAMES,
     attempt_dataset,
-    open_checkpoint,
     sample_training_records,
     search_evading_params,
     split_training,
@@ -281,22 +280,18 @@ def _collect_series(results, phase, attempts, detector_names):
 def run_fig5(seed=0, host="basicmath", attempts=10,
              detector_names=DETECTOR_NAMES, training_benign=240,
              training_attack=240, attempt_samples=60, attempt_benign=20,
-             scenario=None, training=None, checkpoint=None, faults=None,
+             scenario=None, training=None, faults=None,
              jobs=1, backend=None, progress=None, trace=None,
              traces=None, timings=None, cell_cache=None, profile=None,
              profiles=None, phases=None, uarch="inorder"):
     """Regenerate Figure 5.  Returns a :class:`Fig5Result`."""
-    store = open_checkpoint(checkpoint, "fig5", fig5_meta(
-        seed, host, attempts, detector_names, training_benign,
-        training_attack, attempt_samples, attempt_benign, uarch,
-    ), trace=trace, profile=profile)
     plan = plan_fig5(seed, host, attempts, detector_names,
                      training_benign, training_attack, attempt_samples,
                      attempt_benign, scenario=scenario, training=training,
                      faults=faults, uarch=uarch)
     statuses = {}
     metrics = {}
-    results = execute_plan(plan, store=store, statuses=statuses,
+    results = execute_plan(plan, statuses=statuses,
                            backend=backend or backend_for(jobs),
                            progress=progress,
                            trace=trace, traces=traces, metrics=metrics,

@@ -28,7 +28,6 @@ from repro.attack.adaptive import AdaptiveAttacker, AttemptRecord
 from repro.core.experiments.common import (
     DETECTOR_NAMES,
     attempt_dataset,
-    open_checkpoint,
     sample_training_records,
     split_training,
     train_detectors,
@@ -282,7 +281,7 @@ def fig6_meta(seed, host, attempts, detector_names, training_benign,
 def run_fig6(seed=0, host="basicmath", attempts=10,
              detector_names=DETECTOR_NAMES, training_benign=240,
              training_attack=240, attempt_samples=60, attempt_benign=15,
-             audit_every=3, scenario=None, training=None, checkpoint=None,
+             audit_every=3, scenario=None, training=None,
              faults=None, jobs=1, backend=None, progress=None, trace=None,
              traces=None, timings=None, cell_cache=None, profile=None,
              profiles=None, phases=None, uarch="inorder"):
@@ -293,18 +292,13 @@ def run_fig6(seed=0, host="basicmath", attempts=10,
     is learned with ground truth — the source of the partial recoveries
     in Fig. 6(b); all other attempts retrain self-labeled.
     """
-    store = open_checkpoint(checkpoint, "fig6", fig6_meta(
-        seed, host, attempts, detector_names, training_benign,
-        training_attack, attempt_samples, attempt_benign, audit_every,
-        uarch,
-    ), trace=trace, profile=profile)
     plan = plan_fig6(seed, host, attempts, detector_names,
                      training_benign, training_attack, attempt_samples,
                      attempt_benign, audit_every, scenario=scenario,
                      training=training, faults=faults, uarch=uarch)
     statuses = {}
     metrics = {}
-    results = execute_plan(plan, store=store, statuses=statuses,
+    results = execute_plan(plan, statuses=statuses,
                            backend=backend or backend_for(jobs),
                            progress=progress,
                            trace=trace, traces=traces, metrics=metrics,

@@ -18,15 +18,15 @@ Cell grid (the declared :class:`~repro.exec.SweepPlan`)::
 ``corpus`` samples every pool once (benign, plain attack, the K train
 variants, holdout variants); each ``k/<K>`` cell trains its hardened
 detector from the shared corpus, so the points are order-independent
-and parallelise.  A killed sweep resumes with the corpus replayed from
-the checkpoint and only the missing K points recomputed.
+and parallelise.  Re-running a killed sweep replays the corpus from
+the cell cache and computes only the missing K points.
 """
 
 import dataclasses
 import random
 
 from repro.attack.perturb import random_params
-from repro.core.experiments.common import attempt_dataset, open_checkpoint
+from repro.core.experiments.common import attempt_dataset
 from repro.core.reporting import (
     append_metrics_section,
     append_status_section,
@@ -221,7 +221,7 @@ def hardening_meta(seed, classifier, train_variant_counts, holdout_variants,
 def run_hardening(seed=0, classifier="mlp", train_variant_counts=(0, 2, 4, 8),
                   holdout_variants=4, samples_per_variant=40,
                   training_benign=200, training_attack=120,
-                  attempt_benign=15, scenario=None, checkpoint=None,
+                  attempt_benign=15, scenario=None,
                   faults=None, jobs=1, backend=None, progress=None,
                   trace=None, traces=None, timings=None, cell_cache=None,
                   profile=None, profiles=None, phases=None,
@@ -232,18 +232,13 @@ def run_hardening(seed=0, classifier="mlp", train_variant_counts=(0, 2, 4, 8),
     Spectre + K random perturbation variants, then evaluate on
     *holdout_variants* fresh random variants (disjoint RNG stream).
     """
-    store = open_checkpoint(checkpoint, "hardening", hardening_meta(
-        seed, classifier, train_variant_counts, holdout_variants,
-        samples_per_variant, training_benign, training_attack,
-        attempt_benign, uarch,
-    ), trace=trace, profile=profile)
     plan = plan_hardening(seed, classifier, train_variant_counts,
                           holdout_variants, samples_per_variant,
                           training_benign, training_attack, attempt_benign,
                           scenario=scenario, faults=faults, uarch=uarch)
     statuses = {}
     metrics = {}
-    results = execute_plan(plan, store=store, statuses=statuses,
+    results = execute_plan(plan, statuses=statuses,
                            backend=backend or backend_for(jobs),
                            progress=progress,
                            trace=trace, traces=traces, metrics=metrics,

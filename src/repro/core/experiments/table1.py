@@ -27,7 +27,7 @@ from repro.attack import (
     build_spectre,
     plan_execve_injection,
 )
-from repro.core.experiments.common import co_run, open_checkpoint
+from repro.core.experiments.common import co_run
 from repro.core.reporting import (
     append_metrics_section,
     append_status_section,
@@ -305,7 +305,7 @@ def table1_meta(seed, rows, secret, repetitions, quantum,
 
 
 def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
-               repetitions=3, quantum=10_000, checkpoint=None,
+               repetitions=3, quantum=10_000,
                measurement_budget=None, faults=None, jobs=1,
                backend=None, progress=None, trace=None, traces=None,
                timings=None, cell_cache=None, profile=None,
@@ -320,15 +320,12 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
     the affected row trips its (real or implied) budget and degrades
     into a failed cell rather than spinning forever.
     """
-    store = open_checkpoint(checkpoint, "table1", table1_meta(
-        seed, rows, secret, repetitions, quantum, uarch,
-    ), trace=trace, profile=profile)
     plan = plan_table1(seed, rows, secret, repetitions, quantum,
                        measurement_budget=measurement_budget,
                        faults=faults, uarch=uarch)
     statuses = {}
     metrics = {}
-    results = execute_plan(plan, store=store, statuses=statuses,
+    results = execute_plan(plan, statuses=statuses,
                            backend=backend or backend_for(jobs),
                            progress=progress,
                            trace=trace, traces=traces, metrics=metrics,

@@ -38,7 +38,7 @@ def format_cell_status(statuses, title="sweep cells"):
     """Render a sweep's per-cell status block (resilient reporting).
 
     ``statuses`` maps cell key → ``{"status": ..., "error": ...}`` as
-    produced by :func:`repro.core.resilience.run_cell`.  Failed cells
+    produced by :func:`repro.exec.execute_plan`.  Failed cells
     show their error chain, so a partially-failed sweep still emits a
     usable report instead of crashing.
     """

@@ -145,10 +145,6 @@ class SampleCorruptionError(HidError, TransientError):
     """HPC sampling lost or garbled too many windows to proceed."""
 
 
-class CheckpointError(ReproError):
-    """A sweep checkpoint file is unreadable or structurally invalid."""
-
-
 class WorkerCrashError(TransientError):
     """A sweep worker process died mid-cell (crash, OOM-kill, _exit).
 

@@ -24,8 +24,7 @@ one from ``--jobs`` (1 = serial, N > 1 = the pool with N workers).
 import contextlib
 import time
 
-from repro.core.resilience import RECOVERABLE
-from repro.core.resilience.checkpoint import error_chain
+from repro.core.resilience import RECOVERABLE, error_chain
 from repro.errors import WorkerCrashError
 from repro.obs.prof import Profiler, activate_profile
 from repro.obs.tracer import Tracer, activate
@@ -92,8 +91,8 @@ def invoke_cell(fn, kwargs, faults_kw=None, trace=None):
 class SerialBackend:
     """Run every cell in the driver process, in declaration order."""
 
-    #: Parallel backends persist through per-cell shards; serial ones
-    #: write the monolithic checkpoint directly.
+    #: Only a serial backend can run local cells (they close over live
+    #: driver state and cannot be shipped to a worker).
     concurrent = False
     jobs = 1
 

@@ -6,23 +6,27 @@ kwargs) tuple is computed over and over.  :class:`CellCache` keys a
 cell's *result* by a sha256 digest of everything that determines it —
 the same canonical-JSON hashing discipline the seed derivation and the
 run ledger already use — and stores the value (plus its trace/metrics
-envelope when tracing) under a two-level fan-out directory, one file
-per cell.
+when tracing, and its fired fault counts when fault-armed) under a
+two-level fan-out directory, one file per cell, atomically as the cell
+completes.
 
-Unlike a :class:`~repro.core.resilience.CheckpointStore`, which scopes
-replay to one sweep via a meta fingerprint, the cache is shared across
-runs and experiments: any cell whose digest matches is a hit, whether
-it was computed by a cold ``repro fig5`` an hour ago or by a CI job's
-previous step.  Safety comes from the digest (any knob, dep value,
-seed, code identity or trace-config change produces a different key)
-plus a stored *value digest* that is re-verified on every read — a
-corrupted or tampered entry is detected and recomputed, never trusted.
+The cache is also how a killed sweep resumes: re-running the same
+command against the same cache replays every completed cell and
+computes only the rest.  It is shared across runs and experiments: any
+cell whose digest matches is a hit, whether it was computed by a cold
+``repro fig5`` an hour ago or by a CI job's previous step.  Safety
+comes from the digest (any knob, dep value, seed, code identity, trace
+config or fault spec change produces a different key) plus a stored
+*value digest* that is re-verified on every read — a corrupted or
+tampered entry is detected and recomputed, never trusted.
 
-What is deliberately *not* cached: cells of fault-armed plans (their
-outcome depends on injector state, which is the point of injecting
-faults), local cells (they close over live driver state), and cells
-whose kwargs do not survive canonical JSON (no stable identity, no
-cache).
+A fault-armed cell is keyed by its injector spec: the root injector's
+``rates`` and ``max_fires`` join the digest material, and the cell's
+seed (already in it) seeds the derived injector, so an unarmed entry is
+never a hit for an armed cell.  What is deliberately *not* cached:
+local cells (they close over live driver state), profiled runs (a
+memoized value has no profile to replay), and cells whose kwargs do not
+survive canonical JSON (no stable identity, no cache).
 """
 
 import hashlib
@@ -32,7 +36,7 @@ import os
 from repro.atomicio import atomic_write_json
 
 #: Schema tag stored in every entry; bump to invalidate the world.
-CACHE_FORMAT = "repro-cellcache/1"
+CACHE_FORMAT = "repro-cellcache/2"
 
 
 def _canonical(obj):
@@ -64,15 +68,19 @@ class CellCache:
 
     # -- keying ---------------------------------------------------------
 
-    def digest(self, experiment, key, seed, fn, kwargs, trace=None):
+    def digest(self, experiment, key, seed, fn, kwargs, trace=None,
+               faults=None):
         """Digest of everything that determines a cell's value.
 
         Returns ``None`` (uncacheable) when *kwargs* will not
         canonicalise — an injector object, a live scenario — because a
         key that silently dropped a kwarg would alias distinct cells.
-        The trace config joins the material for the same reason traced
-        and untraced checkpoints are incompatible: a traced entry
-        carries an envelope an untraced run has no use for.
+        The trace config joins the material because a traced entry
+        carries trace records an untraced run has no use for.  *faults*
+        (the plan's root :class:`~repro.core.resilience.FaultInjector`,
+        passed only for cells that receive a derived injector) joins
+        with its rates and caps: the derived injector is a function of
+        those plus *seed*.
         """
         material = {
             "format": CACHE_FORMAT,
@@ -88,6 +96,11 @@ class CellCache:
                                else sorted(trace.categories)),
                 "max_records": trace.max_records,
             }
+        if faults is not None:
+            material["faults"] = {
+                "rates": faults.rates,
+                "max_fires": faults.max_fires,
+            }
         try:
             return hashlib.sha256(_canonical(material)).hexdigest()
         except (TypeError, ValueError):
@@ -99,8 +112,10 @@ class CellCache:
     # -- read/write -----------------------------------------------------
 
     def lookup(self, digest):
-        """Return ``(value, trace, metrics)`` for a verified hit, else
-        ``None``.
+        """Return the stored payload for a verified hit, else ``None``.
+
+        The payload is ``{"value": ...}`` plus ``trace``/``metrics``
+        when the cell was traced and ``fired`` when its injector fired.
 
         The stored payload's sha256 is recomputed and checked against
         the recorded ``value_digest``: a mismatch (bit rot, a truncated
@@ -132,11 +147,15 @@ class CellCache:
             self.poisoned += 1
             return None
         self.hits += 1
-        return payload["value"], payload.get("trace"), payload.get("metrics")
+        return payload
 
     def store(self, digest, experiment, key, value,
-              trace=None, metrics=None):
+              trace=None, metrics=None, fired=None):
         """Persist a freshly computed cell value under *digest*.
+
+        *fired* (the cell's derived-injector fire counts) is replayed
+        into the root injector on a hit, so a resumed run's fault
+        summary matches an uninterrupted run's.
 
         Atomic (temp + rename), so a killed run never leaves a
         half-written entry — and a half-written entry would fail the
@@ -148,6 +167,8 @@ class CellCache:
         if trace is not None:
             payload["trace"] = trace
             payload["metrics"] = metrics
+        if fired:
+            payload["fired"] = fired
         entry = {
             "format": CACHE_FORMAT,
             "experiment": experiment,

@@ -20,12 +20,12 @@ class Cell:
 
     ``fn(**kwargs)`` must return a JSON-serialisable value.  ``deps``
     maps a kwarg name to another cell's key: the runner injects that
-    cell's (possibly checkpoint-cached) value before invoking ``fn``.
+    cell's (possibly cache-replayed) value before invoking ``fn``.
     ``seed_kw``/``faults_kw`` name the kwargs that receive the derived
     per-cell seed / fault injector (``None`` = the cell takes neither).
     ``local`` marks a cell that must run in the driver process (it
-    closes over shared live state and cannot be pickled to a worker).
-    ``persist`` controls whether the value is written to the checkpoint.
+    closes over shared live state and cannot be pickled to a worker),
+    so it is never memoized in the cell cache either.
     """
 
     key: str
@@ -36,7 +36,6 @@ class Cell:
     seed_kw: str = None
     faults_kw: str = None
     local: bool = False
-    persist: bool = True
 
 
 class SweepPlan:
@@ -51,7 +50,7 @@ class SweepPlan:
         self._keys = set()
 
     def add(self, key, fn, kwargs=None, deps=None, seed_kw=None,
-            faults_kw=None, local=False, persist=True):
+            faults_kw=None, local=False):
         """Declare one cell; returns its derived seed (for inspection)."""
         key = str(key)
         if key in self._keys or key in self.presets:
@@ -74,7 +73,7 @@ class SweepPlan:
         self.cells.append(Cell(
             key=key, fn=fn, kwargs=dict(kwargs or {}), seed=seed,
             deps=deps, seed_kw=seed_kw, faults_kw=faults_kw,
-            local=local, persist=persist,
+            local=local,
         ))
         self._keys.add(key)
         return seed
@@ -82,7 +81,7 @@ class SweepPlan:
     def preset(self, key, value):
         """Provide a dependency value without a cell (shared-state reuse).
 
-        A preset never executes and is never persisted; it exists so a
+        A preset never executes and is never cached; it exists so a
         caller that already holds e.g. a sampled training corpus can
         feed it to dependent cells.
         """

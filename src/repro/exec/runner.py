@@ -1,18 +1,17 @@
-"""Plan execution: cache, fan out, absorb failures, merge, persist.
+"""Plan execution: replay, fan out, absorb failures, merge, memoize.
 
 :func:`execute_plan` is the single entry point every experiment runner
-uses.  It resolves checkpoint-cached cells, hands the rest to a backend
-wave by wave (a wave = cells whose dependencies are all satisfied),
-absorbs recoverable failures into per-cell statuses exactly like
-:func:`repro.core.resilience.run_cell` does, and persists completed
-cells — monolithically when serial, as O_EXCL shards when concurrent
-(consolidated back into the monolith at the end, so the final artefact
-is identical either way).
+uses.  It replays the cells the cell cache already holds, hands the
+rest to a backend wave by wave (a wave = cells whose dependencies are
+all satisfied), absorbs recoverable failures into per-cell statuses,
+and stores each completed cell in the cache as it lands.  That is also
+how a killed sweep resumes: running the same command again against the
+same cache replays every completed cell and computes only the rest.
 
 Determinism contract: a plan's results depend only on (experiment,
 knobs, root seed).  Each cell runs with a derived seed and a derived
 fault injector, every value is round-tripped through JSON (so a fresh
-value and a checkpoint-replayed value are indistinguishable), and
+value and a cache-replayed value are indistinguishable), and
 statuses/results are emitted in declaration order regardless of the
 order cells actually finished in.
 """
@@ -20,12 +19,7 @@ order cells actually finished in.
 import json
 import time
 
-from repro.core.resilience import (
-    CELL_CACHED,
-    CELL_FAILED,
-    CELL_OK,
-    CheckpointStore,
-)
+from repro.core.resilience import CELL_CACHED, CELL_FAILED, CELL_OK
 from repro.core.reporting import format_table
 from repro.errors import FatalError
 from repro.exec.backends import SerialBackend
@@ -55,60 +49,37 @@ def _roundtrip(value):
     return json.loads(json.dumps(value))
 
 
-def open_store(checkpoint, experiment, meta, trace=None):
-    """Resolve a checkpoint directory into a store (or None).
+def _cell_kwargs(cell, results):
+    """A cell's call kwargs: fixed ones, dependency values, its seed."""
+    kwargs = dict(cell.kwargs)
+    for kwarg, dep_key in cell.deps.items():
+        kwargs[kwarg] = results[dep_key]
+    if cell.seed_kw is not None:
+        kwargs.setdefault(cell.seed_kw, cell.seed)
+    return kwargs
 
-    The sweep persists to ``<checkpoint>/<experiment>.json``; ``meta``
-    must hold every knob that changes the plan's cells, so a stored
-    checkpoint with different meta is discarded, never mixed in.  A
-    :class:`~repro.obs.TraceConfig` joins the meta: traced checkpoints
-    carry trace/metrics envelopes an untraced run has no use for (and
-    vice versa), so the two must not resume each other.
+
+def _cell_digest(cell_cache, plan, cell, kwargs, trace):
+    """The cell's cache key, or ``None`` when it cannot be memoized.
+
+    A cell that receives a derived fault injector is keyed by the root
+    injector's spec too: its value depends on the faults it was dealt.
     """
-    if checkpoint is None:
+    if cell.local:
         return None
-    import os
-
-    path = os.path.join(os.fspath(checkpoint), f"{experiment}.json")
-    meta = {"experiment": experiment, **meta}
-    if trace is not None:
-        meta["trace"] = {
-            "categories": (None if trace.categories is None
-                           else sorted(trace.categories)),
-            "max_records": trace.max_records,
-        }
-    return CheckpointStore(path, meta=meta)
+    faults = plan.faults if cell.faults_kw is not None else None
+    return cell_cache.digest(plan.experiment, cell.key, cell.seed,
+                             cell.fn, kwargs, trace, faults=faults)
 
 
-#: Marker key of a checkpoint value that carries its cell's trace.
-TRACED_VALUE = "__traced_cell__"
-
-
-def _wrap_traced(value, records, metrics):
-    return {TRACED_VALUE: 1, "value": value,
-            "trace": records, "metrics": metrics}
-
-
-def _unwrap(stored):
-    """Split a checkpoint value into (value, trace, metrics).
-
-    Untraced checkpoints store the bare value; traced ones store the
-    envelope.  Reading tolerates both, so the envelope never leaks into
-    experiment results.
-    """
-    if isinstance(stored, dict) and stored.get(TRACED_VALUE) == 1:
-        return stored["value"], stored.get("trace"), stored.get("metrics")
-    return stored, None, None
-
-
-def execute_plan(plan, store=None, statuses=None, backend=None,
-                 progress=None, trace=None, traces=None, metrics=None,
-                 timings=None, cell_cache=None, profile=None,
-                 profiles=None, phases=None):
+def execute_plan(plan, statuses=None, backend=None, progress=None,
+                 trace=None, traces=None, metrics=None, timings=None,
+                 cell_cache=None, profile=None, profiles=None,
+                 phases=None):
     """Run every cell of *plan*; returns ``{cell key: value-or-None}``.
 
     *statuses* (dict) receives ``key -> {"status": ..., "error": ...}``
-    in declaration order: ``cached`` (checkpoint hit), ``ok`` or
+    in declaration order: ``cached`` (cell-cache hit), ``ok`` or
     ``failed`` (recoverable error, chain attached).  Cells whose
     dependency failed are skipped silently — their value is ``None`` and
     they get no status, matching the historical early-return behaviour
@@ -118,39 +89,40 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
     each cell body runs under its own :class:`~repro.obs.Tracer`, and
     the caller-supplied *traces* / *metrics* dicts receive
     ``key -> record list`` / ``key -> metrics snapshot`` in declaration
-    order.  Trace records are virtual-timed and checkpointed alongside
-    the value, so the filled dicts are byte-equal whether the cells ran
-    serially, in a pool, or were replayed from a checkpoint.
+    order.  Trace records are virtual-timed and cached alongside the
+    value, so the filled dicts are byte-equal whether the cells ran
+    serially, in a pool, or were replayed from the cell cache.
 
     *timings* (dict) receives ``key -> wall-clock seconds`` per executed
-    cell (0.0 for checkpoint replays).  Wall clock is *not* part of the
+    cell (0.0 for cache replays).  Wall clock is *not* part of the
     determinism contract — the run ledger keeps it in the manifest's
     volatile section.
 
     *cell_cache* (a :class:`~repro.exec.cellcache.CellCache`) memoizes
     cell values across runs: a cell whose content digest is already in
-    the cache is replayed (status ``cached``, like a checkpoint hit)
-    instead of computed, and freshly computed values are stored for
-    the next run.  Replayed and computed cells are indistinguishable
-    downstream — same round-tripped value, same checkpoint bytes, same
-    trace records — so a warm run compares byte-identical to the cold
-    run that populated the cache.  Fault-armed plans bypass the cache
-    entirely.
+    the cache is replayed (status ``cached``) instead of computed, and
+    each freshly computed value is stored as it lands — so re-running a
+    killed sweep resumes it.  Replayed and computed cells are
+    indistinguishable downstream — same round-tripped value, same trace
+    records, same fired fault counts folded into ``plan.faults`` — so a
+    warm run compares byte-identical to the cold run that populated the
+    cache.  A cell that takes a derived fault injector is keyed by the
+    injector's spec, so armed and unarmed runs never replay each other.
 
     *profile* (a :class:`~repro.obs.prof.ProfileConfig`) arms per-cell
     self-profiling: each cell body runs under its own
     :class:`~repro.obs.prof.Profiler` and the caller-supplied
     *profiles* dict receives ``key -> snapshot`` in declaration order.
     Everything but the snapshot's ``wall`` section is deterministic
-    across backends.  Profiled runs bypass the cell cache (a memoized
-    value has no profile to replay) and profiles are not checkpointed.
+    across backends.  Profiled runs bypass the cell cache: a memoized
+    value has no profile to replay.
 
     *phases* (dict) receives a wall-clock breakdown of where
     ``execute_plan`` itself spent its time — ``schedule`` (building
     waves/jobs), ``cache_lookup`` (cell-cache digests + lookups),
     ``compute`` (summed cell bodies), ``ipc`` (backend round-trip
     residue; approximate under parallelism, where compute overlaps),
-    ``merge`` (absorbing outcomes, persisting, final distribution).
+    ``merge`` (absorbing outcomes, storing, final distribution).
     Volatile by nature — manifests keep it under ``timing``.
     """
     backend = backend or SerialBackend()
@@ -170,18 +142,9 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
     digests = {}
     tracing = trace is not None
     profiling = profile is not None and profile.active
-    memoizing = (cell_cache is not None and plan.faults is None
-                 and not profiling)
+    memoizing = cell_cache is not None and not profiling
     phase_acc = {"schedule": 0.0, "cache_lookup": 0.0, "compute": 0.0,
                  "ipc": 0.0, "merge": 0.0}
-
-    def persist(key, payload):
-        if store is None:
-            return
-        if backend.concurrent:
-            store.put_shard(key, payload)
-        else:
-            store.put(key, payload)
 
     def note(key, status, elapsed, snapshot):
         if progress is None:
@@ -192,6 +155,10 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
             progress.update(key, status, elapsed, metrics=snapshot)
         else:
             progress.update(key, status, elapsed)
+
+    def absorb_fired(fired):
+        if plan.faults is not None and fired:
+            plan.faults.absorb(fired)
 
     try:
         for wave in plan.waves():
@@ -205,45 +172,25 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
                        for dep in cell.deps.values()):
                     results[cell.key] = None
                     continue
-                if store is not None and cell.key in store:
-                    value, replayed, snapshot = _unwrap(store.get(cell.key))
-                    results[cell.key] = value
-                    if replayed is not None:
-                        cell_traces[cell.key] = replayed
-                        cell_metrics[cell.key] = snapshot
-                    recorded[cell.key] = {"status": CELL_CACHED}
-                    cell_elapsed[cell.key] = 0.0
-                    note(cell.key, CELL_CACHED, 0.0, snapshot)
-                    continue
-                kwargs = dict(cell.kwargs)
-                for kwarg, dep_key in cell.deps.items():
-                    kwargs[kwarg] = results[dep_key]
-                if cell.seed_kw is not None:
-                    kwargs.setdefault(cell.seed_kw, cell.seed)
-                if memoizing and cell.persist and not cell.local:
+                kwargs = _cell_kwargs(cell, results)
+                if memoizing:
                     lookup0 = time.monotonic()
-                    digest = cell_cache.digest(
-                        plan.experiment, cell.key, cell.seed, cell.fn,
-                        kwargs, trace
-                    )
+                    digest = _cell_digest(cell_cache, plan, cell, kwargs,
+                                          trace)
                     memo = cell_cache.lookup(digest)
                     phase_acc["cache_lookup"] += (time.monotonic()
                                                   - lookup0)
                     if memo is not None:
-                        value, memo_trace, memo_metrics = memo
-                        results[cell.key] = value
+                        results[cell.key] = memo["value"]
+                        snapshot = None
                         if tracing:
-                            cell_traces[cell.key] = memo_trace
-                            cell_metrics[cell.key] = memo_metrics
-                            persist(cell.key, _wrap_traced(
-                                value, memo_trace, memo_metrics
-                            ))
-                        else:
-                            persist(cell.key, value)
+                            cell_traces[cell.key] = memo.get("trace")
+                            snapshot = memo.get("metrics")
+                            cell_metrics[cell.key] = snapshot
+                        absorb_fired(memo.get("fired"))
                         recorded[cell.key] = {"status": CELL_CACHED}
                         cell_elapsed[cell.key] = 0.0
-                        note(cell.key, CELL_CACHED, 0.0,
-                             memo_metrics if tracing else None)
+                        note(cell.key, CELL_CACHED, 0.0, snapshot)
                         continue
                     digests[cell.key] = digest
                 if cell.faults_kw is not None and plan.faults is not None:
@@ -263,19 +210,17 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
                 time.monotonic() - build0
                 - (phase_acc["cache_lookup"] - cache0)
             )
-            persist_flags = {cell.key: cell.persist for cell in wave}
             wave0 = time.monotonic()
             merge_wave = 0.0
             compute_wave = 0.0
             for key, outcome in backend.run_wave(jobs):
                 merge0 = time.monotonic()
                 compute_wave += outcome.get("elapsed", 0.0)
-                if plan.faults is not None and outcome.get("fired"):
-                    plan.faults.absorb(outcome["fired"])
+                absorb_fired(outcome.get("fired"))
                 snapshot = None
                 if "trace" in outcome:
                     # Round-trip like the value: a fresh trace and a
-                    # checkpoint-replayed trace must be byte-identical.
+                    # cache-replayed trace must be byte-identical.
                     cell_traces[key] = _roundtrip(outcome["trace"])
                     snapshot = _roundtrip(outcome["metrics"])
                     cell_metrics[key] = snapshot
@@ -287,18 +232,12 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
                     value = _roundtrip(outcome["value"])
                     results[key] = value
                     recorded[key] = {"status": CELL_OK}
-                    if persist_flags.get(key, True):
-                        if tracing:
-                            persist(key, _wrap_traced(
-                                value, cell_traces.get(key), snapshot
-                            ))
-                        else:
-                            persist(key, value)
                     if digests.get(key) is not None:
                         cell_cache.store(
                             digests[key], plan.experiment, key, value,
                             trace=cell_traces.get(key) if tracing else None,
                             metrics=snapshot if tracing else None,
+                            fired=outcome.get("fired"),
                         )
                 elif outcome["recoverable"]:
                     results[key] = None
@@ -319,8 +258,6 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
             phase_acc["compute"] += compute_wave
     finally:
         backend.close()
-        if store is not None and backend.concurrent:
-            store.consolidate()
 
     merge0 = time.monotonic()
     for cell in plan:
@@ -347,16 +284,30 @@ def execute_plan(plan, store=None, statuses=None, backend=None,
     return results
 
 
-def describe_plan(plan, store=None):
+def describe_plan(plan, cell_cache=None, trace=None):
     """Render the cell grid without executing it (``--list-cells``).
 
     One row per cell: key, derived seed, dependencies, and whether the
-    checkpoint already holds its value.
+    cell cache already holds its value.  The waves are walked the way
+    :func:`execute_plan` walks them: a cell is ``cached`` when its
+    digest, over its dependencies' cached values, resolves to a verified
+    entry; a cell with a pending dependency is itself pending.
     """
+    known = dict(plan.presets)
+    if cell_cache is not None:
+        for wave in plan.waves():
+            for cell in wave:
+                if any(dep not in known for dep in cell.deps.values()):
+                    continue
+                memo = cell_cache.lookup(_cell_digest(
+                    cell_cache, plan, cell, _cell_kwargs(cell, known),
+                    trace,
+                ))
+                if memo is not None:
+                    known[cell.key] = memo["value"]
     rows = []
     for cell in plan:
-        status = "cached" if (store is not None and cell.key in store) \
-            else "pending"
+        status = "cached" if cell.key in known else "pending"
         deps = ", ".join(sorted(set(cell.deps.values()))) or "-"
         rows.append([cell.key, f"{cell.seed:#018x}", deps, status])
     cached = sum(1 for row in rows if row[3] == "cached")

@@ -35,7 +35,7 @@ def save_samples(samples, path):
 
 
 def samples_to_records(samples):
-    """Profiler samples → plain JSON-serialisable dicts (checkpoints)."""
+    """Profiler samples → plain JSON-serialisable dicts (cell values)."""
     return [
         {
             "process_name": sample.process_name,

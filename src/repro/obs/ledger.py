@@ -3,8 +3,8 @@
 Each CLI experiment run writes a **run manifest** — one JSON document
 capturing everything needed to reproduce, diff, and gate the run:
 
-* the resolved knob set (the same ``meta`` dict that keys checkpoint
-  identity) and its stable hash,
+* the resolved knob set (the ``<experiment>_meta`` dict that names
+  the run) and its stable hash,
 * the repository's git SHA at run time (best effort, ``None`` outside
   a checkout),
 * the sweep plan's cell list with derived seeds and dependencies,
@@ -47,10 +47,9 @@ LEDGER_INDEX = "ledger.jsonl"
 #: record runs into one ledger concurrently.  So every
 #: recording first lands as its own shard file (atomic rename, one
 #: file per run id, no cross-process contention) and the monolith is a
-#: *consolidation* of the shards, exactly the checkpoint-shard
-#: discipline: shards are merged on read, folded into the monolith
-#: opportunistically under an ``O_EXCL`` lock, and never required for
-#: correctness once merged.
+#: *consolidation* of the shards: shards are merged on read, folded
+#: into the monolith opportunistically under an ``O_EXCL`` lock, and
+#: never required for correctness once merged.
 LEDGER_SHARDS = "ledger.jsonl.d"
 
 #: Manifest keys that vary run-to-run even for identical configs
@@ -149,7 +148,7 @@ def build_manifest(experiment, config, result, plan=None, statuses=None,
                    repo_root=".", profile=None):
     """Assemble one run's manifest dict (see the module docstring).
 
-    *config* is the resolved knob dict (the checkpoint ``meta``),
+    *config* is the resolved knob dict (``<experiment>_meta``),
     *plan* the :class:`~repro.exec.SweepPlan` that was executed,
     *statuses* the cell-status dict :func:`~repro.exec.execute_plan`
     filled, *trace_files* an optional ``{label: path}`` of written

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` travels with a
 :class:`~repro.obs.tracer.Tracer` through one experiment cell and is
-snapshotted into the cell's report section and checkpoint shard.
+snapshotted into the cell's report section and cell-cache entry.
 Snapshots are plain sorted-key dicts of ints so they JSON-round-trip
 exactly — replaying a cached cell yields the same bytes a fresh run
 did.

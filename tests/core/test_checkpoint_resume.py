@@ -1,15 +1,14 @@
 """Kill a sweep mid-run, re-invoke it, and watch it resume.
 
 The contract: a sweep killed between cells loses nothing it completed;
-the re-run replays completed cells from the checkpoint file and only
-computes the rest.
+the re-run against the same cell cache replays the completed cells and
+only computes the rest.
 """
-
-import json
 
 import pytest
 
 from repro.core.experiments import fig6, run_fig4, run_fig6
+from repro.exec import CellCache
 
 FIG6_KNOBS = dict(
     seed=8, attempts=2, detector_names=("lr",), training_benign=40,
@@ -17,59 +16,58 @@ FIG6_KNOBS = dict(
 )
 
 
+def _killed_in_spectre_phase(monkeypatch, cache_root, **knobs):
+    """Run fig6 until the spectre phase starts, then ^C it."""
+    real_train_detectors = fig6.train_detectors
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fig6, "train_detectors", killed)
+    cache = CellCache(cache_root)
+    with pytest.raises(KeyboardInterrupt):
+        run_fig6(cell_cache=cache, **knobs)
+    monkeypatch.setattr(fig6, "train_detectors", real_train_detectors)
+    return cache
+
+
 class TestFig6KillAndResume:
     def test_kill_after_training_then_resume(self, tmp_path, monkeypatch):
         # ---- first invocation: dies (SIGINT) entering the spectre phase.
-        real_train_detectors = fig6.train_detectors
-
-        def killed(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(fig6, "train_detectors", killed)
-        with pytest.raises(KeyboardInterrupt):
-            run_fig6(checkpoint=tmp_path, **FIG6_KNOBS)
-
+        killed = _killed_in_spectre_phase(monkeypatch, tmp_path,
+                                          **FIG6_KNOBS)
         # The completed cell survived the kill, atomically.
-        payload = json.loads((tmp_path / "fig6.json").read_text())
-        assert set(payload["cells"]) == {"training"}
-        assert payload["cells"]["training"]["benign"]
+        assert killed.puts == 1
 
-        # ---- second invocation: resumes from the checkpoint.
-        monkeypatch.setattr(fig6, "train_detectors", real_train_detectors)
-        result = run_fig6(checkpoint=tmp_path, **FIG6_KNOBS)
+        # ---- second invocation: resumes from the cell cache.
+        result = run_fig6(cell_cache=CellCache(tmp_path), **FIG6_KNOBS)
         assert result.cell_status["training"]["status"] == "cached"
         assert result.cell_status["spectre"]["status"] == "ok"
         assert result.cell_status["crspectre"]["status"] == "ok"
         assert not result.partial
         assert len(result.crspectre["lr"]) == FIG6_KNOBS["attempts"]
         assert len(result.attacker_history) == FIG6_KNOBS["attempts"]
+        assert result.format() == run_fig6(**FIG6_KNOBS).format()
 
-        # ---- third invocation: everything is served from the checkpoint.
-        rerun = run_fig6(checkpoint=tmp_path, **FIG6_KNOBS)
-        assert all(
-            cell["status"] == "cached"
-            for key, cell in rerun.cell_status.items()
-            if key != "detectors"  # models are rebuilt, never persisted
-        )
+        # ---- third invocation: everything is served from the cache.
+        rerun = run_fig6(cell_cache=CellCache(tmp_path), **FIG6_KNOBS)
+        assert all(cell["status"] == "cached"
+                   for cell in rerun.cell_status.values())
         assert rerun.crspectre == result.crspectre
         assert [r.params for r in rerun.attacker_history] == \
             [r.params for r in result.attacker_history]
 
-    def test_different_knobs_discard_stale_cells(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setattr(
-            fig6, "train_detectors",
-            lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt),
-        )
-        with pytest.raises(KeyboardInterrupt):
-            run_fig6(checkpoint=tmp_path, **FIG6_KNOBS)
-        # Same directory, different seed: the stale training cell must
-        # not be replayed into the differently-configured sweep.
+    def test_different_seed_computes_every_cell(self, tmp_path,
+                                                monkeypatch):
+        _killed_in_spectre_phase(monkeypatch, tmp_path, **FIG6_KNOBS)
+        # Same cache, different seed: the training cell keyed by the
+        # old seed must not be replayed into the new sweep.
         knobs = dict(FIG6_KNOBS, seed=9)
-        with pytest.raises(KeyboardInterrupt):
-            run_fig6(checkpoint=tmp_path, **knobs)
-        payload = json.loads((tmp_path / "fig6.json").read_text())
-        assert payload["meta"]["seed"] == 9
+        cache = CellCache(tmp_path)
+        result = run_fig6(cell_cache=cache, **knobs)
+        assert cache.hits == 0
+        assert all(cell["status"] == "ok"
+                   for cell in result.cell_status.values())
 
 
 class TestFig4Resume:
@@ -79,8 +77,8 @@ class TestFig4Resume:
             classifier="lr", benign_per_host=30, attack_per_variant=10,
             variants=("v1",),
         )
-        first = run_fig4(checkpoint=tmp_path, **knobs)
+        first = run_fig4(cell_cache=CellCache(tmp_path), **knobs)
         assert first.cell_status["host/basicmath"]["status"] == "ok"
-        resumed = run_fig4(checkpoint=tmp_path, **knobs)
+        resumed = run_fig4(cell_cache=CellCache(tmp_path), **knobs)
         assert resumed.cell_status["host/basicmath"]["status"] == "cached"
         assert resumed.accuracies == first.accuracies

@@ -1,12 +1,9 @@
-"""Resilience layer: fault matrix, retry/backoff, watchdog, checkpoints.
+"""Resilience layer: fault matrix, retry/backoff, watchdog.
 
 The contract under test: every injected fault kind surfaces as a typed
 error or a degraded (partial) report — never a hang, never a truncated
 file.
 """
-
-import json
-import os
 
 import pytest
 
@@ -15,20 +12,16 @@ from repro.core.experiments import run_fig4
 from repro.core.experiments.common import train_detectors
 from repro.core.resilience import (
     FAULT_KINDS,
-    CheckpointStore,
     FaultInjector,
     Retrier,
     RetryPolicy,
     VirtualClock,
     Watchdog,
-    run_cell,
-    sweep_partial,
     with_retry,
 )
 from repro.errors import (
     BudgetExceededError,
     CalibrationError,
-    CheckpointError,
     ClassifierConvergenceError,
     FatalError,
     RetryExhaustedError,
@@ -284,79 +277,6 @@ class TestFaultMatrix:
                 )
             logs.append(faults.log)
         assert logs[0] == logs[1]
-
-
-class TestCheckpointStore:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        store = CheckpointStore(path, meta={"experiment": "t", "seed": 1})
-        store.put("cell/a", {"value": 1})
-        reopened = CheckpointStore(
-            path, meta={"experiment": "t", "seed": 1}
-        )
-        assert "cell/a" in reopened
-        assert reopened.get("cell/a") == {"value": 1}
-
-    def test_meta_mismatch_discards(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        CheckpointStore(path, meta={"seed": 1}).put("cell/a", 1)
-        reopened = CheckpointStore(path, meta={"seed": 2})
-        assert reopened.discarded
-        assert "cell/a" not in reopened
-
-    def test_corrupt_file_raises_typed(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text("{ truncated")
-        with pytest.raises(CheckpointError):
-            CheckpointStore(path, meta={"seed": 1})
-
-    def test_unserialisable_value_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path / "s.json", meta={})
-        with pytest.raises(CheckpointError):
-            store.put("cell/a", object())
-
-    def test_writes_are_atomic(self, tmp_path):
-        """Every put leaves a complete JSON file and no temp litter."""
-        path = tmp_path / "sweep.json"
-        store = CheckpointStore(path, meta={"seed": 1})
-        for index in range(10):
-            store.put(f"cell/{index}", list(range(index)))
-            payload = json.loads(path.read_text())
-            assert len(payload["cells"]) == index + 1
-        assert [p for p in os.listdir(tmp_path)
-                if p.endswith(".tmp")] == []
-
-
-class TestRunCell:
-    def test_status_lifecycle(self, tmp_path):
-        store = CheckpointStore(tmp_path / "s.json", meta={})
-        statuses = {}
-        assert run_cell("a", lambda: 41, store, statuses) == 41
-        assert statuses["a"]["status"] == "ok"
-        # Second run of the same sweep: served from the checkpoint.
-        statuses = {}
-        assert run_cell("a", lambda: 1 / 0, store, statuses) == 41
-        assert statuses["a"]["status"] == "cached"
-        assert not sweep_partial(statuses)
-
-    def test_recoverable_failure_degrades(self):
-        statuses = {}
-
-        def boom():
-            try:
-                raise ValueError("root cause")
-            except ValueError as exc:
-                raise CalibrationError("wrapped") from exc
-
-        assert run_cell("b", boom, None, statuses) is None
-        assert statuses["b"]["status"] == "failed"
-        assert "CalibrationError" in statuses["b"]["error"]
-        assert "ValueError" in statuses["b"]["error"]
-        assert sweep_partial(statuses)
-
-    def test_fatal_failure_propagates(self):
-        with pytest.raises(ZeroDivisionError):
-            run_cell("c", lambda: 1 / 0, None, {})
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ pickles ``(fn, kwargs)`` to spawn-started workers, so a lambda or a
 closure would fail before it ever ran.
 """
 
+import functools
 import os
 import random
 
@@ -35,7 +36,7 @@ def hard_crash(cell_seed=0):
     os._exit(17)
 
 
-def interrupt(cell_seed=0):
+def interrupt(cell_seed=0, **_kwargs):
     """Simulate the user's ^C landing while this cell runs."""
     raise KeyboardInterrupt
 
@@ -48,6 +49,46 @@ def fault_probe(kind, faults=None, cell_seed=0):
     return {"fired": fired}
 
 
+def interrupt_after(fn, completed):
+    """*fn* that raises KeyboardInterrupt once *completed* calls returned.
+
+    The stand-in keeps *fn*'s module and qualified name, so the cell
+    cache keys its cells exactly like *fn*'s: the cells that completed
+    before the "^C" are hits when the real *fn* re-runs the sweep.
+    Serial backend only — a pool worker would unpickle the real *fn*.
+    """
+    calls = []
+
+    @functools.wraps(fn)
+    def killed(**kwargs):
+        if len(calls) >= completed:
+            raise KeyboardInterrupt
+        calls.append(kwargs)
+        return fn(**kwargs)
+
+    return killed
+
+
+def kill_fig5_attempt_wave(knobs, cell_cache):
+    """^C a pool run of fig5 *knobs* once its attempt wave starts.
+
+    The ``training`` cell completes first, so *cell_cache* keeps it; a
+    re-run against the same cache resumes from there.
+    """
+    import pytest
+
+    from repro.core.experiments.fig5 import plan_fig5
+    from repro.exec import ProcessPoolBackend, execute_plan
+
+    plan = plan_fig5(**knobs)
+    for cell in plan:
+        if cell.key.startswith("spectre/"):
+            cell.fn = interrupt
+    with pytest.raises(KeyboardInterrupt):
+        execute_plan(plan, backend=ProcessPoolBackend(2),
+                     cell_cache=cell_cache)
+
+
 def fig5_manifest(knobs, seed, backend):
     """Run a fig5 sweep and build its ledger manifest.
 
@@ -55,11 +96,18 @@ def fig5_manifest(knobs, seed, backend):
     (which drops the volatile ``timing`` section) to check that two
     backends produce the same artefact byte for byte.
     """
-    from repro.core.experiments.fig5 import fig5_meta, plan_fig5, run_fig5
-    from repro.obs.ledger import build_manifest
+    from repro.core.experiments.fig5 import run_fig5
 
     result = run_fig5(seed=seed, backend=backend, **knobs)
-    config = fig5_meta(seed=seed, **knobs)
-    plan = plan_fig5(seed=seed, **knobs)
-    return build_manifest("fig5", config, result, plan=plan,
+    return result_manifest(result, dict(knobs, seed=seed))
+
+
+def result_manifest(result, knobs):
+    """The ledger manifest of a finished fig5 run of ``run_fig5(**knobs)``."""
+    from repro.core.experiments.fig5 import fig5_meta, plan_fig5
+    from repro.obs.ledger import build_manifest
+
+    knobs = {"host": "basicmath", **knobs}
+    return build_manifest("fig5", fig5_meta(**knobs), result,
+                          plan=plan_fig5(**knobs),
                           statuses=getattr(result, "cell_status", None))

@@ -1,8 +1,8 @@
 """Cell memoization: content-addressed hits, misses, and poison handling.
 
 The cache's safety argument has two legs — the *key* digest (any change
-to experiment, cell identity, seed, resolved kwargs or trace config
-produces a different key) and the *value* digest (a stored entry is
+to experiment, cell identity, seed, resolved kwargs, trace config or
+fault spec produces a different key) and the *value* digest (a stored entry is
 re-verified on every read, so corruption is detected and recomputed,
 never trusted).  Both are pinned here, including end-to-end through
 :func:`execute_plan`.
@@ -13,9 +13,10 @@ import os
 
 import pytest
 
+from repro.core.resilience import FaultInjector
 from repro.exec import CellCache, SweepPlan, execute_plan
 
-from tests.exec.cells import seeded_value, summed
+from tests.exec.cells import fault_probe, seeded_value, summed
 
 
 def _plan():
@@ -44,6 +45,7 @@ class TestDigest:
         {"seed": 124},
         {"fn": summed},
         {"kwargs": {"tag": "b"}},
+        {"faults": FaultInjector(rates={"hpc_drop": 0.1})},
     ])
     def test_any_identity_change_changes_digest(self, tmp_path, mutation):
         cache = CellCache(tmp_path)
@@ -69,7 +71,8 @@ class TestRoundTrip:
         assert cache.lookup(digest) is None  # cold
         cache.store(digest, "toy", "a", {"x": 1}, trace=[{"e": 1}],
                     metrics={"m": 2})
-        assert cache.lookup(digest) == ({"x": 1}, [{"e": 1}], {"m": 2})
+        assert cache.lookup(digest) == \
+            {"value": {"x": 1}, "trace": [{"e": 1}], "metrics": {"m": 2}}
         assert cache.stats() == {"hits": 1, "misses": 1, "puts": 1,
                                  "poisoned": 0}
 
@@ -90,7 +93,7 @@ class TestRoundTrip:
         # the entry is replaced by the recompute's store(), not here.
         assert os.path.exists(path)
         cache.store(digest, "toy", "a", {"x": 1})
-        assert cache.lookup(digest) == ({"x": 1}, None, None)
+        assert cache.lookup(digest) == {"value": {"x": 1}}
 
 
 class TestExecutePlanMemoization:
@@ -178,7 +181,7 @@ class TestExecutePlanMemoization:
             thread.join()
 
         assert len(outcomes) == 8
-        assert CellCache(tmp_path).lookup(digest) == ({"x": 1}, None, None)
+        assert CellCache(tmp_path).lookup(digest) == {"value": {"x": 1}}
         [final] = _entry_files(cache)
         assert final == path
         # Nobody can have read the poisoned payload as a hit value.
@@ -188,13 +191,46 @@ class TestExecutePlanMemoization:
         assert total_hits + total_poisoned + \
             sum(stats["misses"] for stats in outcomes) == 8 * 20
 
-    def test_fault_armed_plans_bypass_the_cache(self, tmp_path):
-        cache = CellCache(tmp_path / "cc")
-        execute_plan(_plan(), cell_cache=cache)
+    def test_armed_cells_are_keyed_by_the_fault_spec(self, tmp_path):
+        """An unarmed entry is never a hit for an armed cell; two armed
+        runs with the same spec are."""
+        root = tmp_path / "cc"
+        execute_plan(_armed_plan(None), cell_cache=CellCache(root))
 
-        armed = _plan()
-        armed.faults = object()  # any armed injector disables memoization
-        armed_cache = CellCache(tmp_path / "cc")
-        execute_plan(armed, cell_cache=armed_cache)
-        assert armed_cache.stats() == {"hits": 0, "misses": 0, "puts": 0,
-                                       "poisoned": 0}
+        first = CellCache(root)
+        cold = execute_plan(_armed_plan(_injector()), cell_cache=first)
+        assert first.hits == 0  # the unarmed entry was not replayed
+        assert first.puts == 1
+
+        second = CellCache(root)
+        warm = execute_plan(_armed_plan(_injector()), cell_cache=second)
+        assert second.stats() == {"hits": 1, "misses": 0, "puts": 0,
+                                  "poisoned": 0}
+        assert warm == cold
+
+        other = CellCache(root)
+        execute_plan(_armed_plan(_injector(max_fires=0)), cell_cache=other)
+        assert other.hits == 0  # a different cap is a different spec
+
+    def test_fired_counts_replay_into_the_root_injector(self, tmp_path):
+        cold = _injector()
+        execute_plan(_armed_plan(cold), cell_cache=CellCache(tmp_path))
+        assert cold.summary() == {"hpc_garble": 1}
+
+        warm = _injector()
+        cache = CellCache(tmp_path)
+        execute_plan(_armed_plan(warm), cell_cache=cache)
+        assert cache.hits == 1
+        assert warm.summary() == cold.summary()
+
+
+def _injector(max_fires=None):
+    return FaultInjector(seed=3, rates={"hpc_garble": 1.0},
+                         max_fires=max_fires)
+
+
+def _armed_plan(faults):
+    plan = SweepPlan("toy", root_seed=7, faults=faults)
+    plan.add("probe", fault_probe, kwargs={"kind": "hpc_garble"},
+             seed_kw="cell_seed", faults_kw="faults")
+    return plan

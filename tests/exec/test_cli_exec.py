@@ -44,14 +44,52 @@ class TestListCells:
         # Derived seeds are printed for reproducibility triage.
         assert "0x" in out
 
-    def test_reflects_checkpoint_cache(self, tmp_path, capsys):
-        assert main(["fig4", "--quick", "--seed", "8", "--no-ledger",
-                     "--resume", str(tmp_path)]) == EXIT_OK
+    def test_reflects_cell_cache(self, tmp_path, capsys):
+        cache = ["--cell-cache", str(tmp_path)]
+        assert main(["fig4", "--quick", "--seed", "8", "--no-ledger"]
+                    + cache) == EXIT_OK
         capsys.readouterr()
-        assert main(["fig4", "--quick", "--seed", "8", "--list-cells",
-                     "--resume", str(tmp_path)]) == EXIT_OK
+        assert main(["fig4", "--quick", "--seed", "8", "--list-cells"]
+                    + cache) == EXIT_OK
         out = capsys.readouterr().out
         assert "(4 cached, 0 pending)" in out
+        # Another seed, or an armed fault spec, is another set of cells.
+        assert main(["fig4", "--quick", "--seed", "9", "--list-cells"]
+                    + cache) == EXIT_OK
+        assert "(0 cached, 4 pending)" in capsys.readouterr().out
+        assert main(["fig4", "--quick", "--seed", "8", "--list-cells",
+                     "--inject-faults", "hpc_garble=0.2"]
+                    + cache) == EXIT_OK
+        assert "(0 cached, 4 pending)" in capsys.readouterr().out
+
+    def test_reflects_the_ledger_cell_cache(self, tmp_path, capsys):
+        ledger = ["--ledger", str(tmp_path)]
+        assert main(["fig4", "--quick", "--seed", "3"] + ledger) == EXIT_OK
+        capsys.readouterr()
+        assert main(["fig4", "--quick", "--seed", "3", "--list-cells"]
+                    + ledger) == EXIT_OK
+        assert "(4 cached, 0 pending)" in capsys.readouterr().out
+
+    def test_pending_dependency_keeps_dependents_pending(self, tmp_path):
+        from repro.core.experiments.fig5 import plan_fig5
+        from repro.exec import CellCache, describe_plan, execute_plan
+
+        knobs = dict(seed=8, attempts=1, detector_names=("lr",),
+                     training_benign=40, training_attack=40,
+                     attempt_samples=12, attempt_benign=6)
+        cache = CellCache(tmp_path)
+        assert "(0 cached, 4 pending)" in describe_plan(
+            plan_fig5(**knobs), cache)
+        execute_plan(plan_fig5(**knobs), cell_cache=cache)
+        assert "(4 cached, 0 pending)" in describe_plan(
+            plan_fig5(**knobs), cache)
+        # Drop the training entry: every cell downstream of it is
+        # pending, though their own entries are still on disk.
+        [training] = [path for path in tmp_path.rglob("*.json")
+                      if json.loads(path.read_text())["key"] == "training"]
+        training.unlink()
+        assert "(0 cached, 4 pending)" in describe_plan(
+            plan_fig5(**knobs), cache)
 
     def test_respects_quick_and_seed(self, capsys):
         assert main(["fig5", "--quick", "--seed", "3",
@@ -67,15 +105,14 @@ class TestJobsRun:
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         assert main(["fig4", "--quick", "--seed", "8", "--no-ledger",
-                     "--resume", str(serial_dir)]) == EXIT_OK
+                     "--cell-cache", str(serial_dir)]) == EXIT_OK
         serial_out = capsys.readouterr().out
         assert main(["fig4", "--quick", "--seed", "8", "--no-ledger",
                      "--jobs", "2",
-                     "--resume", str(parallel_dir)]) == EXIT_OK
+                     "--cell-cache", str(parallel_dir)]) == EXIT_OK
         parallel_out = capsys.readouterr().out
         assert parallel_out == serial_out
-        assert (parallel_dir / "fig4.json").read_bytes() == \
-            (serial_dir / "fig4.json").read_bytes()
+        assert _entries(parallel_dir) == _entries(serial_dir)
 
     def test_progress_goes_to_stderr_not_stdout(self, capsys):
         assert main(["fig4", "--quick", "--seed", "8", "--no-ledger",
@@ -96,14 +133,25 @@ class TestJobsRun:
         assert "calibration" in captured.out
 
 
-class TestShardCleanup:
-    def test_parallel_checkpoint_leaves_single_artefact(self, tmp_path,
-                                                        capsys):
+class TestCacheArtefacts:
+    def test_parallel_run_leaves_one_entry_per_cell(self, tmp_path,
+                                                    capsys):
         assert main(["fig4", "--quick", "--seed", "8", "--no-ledger",
                      "--jobs", "2",
-                     "--resume", str(tmp_path)]) == EXIT_OK
-        assert not (tmp_path / "fig4.json.d").exists()
-        payload = json.loads((tmp_path / "fig4.json").read_text())
-        assert set(payload["cells"]) == {
-            "host/basicmath", "host/bitcount", "host/sha", "host/qsort",
-        }
+                     "--cell-cache", str(tmp_path)]) == EXIT_OK
+        entries = _entries(tmp_path)
+        assert sorted(entries) == [
+            "host/basicmath", "host/bitcount", "host/qsort", "host/sha",
+        ]
+        # Entries are written atomically: no temp files left behind.
+        assert [path for path in tmp_path.rglob("*")
+                if path.is_file() and path.suffix != ".json"] == []
+
+
+def _entries(cache_root):
+    """``{cell key: stored payload}`` of every entry under a cache."""
+    entries = {}
+    for path in cache_root.rglob("*.json"):
+        entry = json.loads(path.read_text())
+        entries[entry["key"]] = entry["payload"]
+    return entries

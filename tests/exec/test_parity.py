@@ -1,21 +1,18 @@
 """End-to-end determinism: parallel sweeps match the serial reference.
 
 These are the tentpole's acceptance tests: same root seed → the
-``--jobs N`` run renders the same report and leaves the same checkpoint
-file as the serial run, even when the parallel run was killed mid-sweep
-and resumed.
+``--jobs N`` run renders the same report and builds the same ledger
+manifest as the serial run, even when the parallel run was killed
+mid-sweep and resumed from the cell cache.
 """
 
 import pytest
 
 from repro.core.experiments import run_fig4, run_fig5
-from repro.core.experiments.fig5 import fig5_meta, plan_fig5
-from repro.exec import (
-    ProcessPoolBackend,
-    SweepProgress,
-    execute_plan,
-    open_store,
-)
+from repro.exec import CellCache, SweepProgress
+from repro.obs.ledger import manifest_bytes
+
+from tests.exec.cells import kill_fig5_attempt_wave, result_manifest
 
 #: Small enough for CI, wide enough (6 cells, 3 waves) to exercise
 #: cross-wave scheduling.
@@ -25,32 +22,18 @@ FIG5_KNOBS = dict(
 )
 
 
-def _fig5_store(tmp_path):
-    return open_store(tmp_path, "fig5", fig5_meta(
-        FIG5_KNOBS["seed"], "basicmath", FIG5_KNOBS["attempts"],
-        FIG5_KNOBS["detector_names"], FIG5_KNOBS["training_benign"],
-        FIG5_KNOBS["training_attack"], FIG5_KNOBS["attempt_samples"],
-        FIG5_KNOBS["attempt_benign"],
-    ))
+def _manifest_bytes(result):
+    return manifest_bytes(result_manifest(result, FIG5_KNOBS))
 
 
 class TestSerialParallelParity:
-    def test_fig5_report_and_checkpoint_byte_identical(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial_dir.mkdir()
-        parallel_dir.mkdir()
-
-        serial = run_fig5(checkpoint=serial_dir, **FIG5_KNOBS)
-        parallel = run_fig5(checkpoint=parallel_dir, jobs=2,
-                            **FIG5_KNOBS)
+    def test_fig5_report_and_manifest_byte_identical(self):
+        serial = run_fig5(**FIG5_KNOBS)
+        parallel = run_fig5(jobs=2, **FIG5_KNOBS)
 
         assert parallel.format() == serial.format()
         assert parallel.cell_status == serial.cell_status
-        assert (parallel_dir / "fig5.json").read_bytes() == \
-            (serial_dir / "fig5.json").read_bytes()
-        # Shards were consolidated away: one artefact, same as serial.
-        assert not (parallel_dir / "fig5.json.d").exists()
+        assert _manifest_bytes(parallel) == _manifest_bytes(serial)
 
     def test_fig4_accuracies_identical(self):
         knobs = dict(seed=8, hosts=("basicmath", "sha"),
@@ -64,37 +47,24 @@ class TestSerialParallelParity:
 class TestKillMidSweepResume:
     def test_parallel_kill_then_resume_matches_uninterrupted(
             self, tmp_path):
-        # Reference: one uninterrupted serial run.
-        reference_dir = tmp_path / "reference"
-        reference_dir.mkdir()
-        reference = run_fig5(checkpoint=reference_dir, **FIG5_KNOBS)
+        # Reference: one uninterrupted serial run, no cache.
+        reference = run_fig5(**FIG5_KNOBS)
 
         # Run 1: parallel, killed (^C) while the attempt wave runs —
-        # after the training cell completed and persisted its shard.
-        killed_dir = tmp_path / "killed"
-        killed_dir.mkdir()
-        plan = plan_fig5(**FIG5_KNOBS)
-        for cell in plan:
-            if cell.key.startswith("spectre/"):
-                cell.fn = _interrupt
-        with pytest.raises(KeyboardInterrupt):
-            execute_plan(plan, store=_fig5_store(killed_dir),
-                         backend=ProcessPoolBackend(2))
+        # after the training cell completed and landed in the cache.
+        cache_root = tmp_path / "cellcache"
+        killed_cache = CellCache(cache_root)
+        kill_fig5_attempt_wave(FIG5_KNOBS, killed_cache)
 
         # The kill lost nothing completed: the training cell survived.
-        resumed_store = _fig5_store(killed_dir)
-        assert "training" in resumed_store
+        assert killed_cache.puts >= 1
 
         # Run 2: resume in parallel; must match the uninterrupted run.
-        resumed = run_fig5(checkpoint=killed_dir, jobs=2, **FIG5_KNOBS)
+        resumed = run_fig5(jobs=2, cell_cache=CellCache(cache_root),
+                           **FIG5_KNOBS)
         assert resumed.cell_status["training"]["status"] == "cached"
         assert resumed.format() == reference.format()
-        assert (killed_dir / "fig5.json").read_bytes() == \
-            (reference_dir / "fig5.json").read_bytes()
-
-
-def _interrupt(**kwargs):
-    raise KeyboardInterrupt
+        assert _manifest_bytes(resumed) == _manifest_bytes(reference)
 
 
 class _FakeClock:

@@ -5,17 +5,20 @@ run ids or cell cache keys — so its acceptance test lives here: the
 same quick experiment run under ``--engine sb`` and under the step
 reference must produce ledger runs that ``repro compare`` calls
 identical, on both microarchitectures, and a killed-and-resumed
-parallel sb run (closures die mid-sweep, shards survive) must fuse
-into the byte-identical step-reference artefact.
+parallel sb run (closures die mid-sweep, completed cells survive in
+the cell cache) must fuse into the byte-identical step-reference
+artefact.
 """
 
 import pytest
 
 from repro.cli import EXIT_OK, main
 from repro.core.experiments import run_fig5
-from repro.core.experiments.fig5 import fig5_meta, plan_fig5
 from repro.cpu import engine_override
-from repro.exec import CellCache, ProcessPoolBackend, execute_plan, open_store
+from repro.exec import CellCache
+from repro.obs.ledger import manifest_bytes
+
+from tests.exec.cells import kill_fig5_attempt_wave, result_manifest
 
 FIG5_KNOBS = dict(
     seed=8, attempts=2, detector_names=("lr", "nn"), training_benign=40,
@@ -68,46 +71,26 @@ class TestSuperblockKillResume:
     """Kill+resume while translated blocks run in pool workers.
 
     Closures are executing inside pool workers when the interrupt
-    lands; the surviving checkpoint shards plus the re-run cells (all
+    lands; the cells the cell cache kept plus the re-run cells (all
     translated code) must still reproduce the step reference bytes.
     """
 
     def test_killed_resumed_sb_run_matches_step_reference(self, tmp_path):
         # Reference: uninterrupted serial run on the step engine.
-        reference_dir = tmp_path / "reference"
-        reference_dir.mkdir()
         with engine_override("step"):
-            reference = run_fig5(checkpoint=reference_dir, **FIG5_KNOBS)
+            reference = run_fig5(**FIG5_KNOBS)
 
         # Run 1 (sb): warm pool, killed while the attempt wave runs.
         cache_root = tmp_path / "cellcache"
-        killed_dir = tmp_path / "killed"
-        killed_dir.mkdir()
-        plan = plan_fig5(**FIG5_KNOBS)
-        for cell in plan:
-            if cell.key.startswith("spectre/"):
-                cell.fn = _interrupt
-        store = open_store(killed_dir, "fig5", fig5_meta(
-            FIG5_KNOBS["seed"], "basicmath", FIG5_KNOBS["attempts"],
-            FIG5_KNOBS["detector_names"], FIG5_KNOBS["training_benign"],
-            FIG5_KNOBS["training_attack"], FIG5_KNOBS["attempt_samples"],
-            FIG5_KNOBS["attempt_benign"],
-        ))
         with engine_override("sb"):
-            with pytest.raises(KeyboardInterrupt):
-                execute_plan(plan, store=store,
-                             backend=ProcessPoolBackend(2),
-                             cell_cache=CellCache(cache_root))
+            kill_fig5_attempt_wave(FIG5_KNOBS, CellCache(cache_root))
 
-            # Run 2 (sb): resume on the pool; surviving shard + rerun
+            # Run 2 (sb): resume on the pool; cached cells + rerun
             # cells fuse into the reference artefact, byte for byte.
-            resumed = run_fig5(checkpoint=killed_dir, jobs=2,
-                               cell_cache=CellCache(cache_root),
+            resumed_cache = CellCache(cache_root)
+            resumed = run_fig5(jobs=2, cell_cache=resumed_cache,
                                **FIG5_KNOBS)
+        assert resumed_cache.hits > 0
         assert resumed.format() == reference.format()
-        assert (killed_dir / "fig5.json").read_bytes() == \
-            (reference_dir / "fig5.json").read_bytes()
-
-
-def _interrupt(**kwargs):
-    raise KeyboardInterrupt
+        assert manifest_bytes(result_manifest(resumed, FIG5_KNOBS)) == \
+            manifest_bytes(result_manifest(reference, FIG5_KNOBS))

@@ -16,8 +16,8 @@ class TestStableHash:
         assert derive_seed("fig5", "training", 42) == expected
 
     def test_golden_value_pinned(self):
-        # A changed derivation silently invalidates every checkpoint and
-        # breaks serial/parallel parity with older runs — pin it.
+        # A changed derivation silently invalidates every cached cell
+        # and breaks serial/parallel parity with older runs — pin it.
         assert stable_hash("a", "b", 1) == 0x784AE3F14AE3A422
 
     def test_nul_separator_prevents_concatenation_collisions(self):

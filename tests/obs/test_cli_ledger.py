@@ -54,23 +54,33 @@ class TestRecording:
         assert "ledger:" not in capsys.readouterr().err
 
     def test_interrupted_resume_matches_uninterrupted(self, tmp_path,
-                                                      capsys):
+                                                      monkeypatch):
         """Acceptance: an interrupted + resumed run's manifest is
         byte-identical (minus wall clock) to an uninterrupted one."""
-        ck = tmp_path / "ck"
+        from repro.core.experiments import fig4
+
+        from tests.exec.cells import interrupt_after
+
+        cache = tmp_path / "cache"
         uninterrupted = tmp_path / "a"
         resumed = tmp_path / "b"
+        traced = ARGS + ["--trace", "--cell-cache", str(cache)]
         # Uninterrupted reference run.
         assert main(ARGS + ["--trace", "--ledger",
                             str(uninterrupted)]) == EXIT_OK
-        # "Interrupted" run: the checkpoint holds completed cells...
-        assert main(ARGS + ["--resume", str(ck), "--no-ledger"]) == EXIT_OK
-        # ...and the resumed run replays them all from cache.
-        assert main(ARGS + ["--trace", "--resume", str(ck),
-                            "--ledger", str(resumed)]) == EXIT_OK
+        # Interrupted run: ^C after two of the four hosts completed...
+        real_host_cell = fig4._host_cell
+        monkeypatch.setattr(fig4, "_host_cell",
+                            interrupt_after(real_host_cell, 2))
+        with pytest.raises(KeyboardInterrupt):
+            main(traced + ["--no-ledger"])
+        monkeypatch.setattr(fig4, "_host_cell", real_host_cell)
+        # ...and the resumed run replays them from the cell cache.
+        assert main(traced + ["--ledger", str(resumed)]) == EXIT_OK
         run_id = read_index(uninterrupted)[0]["run_id"]
         a = load_manifest(run_id, ledger_dir=uninterrupted)
         b = load_manifest(run_id, ledger_dir=resumed)
+        assert b["timing"]["cell_cache"]["hits"] == 2
         assert manifest_bytes(a) == manifest_bytes(b)
 
 

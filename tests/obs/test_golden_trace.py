@@ -3,17 +3,18 @@
 The acceptance property of the observability layer: because records are
 stamped with virtual time only, the trace of a sweep is a pure function
 of (experiment, knobs, root seed) — the backend, the parallel width,
-and checkpoint replay must not leak into the bytes.
+and cell-cache replay must not leak into the bytes.
 """
 
 import json
+from pathlib import Path
 
 from repro.exec import (
+    CellCache,
     ProcessPoolBackend,
     SerialBackend,
     SweepPlan,
     execute_plan,
-    open_store,
 )
 from repro.obs import TraceConfig, chrome_trace, trace_jsonl
 
@@ -34,16 +35,19 @@ def _plan(keys=("attack", "cpu")):
     return plan
 
 
-def _run(backend=None, store=None, keys=("attack", "cpu")):
+def _run(backend=None, cell_cache=None, keys=("attack", "cpu")):
     traces = {}
     metrics = {}
-    results = execute_plan(_plan(keys), store=store, backend=backend,
-                           trace=CFG, traces=traces, metrics=metrics)
+    results = execute_plan(_plan(keys), backend=backend, trace=CFG,
+                           traces=traces, metrics=metrics,
+                           cell_cache=cell_cache)
     return results, traces, metrics
 
 
-def _store(tmp_path):
-    return open_store(str(tmp_path), "golden", {"v": 1}, trace=CFG)
+def _entries(cache):
+    """Every stored cache entry, parsed."""
+    return [json.loads(path.read_text())
+            for path in sorted(Path(cache.root).rglob("*.json"))]
 
 
 class TestGoldenTrace:
@@ -69,19 +73,19 @@ class TestGoldenTrace:
         assert serial_metrics == pooled_metrics
 
     def test_interrupted_then_resumed_equals_uninterrupted(self, tmp_path):
-        # Reference: one uninterrupted run, no checkpoint.
+        # Reference: one uninterrupted run, no cache.
         _, reference, reference_metrics = _run(backend=SerialBackend())
 
-        # "Interrupted" run: only the first cell completes + persists...
-        _run(backend=SerialBackend(), store=_store(tmp_path),
+        # "Interrupted" run: only the first cell completes + is cached...
+        _run(backend=SerialBackend(), cell_cache=CellCache(tmp_path),
              keys=("attack",))
         # ...then the full sweep resumes: attack replays, cpu runs fresh.
         statuses = {}
         traces = {}
         metrics = {}
-        execute_plan(_plan(), store=_store(tmp_path), statuses=statuses,
-                     backend=SerialBackend(), trace=CFG, traces=traces,
-                     metrics=metrics)
+        execute_plan(_plan(), statuses=statuses, backend=SerialBackend(),
+                     trace=CFG, traces=traces, metrics=metrics,
+                     cell_cache=CellCache(tmp_path))
         assert statuses["attack"]["status"] == "cached"
         assert statuses["cpu"]["status"] == "ok"
         assert (trace_jsonl("golden", traces)
@@ -96,19 +100,24 @@ class TestGoldenTrace:
         doc = json.loads(dump)
         assert doc["traceEvents"]
 
-    def test_untraced_checkpoint_format_unchanged(self, tmp_path):
-        """Tracing off keeps the legacy bare-value checkpoint format."""
-        store = open_store(str(tmp_path), "golden", {"v": 1})
-        execute_plan(_plan(keys=("cpu",)), store=store,
-                     backend=SerialBackend())
-        stored = store.get("cpu")
-        assert set(stored) == {"cycles"}
+    def test_untraced_cache_entry_carries_no_trace(self, tmp_path):
+        """Tracing off stores the bare value: no trace, no metrics."""
+        cache = CellCache(tmp_path)
+        execute_plan(_plan(keys=("cpu",)), backend=SerialBackend(),
+                     cell_cache=cache)
+        [entry] = _entries(cache)
+        assert set(entry["payload"]) == {"value"}
+        assert set(entry["payload"]["value"]) == {"cycles"}
 
-    def test_results_unwrapped_from_traced_checkpoint(self, tmp_path):
+    def test_results_unwrapped_from_traced_cache_entry(self, tmp_path):
         results, _, _ = _run(backend=SerialBackend(),
-                             store=_store(tmp_path), keys=("cpu",))
+                             cell_cache=CellCache(tmp_path), keys=("cpu",))
+        [entry] = _entries(CellCache(tmp_path))
+        assert set(entry["payload"]) == {"value", "trace", "metrics"}
+        replay_cache = CellCache(tmp_path)
         replayed, traces, _ = _run(backend=SerialBackend(),
-                                   store=_store(tmp_path), keys=("cpu",))
+                                   cell_cache=replay_cache, keys=("cpu",))
+        assert replay_cache.hits == 1
         assert replayed["cpu"] == results["cpu"]
         assert set(replayed["cpu"]) == {"cycles"}
         assert traces["cpu"]

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.core.experiments import run_fig4
+from repro.exec import CellCache
 from repro.obs.ledger import (
     LEDGER_FORMAT,
     LEDGER_INDEX,
@@ -285,7 +286,8 @@ class TestResumeParity:
         manifests = []
         for attempt in range(2):
             statuses = {}
-            result = run_fig4(checkpoint=str(tmp_path / "ck"), **TINY)
+            result = run_fig4(cell_cache=CellCache(tmp_path / "cc"),
+                              **TINY)
             manifests.append(build_manifest(
                 "fig4", TINY_CONFIG, result,
                 statuses=result.cell_status,
@@ -295,7 +297,10 @@ class TestResumeParity:
             {c["key"]: c["status"] for c in m["cells"]}
             for m in manifests
         ]
-        # Second run was served from the checkpoint...
+        # Second run was served from the cell cache (and the manifest
+        # normalises "cached" to "ok")...
+        assert all(cell["status"] == "cached"
+                   for cell in result.cell_status.values())
         assert all(s == "ok" for s in statuses[1].values())
         # ...and the manifests agree byte-for-byte minus timing.
         assert manifest_bytes(manifests[0]) == manifest_bytes(manifests[1])

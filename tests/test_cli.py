@@ -123,28 +123,40 @@ class TestExitCodes:
 
 
 class TestResilienceFlags:
-    def test_resume_and_fault_flags_parse(self):
+    def test_fault_flags_parse(self):
         args = build_parser().parse_args([
-            "fig6", "--resume", "ckpt", "--inject-faults", "hpc_drop=0.1",
+            "fig6", "--inject-faults", "hpc_drop=0.1",
             "--inject-faults", "hpc_garble=0.2", "--max-fault-fires", "3",
         ])
-        assert args.resume == "ckpt"
         assert dict(args.inject_faults) == \
             {"hpc_drop": 0.1, "hpc_garble": 0.2}
         assert args.max_fault_fires == 3
 
     def test_resume_skips_completed_cells(self, tmp_path, capsys):
         argv = ["fig4", "--quick", "--seed", "3", "--no-ledger",
-                "--resume", str(tmp_path)]
+                "--cell-cache", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         second = capsys.readouterr().out
-        # Served from the checkpoint, rendering the identical report —
+        # Served from the cell cache, rendering the identical report —
         # a replayed cell is unremarkable, not a status-section entry.
         assert second == first
         assert main(argv + ["--list-cells"]) == 0
         assert "(4 cached, 0 pending)" in capsys.readouterr().out
+
+    def test_unarmed_cells_never_replay_into_an_armed_run(self, tmp_path,
+                                                          capsys):
+        argv = ["fig4", "--quick", "--seed", "3", "--no-ledger"]
+        armed = ["--inject-faults", "hpc_drop=1.0"]
+        cache = ["--cell-cache", str(tmp_path)]
+        assert main(argv + cache) == 0
+        capsys.readouterr()
+        assert main(argv + cache + armed) == 4
+        replayed = capsys.readouterr().out
+        assert main(argv + armed) == 4
+        assert replayed == capsys.readouterr().out
+        assert "SampleCorruptionError" in replayed
 
     def test_same_seed_same_report(self, capsys):
         argv = ["fig4", "--quick", "--seed", "3", "--no-ledger",
@@ -153,3 +165,41 @@ class TestResilienceFlags:
         first = capsys.readouterr().out
         assert main(argv) in (0, 4)
         assert first == capsys.readouterr().out
+
+
+class TestKillAndResume:
+    """^C a quick fig4 after two of its four hosts, then re-run it: the
+    stdout is byte-identical to an uninterrupted run's."""
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--uarch", "ooo"],
+        ["--inject-faults", "hpc_garble=0.2"],
+    ], ids=["inorder", "ooo", "hpc_garble"])
+    def test_resumed_stdout_matches_uninterrupted(self, tmp_path, capsys,
+                                                  monkeypatch, extra):
+        from repro.core.experiments import fig4
+
+        from tests.exec.cells import interrupt_after
+
+        argv = ["fig4", "--quick", "--seed", "3", "--no-ledger"] + extra
+        code = main(argv)
+        uninterrupted = capsys.readouterr().out
+
+        cache = ["--cell-cache", str(tmp_path)]
+        real_host_cell = fig4._host_cell
+        monkeypatch.setattr(fig4, "_host_cell",
+                            interrupt_after(real_host_cell, 2))
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + cache)
+        monkeypatch.setattr(fig4, "_host_cell", real_host_cell)
+        capsys.readouterr()
+
+        assert main(argv + cache + ["--list-cells"]) == 0
+        assert "(2 cached, 2 pending)" in capsys.readouterr().out
+        assert main(argv + cache) == code
+        resumed = capsys.readouterr().out
+        assert resumed == uninterrupted
+        if "--inject-faults" in extra:
+            # The fault summary counts the replayed hosts' faults too.
+            assert resumed.splitlines()[-1] == "{'hpc_garble': 60}"
