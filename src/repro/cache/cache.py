@@ -99,7 +99,8 @@ class Cache:
         """The hit-path state an external translator may bind directly.
 
         The superblock engine compiles the :meth:`access` hit arm into
-        generated code, so it needs the same per-set structures this
+        generated code, and the out-of-order core inlines it in its
+        dispatch loop, so both need the same per-set structures this
         class mutates.  Handing them out through one accessor keeps the
         contract explicit: the dict values are the **live** objects
         (mutated in place, never replaced — ``flush_all`` and

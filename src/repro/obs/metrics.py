@@ -34,8 +34,8 @@ class MetricsRegistry:
     def set_gauge(self, name, value):
         self.gauges[name] = value
 
-    def observe(self, name, value):
-        """Count *value* into the power-of-two histogram *name*."""
+    def observe(self, name, value, count=1):
+        """Count *value* (*count* times) into the histogram *name*."""
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = {
@@ -45,12 +45,12 @@ class MetricsRegistry:
             }
         for index, bound in enumerate(DEFAULT_BUCKETS):
             if value <= bound:
-                hist["buckets"][index] += 1
+                hist["buckets"][index] += count
                 break
         else:
-            hist["buckets"][-1] += 1
-        hist["count"] += 1
-        hist["sum"] += value
+            hist["buckets"][-1] += count
+        hist["count"] += count
+        hist["sum"] += value * count
 
     def snapshot(self):
         """JSON-safe, key-sorted copy (deterministic serialisation)."""

@@ -15,25 +15,16 @@ from repro.uarch.core import (
     register_uarch,
 )
 from repro.uarch.ooo import OooCore, OooParams
-from repro.uarch.structures import (
-    LoadStoreQueue,
-    RegisterStatus,
-    ReorderBuffer,
-    ReservationStations,
-    RobEntry,
-)
+from repro.uarch.structures import ReorderBuffer, acquire
 
 __all__ = [
     "CpuCore",
     "DEFAULT_UARCH",
-    "LoadStoreQueue",
     "OooCore",
     "OooParams",
-    "RegisterStatus",
     "ReorderBuffer",
-    "ReservationStations",
-    "RobEntry",
     "UARCHS",
+    "acquire",
     "make_core",
     "register_uarch",
 ]

@@ -5,25 +5,34 @@ Execution model
 Instructions dispatch in program order into a reorder buffer and
 reservation stations, execute as their operands become ready, and
 commit strictly in order at ``commit_width`` per cycle.  The functional
-(rename-file) state executes eagerly at dispatch — the register file
-``state.regs`` always holds the newest speculative values, while
-``arch_regs`` tracks the committed view the ROB writes back to — so the
-architectural results are instruction-for-instruction identical to the
-in-order core.  What differs is *time*: per-register ready times, ROB /
-reservation-station / LSQ occupancy and the commit stream produce the
-cycle counter, so load misses overlap with independent work, long
-dividers hide behind ALU chains, and ``rdcycle`` (a serialising read,
-as on real hardware) observes the drained machine.
+state executes eagerly at dispatch — the register file ``state.regs``
+always holds the newest values — so the architectural results are
+instruction-for-instruction identical to the in-order core.  There is
+no rename table: scheduling reads only the per-register ready times,
+and ``arch_regs`` (the committed view) is re-seated on ``state.regs``
+whenever the ROB drains.  What differs is *time*: per-register ready
+times, ROB / reservation-station / LSQ occupancy and the commit stream
+produce the cycle counter, so load misses overlap with independent
+work, long dividers hide behind ALU chains, and ``rdcycle`` (a
+serialising read, as on real hardware) observes the drained machine.
+
+The timing state allocates nothing per instruction but one ROB tuple
+(see :mod:`repro.uarch.structures`), and the commit port is inlined in
+the dispatch loop.  The commit clock *is* the cycle counter: each
+commit slot is ``max(cycles + 1/commit_width, done)``.  L1 hits on
+committed fetches and loads, and on wrong-path fetches, take the hit
+arm bound through :meth:`~repro.cache.cache.Cache.inline_state`, as
+the superblock engine does; anything else goes through the hierarchy.
 
 Speculation
 -----------
 On a branch misprediction the wrong path executes in the ROB's *free
 slots* — reorder-buffer depth, not a fixed window, bounds transient
 execution, which is the microarchitectural knob Spectre exploits on
-real OoO hardware (Kocher et al.).  Wrong-path uops allocate tail ROB
-entries, rename into the register-status table, read through a store
-buffer (their stores never reach memory), and are squashed by restoring
-the checkpointed rename map taken at the branch.  Their instruction and
+real OoO hardware (Kocher et al.).  Wrong-path uops are charged against
+those free slots without allocating entries; they read through a store
+buffer (their stores never reach memory), and the squash restores the
+register values checkpointed at the branch.  Their instruction and
 data fetches still fill the caches and TLBs — the covert channel — and
 they account the same ``spec_*`` / ``squashed_instructions`` PMU events
 the in-order core does, with a genuinely different signature (the
@@ -37,6 +46,7 @@ always architectural and a run is bit-deterministic regardless of how
 """
 
 import dataclasses
+from heapq import heappush
 
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
@@ -92,13 +102,37 @@ from repro.obs.prof import current_profiler
 from repro.obs.tracer import current_tracer
 from time import perf_counter
 from repro.uarch.core import register_uarch
-from repro.uarch.structures import (
-    LoadStoreQueue,
-    RegisterStatus,
-    ReorderBuffer,
-    ReservationStations,
-    RobEntry,
-)
+from repro.uarch.structures import ReorderBuffer, acquire
+
+#: ``ooo.*`` telemetry, tallied in the core and flushed into the metrics
+#: registry once per quantum.  Histogram values never exceed the ROB
+#: depth, so each histogram tallies into a list indexed by value.
+_HISTOGRAMS = ("ooo.spec.window", "ooo.rob.occupancy",
+               "cpu.speculate.squashed")
+_COUNTERS = ("ooo.squashes", "ooo.wrong_path_uops", "ooo.commit_stalls",
+             "ooo.dispatch_stalls", "ooo.lsq_stalls")
+
+#: Hit-path state for a cache whose hit arm cannot be inlined: the
+#: lookup always misses, so every access takes the hierarchy.
+_NO_INLINE = (0, 0, 0, ({},), None, None, None)
+
+
+def _hit_path(cache):
+    """``cache.inline_state()`` unpacked for the dispatch loop."""
+    state = cache.inline_state()
+    if state is None:
+        return _NO_INLINE
+    return (state["line_shift"], state["set_mask"], state["index_shift"],
+            state["maps"], state["clocks"], state["stamps"],
+            state["stats"])
+
+
+def _count_hits(stats, hits):
+    """Fold batched inlined read hits into *stats*, as ``access`` does."""
+    if hits:
+        stats.accesses += hits
+        stats.read_accesses += hits
+        stats.hits += hits
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,33 +187,42 @@ class OooCore:
         # superblocks on this core).
         memory.add_code_listener(self._on_code_write)
 
-        # Tomasulo structures.
+        # Tomasulo timing state.
         p = self.params
-        num_regs = len(self.state.regs)
         self.rob = ReorderBuffer(p.rob_depth)
-        self.rat = RegisterStatus(num_regs)
-        self.rs = ReservationStations(
-            {"alu": p.rs_alu, "mem": p.rs_mem, "br": p.rs_branch}
-        )
-        self.lsq = LoadStoreQueue(p.lsq_depth)
-        #: Committed register file (the ROB writes back here); converges
-        #: with the rename file ``state.regs`` whenever the ROB drains.
+        #: Reservation-station pools (min-heaps of completion times) and
+        #: their capacities, indexed by opcode; ``None`` for ops that
+        #: take no station (nop, halt and the serialising ops).
+        self._rs_pools = ([], [], [])
+        alu, mem, br = self._rs_pools
+        self._rs_of = [None] * 256
+        self._rs_cap = [0] * 256
+        for op in range(256):
+            if _ADD <= op < _LW or op == _RDINSTRET:
+                self._rs_of[op], self._rs_cap[op] = alu, p.rs_alu
+            elif _LW <= op < _BEQ:
+                self._rs_of[op], self._rs_cap[op] = mem, p.rs_mem
+            elif _BEQ <= op < _SYSCALL:
+                self._rs_of[op], self._rs_cap[op] = br, p.rs_branch
+        #: Committed register file; re-seated on the eagerly-updated
+        #: ``state.regs`` whenever the ROB drains.
         self.arch_regs = list(self.state.regs)
-        #: Per-register result-ready times (the scheduling half of the
-        #: rename table; values live in ``state.regs``).
-        self._ready = [0.0] * num_regs
+        #: Per-register result-ready times (values live in
+        #: ``state.regs``).
+        self._ready = [0.0] * len(self.state.regs)
         self._fetch_clock = 0.0
-        self._last_commit = 0.0
         self._inv_commit = 1.0 / p.commit_width
         self._seq = 0
-        #: Tests may set this to a list to record (seq, pc, wrong_path)
-        #: per commit and pin the in-order-commit invariant.
+        #: Tests may set this to a list to record ``(seq, pc)`` per
+        #: commit and pin the in-order-commit invariant.
         self.commit_log = None
 
         tracer = current_tracer()
         if tracer.enabled:
-            self._tracer = tracer
             self._metrics = tracer.metrics
+            self._hists = {name: [0] * (p.rob_depth + 1)
+                           for name in _HISTOGRAMS}
+            self._counts = dict.fromkeys(_COUNTERS, 0)
             self.trace_clk = tracer.register_clock(self._cycles_now)
             self._tr_cpu = tracer.channel("cpu", self.trace_clk)
             self._tr_kernel = tracer.channel("kernel", self.trace_clk)
@@ -194,7 +237,6 @@ class OooCore:
             if cache_channel is not None:
                 self.caches.bind_tracer(cache_channel)
         else:
-            self._tracer = None
             self._metrics = None
             self.trace_clk = 0
             self._tr_cpu = None
@@ -203,6 +245,8 @@ class OooCore:
             self._tr_commit = None
             self._tr_squash = None
             self._tr_lsq = None
+        self._l1i_hit = _hit_path(self.caches.l1i)
+        self._l1d_hit = _hit_path(self.caches.l1d)
         # Profiler: bound once, like the tracer.  The OoO loop cannot be
         # single-stepped without serialising the ROB (that would change
         # the timing being measured), so an active profiler attaches a
@@ -228,9 +272,8 @@ class OooCore:
             self.shadow_stack.reset()
         self.predictor.rsb.reset()
         self.rob.clear()
-        self.rat.clear()
-        self.rs.clear()
-        self.lsq.clear()
+        for pool in self._rs_pools:
+            pool.clear()
         self._ready = [self.cycles] * len(self._ready)
 
     def _on_code_write(self, address, size):
@@ -248,62 +291,53 @@ class OooCore:
         self._decode_cache[pc] = entry
         return entry
 
-    # ------------------------------------------------------------------
-    # commit port
-    # ------------------------------------------------------------------
-    def _commit_head(self):
-        """Retire the ROB head; returns its commit time."""
-        entry = self.rob.pop_head()
-        slot = self._last_commit + self._inv_commit
-        if entry.completion > slot:
-            slot = entry.completion
-        self._last_commit = slot
-        if slot > self.cycles:
-            self.cycles = slot
-        arch = self.arch_regs
-        rat = self.rat
-        for register, value in entry.writes:
-            arch[register] = value
-            rat.retire(register, entry)
-        if entry.kind == "mem":
-            self.lsq.release(entry.seq)
-        log = self.commit_log
-        if log is not None:
-            log.append((entry.seq, entry.pc, entry.wrong_path))
-        return slot
+    def _flush_metrics(self):
+        """Fold the quantum's telemetry tallies into the registry."""
+        metrics = self._metrics
+        for name, tally in self._hists.items():
+            for value, count in enumerate(tally):
+                if count:
+                    metrics.observe(name, value, count)
+                    tally[value] = 0
+        counts = self._counts
+        for name, count in counts.items():
+            if count:
+                metrics.inc(name, count)
+                counts[name] = 0
 
-    def _commit_until(self, now):
-        """Retire every head entry whose commit slot is due by *now*."""
-        entries = self.rob.entries
-        inv_commit = self._inv_commit
-        while entries:
-            head = entries[0]
-            slot = self._last_commit + inv_commit
-            if head.completion > slot:
-                slot = head.completion
-            if slot > now:
-                break
-            self._commit_head()
-
+    # ------------------------------------------------------------------
+    # commit port (the dispatch loop inlines the per-instruction case)
+    # ------------------------------------------------------------------
     def _drain(self):
         """Retire the whole ROB (quantum boundary, fault, serialise)."""
-        while self.rob.entries:
-            self._commit_head()
+        rob = self.rob
+        log = self.commit_log
+        inv_commit = self._inv_commit
+        cycles = self.cycles
+        for done, _, seq, pc in rob:
+            cycles += inv_commit
+            if done > cycles:
+                cycles = done
+            if log is not None:
+                log.append((seq, pc))
+        rob.clear()
+        self.cycles = cycles
+        self.arch_regs = list(self.state.regs)
 
     def _serialize(self, fclock, extra=0.0):
         """Drain, then retire a serialising op; returns the new fetch
         clock (== ``self.cycles``: the machine is momentarily in-order).
         """
-        metrics = self._metrics
-        if metrics is not None and self.rob.entries:
+        rob = self.rob
+        if self._metrics is not None and rob:
             # Commit-stall bookkeeping: a serialising op forces the
             # whole ROB to retire before it may even dispatch.
-            metrics.inc("ooo.commit_stalls")
-            metrics.observe("ooo.rob.occupancy", len(self.rob.entries))
+            self._counts["ooo.commit_stalls"] += 1
+            self._hists["ooo.rob.occupancy"][len(rob)] += 1
             trace = self._tr_commit
             if trace is not None:
                 ts0 = trace.now()
-                occupancy = len(self.rob.entries)
+                occupancy = len(rob)
                 self._drain()
                 trace.complete("ooo.commit.drain", ts0, rob=occupancy)
             else:
@@ -315,17 +349,19 @@ class OooCore:
             t = fclock
         t += extra
         self.cycles = t
-        self._last_commit = t
         return t
 
     # ------------------------------------------------------------------
     # misprediction recovery + wrong-path execution
     # ------------------------------------------------------------------
-    def _recover(self, pc, wrong_path_pc, resolve_time, fclock):
-        """Mispredict: transient wrong path, squash, redirect fetch."""
+    def _recover(self, pc, wrong_path_pc, resolve_time, fclock, seq):
+        """Mispredict: transient wrong path, squash, redirect fetch.
+
+        Returns the redirected fetch clock and the next sequence number
+        (wrong-path uops consume sequence numbers too).
+        """
         trace = self._tr_cpu
         ts0 = trace.now() if trace is not None else 0
-        metrics = self._metrics
         squash_trace = self._tr_squash
         sq_ts0 = squash_trace.now() if squash_trace is not None else 0
         penalty = self.config.mispredict_penalty
@@ -334,48 +370,41 @@ class OooCore:
             fclock = resolve_time
         fclock += penalty
         if wrong_path_pc is not None:
-            if metrics is not None:
+            window = self.rob.free_slots()
+            executed = (self._speculate(wrong_path_pc, window)
+                        if window > 0 else 0)
+            seq += executed
+            if self._metrics is not None:
                 # Speculation-window depth: how many ROB slots the
                 # wrong path may fill before the squash bounds it.
-                metrics.observe("ooo.spec.window",
-                                self.rob.free_slots())
-                metrics.observe("ooo.rob.occupancy",
-                                len(self.rob.entries))
-            executed = self._speculate(wrong_path_pc)
-            if metrics is not None:
-                metrics.inc("ooo.squashes")
-                if executed:
-                    metrics.inc("ooo.wrong_path_uops", executed)
+                hists = self._hists
+                hists["ooo.spec.window"][window] += 1
+                hists["ooo.rob.occupancy"][len(self.rob)] += 1
+                self._counts["ooo.squashes"] += 1
+                self._counts["ooo.wrong_path_uops"] += executed
             if trace is not None:
                 trace.complete("cpu.speculate", ts0, pc=pc,
                                target=wrong_path_pc, squashed=executed)
-                self._tracer.metrics.observe(
-                    "cpu.speculate.squashed", executed
-                )
+                self._hists["cpu.speculate.squashed"][executed] += 1
             if squash_trace is not None:
                 squash_trace.complete("ooo.squash", sq_ts0, pc=pc,
                                       target=wrong_path_pc,
                                       uops=executed)
         elif trace is not None:
             trace.event("cpu.mispredict", pc=pc)
-        return fclock
+        return fclock, seq
 
-    def _speculate(self, start_pc):
-        """Execute the wrong path in the ROB's free slots.
+    def _speculate(self, start_pc, window):
+        """Execute up to *window* wrong-path uops; returns the count.
 
-        Wrong-path uops allocate tail ROB entries and rename into the
-        register-status table; stores stay in a store buffer.  The
-        squash pops the tail and restores the rename-map checkpoint —
-        only cache/TLB fills (and the ``spec_*`` counters) persist.
+        Wrong-path uops take no ROB entries: they are charged against
+        the free slots the caller measured.  Stores stay in a store
+        buffer and the squash restores the register values
+        checkpointed here — only cache/TLB fills (and the ``spec_*``
+        counters) persist.
         """
-        window = self.rob.free_slots()
-        if window <= 0:
-            return 0
         regs = self.state.regs
         checkpoint_regs = list(regs)
-        checkpoint_rat = self.rat.checkpoint()
-        rat_set = self.rat.set
-        rob_entries = self.rob.entries
         store_buffer = {}
         counters = self.pmu.counters
         memory = self.memory
@@ -385,7 +414,9 @@ class OooCore:
         dtlb_access = self.dtlb.access
         itlb_access = self.itlb.access
         invisible = self.config.invisible_speculation
-        seq = self._seq
+        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps,
+         i_stats) = self._l1i_hit
+        i_hits = 0
         pc = start_pc
         executed = 0
 
@@ -402,16 +433,22 @@ class OooCore:
                          instruction.imm)
                 dcache[pc] = entry
             # Wrong-path fetch fills the I-cache / ITLB too.
-            icache_fast(pc)
+            line = pc >> i_shift
+            index = line & i_mask
+            way = i_maps[index].get(line >> i_ishift)
+            if way is None:
+                icache_fast(pc)
+            else:
+                clock = i_clocks[index] + 1
+                i_clocks[index] = clock
+                i_stamps[index][way] = clock
+                i_hits += 1
             itlb_access(pc)
 
             executed += 1
             counters["spec_instructions"] += 1
             op, rd, rs1, rs2, imm = entry
             next_pc = (pc + INSTRUCTION_SIZE) & MASK32
-            node = RobEntry(seq, pc, op, "spec", 0.0, wrong_path=True)
-            seq += 1
-            rob_entries.append(node)
 
             if op == _LW or op == _LB:
                 address = (regs[rs1] + imm) & MASK32
@@ -439,7 +476,6 @@ class OooCore:
                         break
                 if rd != 0:
                     regs[rd] = value & MASK32
-                    rat_set(rd, node)
             elif op == _SW or op == _SB:
                 address = (regs[rs1] + imm) & MASK32
                 size = 4 if op == _SW else 1
@@ -451,19 +487,15 @@ class OooCore:
             elif _ADD <= op <= _SLTU:
                 if rd != 0:
                     regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-                    rat_set(rd, node)
             elif _ADDI <= op <= _SLTI:
                 if rd != 0:
                     regs[rd] = _alu_rri(op, regs[rs1], imm)
-                    rat_set(rd, node)
             elif op == _LI:
                 if rd != 0:
                     regs[rd] = imm & MASK32
-                    rat_set(rd, node)
             elif op == _MOV:
                 if rd != 0:
                     regs[rd] = regs[rs1]
-                    rat_set(rd, node)
             elif _BEQ <= op <= _BGEU:
                 # Nested branches resolve immediately on the wrong path.
                 if _branch_taken(op, regs[rs1], regs[rs2]):
@@ -476,7 +508,6 @@ class OooCore:
                 return_address = next_pc
                 sp = (regs[13] - 4) & MASK32
                 regs[13] = sp
-                rat_set(13, node)
                 store_buffer[(sp, 4)] = return_address
                 if op == _CALL:
                     next_pc = (pc + imm) & MASK32
@@ -493,12 +524,10 @@ class OooCore:
                     except MemoryFault:
                         break
                 regs[13] = (sp + 4) & MASK32
-                rat_set(13, node)
                 next_pc = target & MASK32
             elif op == _PUSH:
                 sp = (regs[13] - 4) & MASK32
                 regs[13] = sp
-                rat_set(13, node)
                 store_buffer[(sp, 4)] = regs[rs1]
                 data_fast(sp, True)
             elif op == _POP:
@@ -513,18 +542,14 @@ class OooCore:
                         break
                 data_fast(sp, False)
                 regs[13] = (sp + 4) & MASK32
-                rat_set(13, node)
                 if rd != 0:
                     regs[rd] = value
-                    rat_set(rd, node)
             elif op == _RDCYCLE:
                 if rd != 0:
                     regs[rd] = int(self.cycles) & MASK32
-                    rat_set(rd, node)
             elif op == _RDINSTRET:
                 if rd != 0:
                     regs[rd] = counters["instructions"] & MASK32
-                    rat_set(rd, node)
             elif op == _NOP:
                 pass
             else:
@@ -533,12 +558,9 @@ class OooCore:
                 break
             pc = next_pc
 
+        _count_hits(i_stats, i_hits)
         counters["squashed_instructions"] += executed
-        self._seq = seq
-        squashed = self.rob.squash_tail()
-        assert squashed == executed, "squash missed wrong-path uops"
         regs[:] = checkpoint_regs
-        self.rat.restore(checkpoint_rat)
         return executed
 
     # ------------------------------------------------------------------
@@ -554,9 +576,10 @@ class OooCore:
     def run(self, max_instructions=None):
         """Dispatch/commit until halt (or budget); returns retired count.
 
-        One loop serves traced and untraced runs: ``self.cycles`` only
-        moves at commit/serialise points, which is where every trace
-        emission happens, so the channels always observe a live clock.
+        One loop serves traced and untraced runs.  The commit clock
+        lives in a local and is written back to ``self.cycles`` (the
+        trace clock) before every call that may emit a record or read
+        it, so the channels always observe a live clock.
         All observable state is synchronised — and the ROB drained — on
         every exit path, including faults (precise exceptions: older
         work commits, the faulting instruction never allocates).
@@ -569,14 +592,16 @@ class OooCore:
         predictor = self.predictor
         memory = self.memory
         caches = self.caches
-        rob_entries = self.rob.entries
-        rob_depth = self.rob.depth
-        rat_set = self.rat.set
-        rs_acquire = self.rs.acquire
-        rs_issue = self.rs.issue
-        lsq = self.lsq
-        lsq_entries = lsq.entries
-        lsq_depth = lsq.depth
+        rob = self.rob
+        rob_append = rob.append
+        rob_popleft = rob.popleft
+        rob_depth = rob.depth
+        inv_commit = self._inv_commit
+        log = self.commit_log
+        rs_of = self._rs_of
+        rs_cap = self._rs_cap
+        mem_pool = self._rs_pools[1]
+        lsq_depth = self.params.lsq_depth
         dcache_get = self._decode_cache.get
         load_word = memory.load_word
         load_byte = memory.load_byte
@@ -586,6 +611,10 @@ class OooCore:
         itlb_access = self.itlb.access
         icache_fast = caches.instruction_access_fast
         data_fast = caches.data_access_fast
+        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps,
+         i_stats) = self._l1i_hit
+        (d_shift, d_mask, d_ishift, d_maps, d_clocks, d_stamps,
+         d_stats) = self._l1d_hit
         predict_conditional = predictor.predict_conditional
         resolve_conditional = predictor.resolve_conditional
         predict_indirect = predictor.predict_indirect
@@ -608,12 +637,13 @@ class OooCore:
         limit = -1 if max_instructions is None else max_instructions
         tr_dispatch = self._tr_dispatch
         tr_lsq = self._tr_lsq
-        # Pipeline-pressure tallies: plain locals on the hot path,
-        # flushed to the metrics registry once per quantum (so a
-        # telemetry-off run pays one integer add per stalled dispatch
-        # and nothing else).
+        # Hot-path tallies, flushed once per quantum (so a telemetry-off
+        # run pays one integer add per stalled dispatch or inlined L1
+        # hit and nothing else).
         dispatch_stalls = 0
         lsq_stalls = 0
+        i_hits = 0
+        d_hits = 0
         # Profiling cursor: read-only sequential accounting.  One
         # ``is not None`` guard per instruction (the tr_dispatch idiom);
         # cost attribution is by dispatch-clock progression, with the
@@ -622,17 +652,20 @@ class OooCore:
         cursor = self._prof.cursor() if self._prof is not None else None
         run_wall0 = perf_counter() if cursor is not None else 0.0
 
-        # The ROB is empty between run() calls, so the rename file is
-        # architectural here: re-seat the committed view on it (spawn
-        # and syscall handlers write registers between quanta).
-        self.arch_regs = list(state.regs)
-
         regs = state.regs
         ready = self._ready
         pc = state.pc
         fclock = self._fetch_clock
         last_iline = self._last_iline
         last_ipage = self._last_ipage
+        seq = self._seq - 1     # advanced as each instruction starts
+        # The commit clock (== ``self.cycles``; see the docstring):
+        # synced before cache fallbacks, trace spans, recovery and
+        # serialisation.
+        cycles = self.cycles
+        # In-flight memory ops: the ROB's ``is_mem`` entries.  The ROB
+        # is empty between run() calls and after every serialise.
+        lsq = 0
         executed = 0
 
         try:
@@ -648,20 +681,31 @@ class OooCore:
                 line = pc >> 6
                 if line != last_iline:
                     last_iline = line
-                    extra = icache_fast(pc)[0] - l1_latency
-                    if extra > 0:
-                        fclock += extra
-                        counters["memory_stall_cycles"] += extra
-                page = pc >> 12
-                if page != last_ipage:
-                    last_ipage = page
-                    itlb_access(pc)
+                    line = pc >> i_shift
+                    index = line & i_mask
+                    way = i_maps[index].get(line >> i_ishift)
+                    if way is None:
+                        self.cycles = cycles
+                        extra = icache_fast(pc)[0] - l1_latency
+                        if extra > 0:
+                            fclock += extra
+                            counters["memory_stall_cycles"] += extra
+                    else:
+                        clock = i_clocks[index] + 1
+                        i_clocks[index] = clock
+                        i_stamps[index][way] = clock
+                        i_hits += 1
+                    # Pages are whole lines: only a new line can start
+                    # a new page.
+                    page = pc >> 12
+                    if page != last_ipage:
+                        last_ipage = page
+                        itlb_access(pc)
 
                 op, rd, rs1, rs2, imm = entry
                 next_pc = (pc + size) & MASK32
                 counters["instructions"] += 1
-                seq = self._seq
-                self._seq = seq + 1
+                seq += 1
                 if cursor is not None:
                     # Finalises the *previous* instruction with this
                     # one's fetch clock; this one stays pending.
@@ -672,49 +716,71 @@ class OooCore:
                 # Dispatch: retire whatever is due, then stall on
                 # structural hazards (full ROB / stations / LSQ).
                 dispatch = fclock
-                self._commit_until(dispatch)
-                if len(rob_entries) >= rob_depth:
+                while rob:
+                    slot = cycles + inv_commit
+                    if slot > dispatch:
+                        break
+                    head = rob[0]
+                    if head[0] > dispatch:
+                        break
+                    if head[0] > slot:
+                        slot = head[0]
+                    rob_popleft()
+                    cycles = slot
+                    if head[1]:
+                        lsq -= 1
+                    if log is not None:
+                        log.append(head[2:])
+                if len(rob) >= rob_depth:
                     if tr_dispatch is not None:
+                        self.cycles = cycles
                         stall_ts = tr_dispatch.now()
-                        stall_occ = len(rob_entries)
-                    while len(rob_entries) >= rob_depth:
-                        slot = self._commit_head()
+                        stall_occ = len(rob)
+                    while len(rob) >= rob_depth:
+                        head = rob_popleft()
+                        slot = cycles + inv_commit
+                        if head[0] > slot:
+                            slot = head[0]
+                        cycles = slot
+                        if head[1]:
+                            lsq -= 1
+                        if log is not None:
+                            log.append(head[2:])
                         dispatch_stalls += 1
                         if slot > dispatch:
                             dispatch = slot
                     if tr_dispatch is not None:
+                        self.cycles = cycles
                         tr_dispatch.complete("ooo.dispatch.stall",
                                              stall_ts, pc=pc,
                                              rob=stall_occ)
-                if op >= _ADD:
-                    if op < _LW:
-                        kind = "alu"
-                    elif op < _BEQ:
-                        kind = "mem"
-                    elif op < _SYSCALL:
-                        kind = "br"
-                    elif op == _RDINSTRET:
-                        kind = "alu"
-                    else:
-                        kind = None     # serialising
-                else:
-                    kind = None         # nop / halt
-                if kind is not None:
-                    stalled = rs_acquire(kind, dispatch)
-                    if stalled > dispatch:
-                        dispatch = stalled
-                    if kind == "mem":
-                        if len(lsq_entries) >= lsq_depth:
+                pool = rs_of[op]
+                if pool is not None:
+                    if len(pool) >= rs_cap[op]:
+                        dispatch = acquire(pool, rs_cap[op], dispatch)
+                    if pool is mem_pool:
+                        if lsq >= lsq_depth:
                             if tr_lsq is not None:
+                                self.cycles = cycles
                                 stall_ts = tr_lsq.now()
-                            while len(lsq_entries) >= lsq_depth:
-                                slot = self._commit_head()
+                            while lsq >= lsq_depth:
+                                head = rob_popleft()
+                                slot = cycles + inv_commit
+                                if head[0] > slot:
+                                    slot = head[0]
+                                cycles = slot
+                                if head[1]:
+                                    lsq -= 1
+                                if log is not None:
+                                    log.append(head[2:])
                                 lsq_stalls += 1
                                 if slot > dispatch:
                                     dispatch = slot
                             if tr_lsq is not None:
+                                self.cycles = cycles
                                 tr_lsq.complete("ooo.lsq.stall",
                                                 stall_ts, pc=pc)
+                        lsq += 1
                 fclock = dispatch + base_cost
 
                 if _ADDI <= op <= _SLTI:
@@ -728,17 +794,11 @@ class OooCore:
                     if t > start:
                         start = t
                     done = start + latency
-                    rs_issue("alu", done)
-                    writes = ()
                     if rd:
-                        value = _alu_rri(op, regs[rs1], imm)
-                        regs[rd] = value
+                        regs[rd] = _alu_rri(op, regs[rs1], imm)
                         ready[rd] = done
-                        writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                 elif _ADD <= op <= _SLTU:
                     counters["alu_instructions"] += 1
                     latency = 1.0
@@ -754,31 +814,19 @@ class OooCore:
                     if t > start:
                         start = t
                     done = start + latency
-                    rs_issue("alu", done)
-                    writes = ()
                     if rd:
-                        value = _alu_rrr(op, regs[rs1], regs[rs2])
-                        regs[rd] = value
+                        regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
                         ready[rd] = done
-                        writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                 elif op == _LI:
                     counters["alu_instructions"] += 1
                     done = dispatch + 1.0
-                    rs_issue("alu", done)
-                    writes = ()
                     if rd:
-                        value = imm & MASK32
-                        regs[rd] = value
+                        regs[rd] = imm & MASK32
                         ready[rd] = done
-                        writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                 elif op == _MOV:
                     counters["alu_instructions"] += 1
                     start = dispatch
@@ -786,124 +834,11 @@ class OooCore:
                     if t > start:
                         start = t
                     done = start + 1.0
-                    rs_issue("alu", done)
-                    writes = ()
                     if rd:
-                        value = regs[rs1]
-                        regs[rd] = value
+                        regs[rd] = regs[rs1]
                         ready[rd] = done
-                        writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
-                elif op == _LW or op == _LB:
-                    counters["load_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    value = (load_word(address) if op == _LW
-                             else load_byte(address))
-                    dtlb_access(address)
-                    latency = data_fast(address, False)[0]
-                    extra = latency - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    writes = ()
-                    if rd:
-                        value &= MASK32
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "mem", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
-                elif op == _SW or op == _SB:
-                    counters["store_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    if op == _SW:
-                        store_word(address, regs[rs2])
-                    else:
-                        store_byte(address, regs[rs2])
-                    dtlb_access(address)
-                    extra = data_fast(address, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    # Stores retire from the store queue off the
-                    # critical path: the miss latency is not serialised
-                    # into the dependency chain.
-                    done = start + 1.0
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "mem", done)
-                    )
-                elif op == _PUSH:
-                    counters["stack_instructions"] += 1
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, regs[rs1])
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    node = RobEntry(seq, pc, op, "mem", done,
-                                    ((13, sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
-                elif op == _POP:
-                    counters["stack_instructions"] += 1
-                    sp = regs[13]
-                    value = load_word(sp)
-                    dtlb_access(sp)
-                    latency = data_fast(sp, False)[0]
-                    extra = latency - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    new_sp = (sp + 4) & MASK32
-                    regs[13] = new_sp
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    ready[13] = done
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    writes = ((13, new_sp),)
-                    if rd:
-                        value &= MASK32
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((13, new_sp), (rd, value))
-                    node = RobEntry(seq, pc, op, "mem", done, writes)
-                    for register, _ in writes:
-                        rat_set(register, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                 elif _BEQ <= op <= _BGEU:
                     counters["branch_instructions"] += 1
                     counters["cond_branch_instructions"] += 1
@@ -922,24 +857,130 @@ class OooCore:
                     if t > start:
                         start = t
                     done = start + 1.0
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done)
-                    )
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                     if mispredicted:
                         wrong_path = (
                             (pc + imm) & MASK32 if predicted
                             else (pc + size) & MASK32
                         )
-                        fclock = self._recover(pc, wrong_path, done,
-                                               fclock)
+                        self.cycles = cycles
+                        fclock, seq = self._recover(pc, wrong_path, done,
+                                                    fclock, seq)
                 elif op == _JMP:
                     counters["branch_instructions"] += 1
-                    rs_issue("br", dispatch)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", dispatch)
-                    )
+                    heappush(pool, dispatch)
+                    rob_append((dispatch, False, seq, pc))
                     next_pc = (pc + imm) & MASK32
+                elif op == _LW or op == _LB:
+                    counters["load_instructions"] += 1
+                    address = (regs[rs1] + imm) & MASK32
+                    value = (load_word(address) if op == _LW
+                             else load_byte(address))
+                    dtlb_access(address)
+                    line = address >> d_shift
+                    index = line & d_mask
+                    way = d_maps[index].get(line >> d_ishift)
+                    if way is None:
+                        self.cycles = cycles
+                        latency = data_fast(address, False)[0]
+                        extra = latency - l1_latency
+                        if extra > 0:
+                            counters["memory_stall_cycles"] += extra
+                    else:
+                        clock = d_clocks[index] + 1
+                        d_clocks[index] = clock
+                        d_stamps[index][way] = clock
+                        d_hits += 1
+                        latency = l1_latency
+                    start = dispatch
+                    t = ready[rs1]
+                    if t > start:
+                        start = t
+                    done = start + latency
+                    if rd:
+                        regs[rd] = value & MASK32
+                        ready[rd] = done
+                    heappush(pool, done)
+                    rob_append((done, True, seq, pc))
+                elif op == _SW or op == _SB:
+                    counters["store_instructions"] += 1
+                    address = (regs[rs1] + imm) & MASK32
+                    if op == _SW:
+                        store_word(address, regs[rs2])
+                    else:
+                        store_byte(address, regs[rs2])
+                    dtlb_access(address)
+                    self.cycles = cycles
+                    extra = data_fast(address, True)[0] - l1_latency
+                    if extra > 0:
+                        counters["memory_stall_cycles"] += extra
+                    start = dispatch
+                    t = ready[rs1]
+                    if t > start:
+                        start = t
+                    t = ready[rs2]
+                    if t > start:
+                        start = t
+                    # Stores retire from the store queue off the
+                    # critical path: the miss latency is not serialised
+                    # into the dependency chain.
+                    done = start + 1.0
+                    heappush(pool, done)
+                    rob_append((done, True, seq, pc))
+                elif op == _PUSH:
+                    counters["stack_instructions"] += 1
+                    sp = (regs[13] - 4) & MASK32
+                    regs[13] = sp
+                    store_word(sp, regs[rs1])
+                    dtlb_access(sp)
+                    self.cycles = cycles
+                    extra = data_fast(sp, True)[0] - l1_latency
+                    if extra > 0:
+                        counters["memory_stall_cycles"] += extra
+                    start = dispatch
+                    t = ready[13]
+                    if t > start:
+                        start = t
+                    t = ready[rs1]
+                    if t > start:
+                        start = t
+                    done = start + 1.0
+                    ready[13] = done
+                    heappush(pool, done)
+                    rob_append((done, True, seq, pc))
+                elif op == _POP:
+                    counters["stack_instructions"] += 1
+                    sp = regs[13]
+                    value = load_word(sp)
+                    dtlb_access(sp)
+                    line = sp >> d_shift
+                    index = line & d_mask
+                    way = d_maps[index].get(line >> d_ishift)
+                    if way is None:
+                        self.cycles = cycles
+                        latency = data_fast(sp, False)[0]
+                        extra = latency - l1_latency
+                        if extra > 0:
+                            counters["memory_stall_cycles"] += extra
+                    else:
+                        clock = d_clocks[index] + 1
+                        d_clocks[index] = clock
+                        d_stamps[index][way] = clock
+                        d_hits += 1
+                        latency = l1_latency
+                    regs[13] = (sp + 4) & MASK32
+                    start = dispatch
+                    t = ready[13]
+                    if t > start:
+                        start = t
+                    done = start + latency
+                    ready[13] = done
+                    if rd:
+                        regs[rd] = value & MASK32
+                        ready[rd] = done
+                    heappush(pool, done)
+                    rob_append((done, True, seq, pc))
                 elif op == _JMPR:
                     counters["branch_instructions"] += 1
                     counters["indirect_jump_instructions"] += 1
@@ -952,17 +993,16 @@ class OooCore:
                     if t > start:
                         start = t
                     done = start + 1.0
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done)
-                    )
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                     if predicted is None:
                         if fclock < done:
                             fclock = done
                         fclock += btb_miss_penalty
                     elif mispredicted:
-                        fclock = self._recover(pc, predicted, done,
-                                               fclock)
+                        self.cycles = cycles
+                        fclock, seq = self._recover(pc, predicted, done,
+                                                    fclock, seq)
                     next_pc = target
                 elif op == _CALL:
                     counters["branch_instructions"] += 1
@@ -972,6 +1012,7 @@ class OooCore:
                     regs[13] = sp
                     store_word(sp, return_address)
                     dtlb_access(sp)
+                    self.cycles = cycles
                     extra = data_fast(sp, True)[0] - l1_latency
                     if extra > 0:
                         counters["memory_stall_cycles"] += extra
@@ -984,11 +1025,8 @@ class OooCore:
                         start = t
                     done = start + 1.0
                     ready[13] = done
-                    rs_issue("br", done)
-                    node = RobEntry(seq, pc, op, "br", done,
-                                    ((13, sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                     next_pc = (pc + imm) & MASK32
                 elif op == _CALLR:
                     counters["branch_instructions"] += 1
@@ -1003,6 +1041,7 @@ class OooCore:
                     regs[13] = sp
                     store_word(sp, return_address)
                     dtlb_access(sp)
+                    self.cycles = cycles
                     extra = data_fast(sp, True)[0] - l1_latency
                     if extra > 0:
                         counters["memory_stall_cycles"] += extra
@@ -1018,18 +1057,16 @@ class OooCore:
                         start = t
                     done = start + 1.0
                     ready[13] = done
-                    rs_issue("br", done)
-                    node = RobEntry(seq, pc, op, "br", done,
-                                    ((13, sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                     if predicted is None:
                         if fclock < done:
                             fclock = done
                         fclock += btb_miss_penalty
                     elif mispredicted:
-                        fclock = self._recover(pc, predicted, done,
-                                               fclock)
+                        self.cycles = cycles
+                        fclock, seq = self._recover(pc, predicted, done,
+                                                    fclock, seq)
                     next_pc = target
                 elif op == _RET:
                     counters["branch_instructions"] += 1
@@ -1037,16 +1074,27 @@ class OooCore:
                     sp = regs[13]
                     target = load_word(sp)
                     dtlb_access(sp)
-                    latency = data_fast(sp, False)[0]
-                    extra = latency - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    new_sp = (sp + 4) & MASK32
-                    regs[13] = new_sp
+                    line = sp >> d_shift
+                    index = line & d_mask
+                    way = d_maps[index].get(line >> d_ishift)
+                    if way is None:
+                        self.cycles = cycles
+                        latency = data_fast(sp, False)[0]
+                        extra = latency - l1_latency
+                        if extra > 0:
+                            counters["memory_stall_cycles"] += extra
+                    else:
+                        clock = d_clocks[index] + 1
+                        d_clocks[index] = clock
+                        d_stamps[index][way] = clock
+                        d_hits += 1
+                        latency = l1_latency
+                    regs[13] = (sp + 4) & MASK32
                     if shadow is not None:
                         try:
                             shadow.on_return(target)
                         except ShadowStackViolation:
+                            self.cycles = cycles
                             if self._tr_cpu is not None:
                                 self._tr_cpu.event(
                                     "cpu.shadow_divergence",
@@ -1062,14 +1110,12 @@ class OooCore:
                         start = t
                     done = start + latency
                     ready[13] = done
-                    rs_issue("br", done)
-                    node = RobEntry(seq, pc, op, "br", done,
-                                    ((13, new_sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                     if mispredicted:
-                        fclock = self._recover(pc, predicted, done,
-                                               fclock)
+                        self.cycles = cycles
+                        fclock, seq = self._recover(pc, predicted, done,
+                                                    fclock, seq)
                     next_pc = target
                 elif op == _CLFLUSH:
                     counters["clflush_instructions"] += 1
@@ -1079,37 +1125,37 @@ class OooCore:
                             "code (countermeasure active)"
                         )
                     address = (regs[rs1] + imm) & MASK32
+                    self.cycles = cycles
                     caches.flush_line(address)
-                    fclock = self._serialize(fclock, clflush_latency)
+                    fclock = cycles = self._serialize(fclock, clflush_latency)
+                    lsq = 0
                 elif op == _MFENCE:
                     counters["mfence_instructions"] += 1
-                    fclock = self._serialize(fclock, fence_latency)
+                    self.cycles = cycles
+                    fclock = cycles = self._serialize(fclock, fence_latency)
+                    lsq = 0
                     counters["fence_stall_cycles"] += fence_stall
                 elif op == _RDCYCLE:
                     counters["alu_instructions"] += 1
-                    fclock = self._serialize(fclock)
+                    self.cycles = cycles
+                    fclock = cycles = self._serialize(fclock)
+                    lsq = 0
                     if rd:
-                        value = int(fclock) & MASK32
-                        regs[rd] = value
-                        self.arch_regs[rd] = value
+                        regs[rd] = int(fclock) & MASK32
                         ready[rd] = fclock
                 elif op == _RDINSTRET:
                     counters["alu_instructions"] += 1
                     done = dispatch + 1.0
-                    rs_issue("alu", done)
-                    writes = ()
                     if rd:
-                        value = counters["instructions"] & MASK32
-                        regs[rd] = value
+                        regs[rd] = counters["instructions"] & MASK32
                         ready[rd] = done
-                        writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    heappush(pool, done)
+                    rob_append((done, False, seq, pc))
                 elif op == _SYSCALL:
                     counters["syscall_instructions"] += 1
-                    fclock = self._serialize(fclock, syscall_latency)
+                    self.cycles = cycles
+                    fclock = cycles = self._serialize(fclock, syscall_latency)
+                    lsq = 0
                     handler = self.syscall_handler
                     if handler is None:
                         raise CpuFault(
@@ -1124,6 +1170,9 @@ class OooCore:
                     self._fetch_clock = fclock
                     self._last_iline = last_iline
                     self._last_ipage = last_ipage
+                    _count_hits(i_stats, i_hits)
+                    _count_hits(d_stats, d_hits)
+                    i_hits = d_hits = 0
                     handler(self)
                     regs = state.regs
                     ready = self._ready
@@ -1133,15 +1182,12 @@ class OooCore:
                         fclock = self.cycles
                     last_iline = self._last_iline
                     last_ipage = self._last_ipage
-                    self.arch_regs = list(regs)
                     executed += 1
                     if watchdog is not None and executed % stride == 0:
                         watchdog.charge(stride)
                     continue
                 elif op == _NOP:
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "nop", dispatch)
-                    )
+                    rob_append((dispatch, False, seq, pc))
                 elif op == _HALT:
                     state.halted = True
                     next_pc = pc
@@ -1160,18 +1206,20 @@ class OooCore:
             # faulting instruction never allocated) and leaves every
             # observable in the object.
             state.pc = pc
+            self.cycles = cycles
             self._fetch_clock = fclock
             self._last_iline = last_iline
             self._last_ipage = last_ipage
-            metrics = self._metrics
-            if metrics is not None:
+            self._seq = seq + 1
+            _count_hits(i_stats, i_hits)
+            _count_hits(d_stats, d_hits)
+            if self._metrics is not None:
                 # One ROB-occupancy sample per quantum (pre-drain) plus
-                # the accumulated stall tallies.
-                metrics.observe("ooo.rob.occupancy", len(rob_entries))
-                if dispatch_stalls:
-                    metrics.inc("ooo.dispatch_stalls", dispatch_stalls)
-                if lsq_stalls:
-                    metrics.inc("ooo.lsq_stalls", lsq_stalls)
+                # the quantum's tallies.
+                self._hists["ooo.rob.occupancy"][len(rob)] += 1
+                self._counts["ooo.dispatch_stalls"] += dispatch_stalls
+                self._counts["ooo.lsq_stalls"] += lsq_stalls
+                self._flush_metrics()
             self._drain()
             if cursor is not None:
                 final = self.cycles if self.cycles > fclock else fclock

@@ -34,6 +34,14 @@ class TestMetricsRegistry:
         assert hist["sum"] == 1 + 3 + (1 << 25)
         assert len(hist["buckets"]) == len(DEFAULT_BUCKETS) + 1
 
+    def test_batched_observe_equals_repeated_observe(self):
+        one, batched = MetricsRegistry(), MetricsRegistry()
+        for value, count in ((0, 2), (5, 3), (1 << 25, 1)):
+            for _ in range(count):
+                one.observe("ooo.rob.occupancy", value)
+            batched.observe("ooo.rob.occupancy", value, count)
+        assert batched.snapshot() == one.snapshot()
+
     def test_snapshot_is_json_stable(self):
         metrics = MetricsRegistry()
         metrics.inc("b")
