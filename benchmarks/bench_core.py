@@ -1,27 +1,27 @@
 """Benchmark the simulation core: single-core interpreter throughput.
 
 Times the ``Cpu.run`` dispatch on two MiBench kernels (basicmath:
-ALU/branch heavy; sha: load/store heavy) under both untraced engines —
-the locals-bound fast loop and the superblock translator — and records
-instructions/second and cache accesses/second to ``BENCH_core.json``
-at the repo root.
+ALU/branch heavy; sha: load/store heavy) under the superblock engine —
+the only untraced engine — and records instructions/second and cache
+accesses/second to ``BENCH_core.json`` at the repo root.
 
-Two regression gates guard two generations of the core:
+Two regression floors gate the ``sb/*`` rows:
 
-* the fast loop must stay at least :data:`MIN_SPEEDUP` above the
-  committed step()-loop era numbers (``pre_change``), and
-* the superblock engine (``sb/*`` rows) must stay at least
-  :data:`SB_MIN_SPEEDUP` above :data:`FAST_COMMITTED` — the fast-loop
-  rows committed to ``BENCH_core.json`` on the same host immediately
-  before the translator landed.
+* at least :data:`MIN_SPEEDUP` above the committed step()-loop era
+  numbers (``pre_change``), and
+* at least :data:`SB_MIN_SPEEDUP` above :data:`FAST_COMMITTED` — the
+  rows a hand-written interpreter loop (since deleted) committed to
+  ``BENCH_core.json`` on the same host immediately before the
+  translator landed.  Both constants stay as history: they are the
+  bars, not measurements this bench can repeat.
 
 ``identical_output`` is not taken on faith: this bench re-runs a
-reduced kernel through the fast loop, the superblock engine and the
-step() reference and diffs the full architectural state (all 56 PMU
-events, registers, exit code) before publishing any number.  The sb
-verification pass doubles as the translator warm-up: the source→code
-cache is hot when measurement starts, so the ``sb/*`` rows report
-steady-state throughput rather than first-compile cost.
+reduced kernel through the superblock engine and the step() reference
+and diffs the full architectural state (all 56 PMU events, registers,
+exit code) before publishing any number.  The sb verification pass
+doubles as the translator warm-up: the source→code cache is hot when
+measurement starts, so the ``sb/*`` rows report steady-state
+throughput rather than first-compile cost.
 
 The host has one CPU and real scheduler noise, so every gated row is
 the best of :data:`REPEATS` fresh runs — min-of-N is the standard
@@ -45,14 +45,15 @@ PRE_CHANGE = {
     "cache_accesses_per_s": 172_555,
 }
 
-#: The regression bar: the fast loop must hold at least this multiple
+#: The regression bar: the sb/* rows must hold at least this multiple
 #: of the pre-change throughput.
 MIN_SPEEDUP = 2.0
 
-#: Fast-loop instructions/s committed to BENCH_core.json on this host
-#: immediately before the superblock engine landed; the sb/* rows are
-#: gated against these, not against a same-run fast measurement, so a
-#: globally slow host cannot flatter the ratio.
+#: Instructions/s of the (since deleted) hand-written interpreter loop,
+#: committed to BENCH_core.json on this host immediately before the
+#: superblock engine landed; the sb/* rows are gated against these
+#: committed numbers, not a same-run measurement, so a globally slow
+#: host cannot flatter the ratio.
 FAST_COMMITTED = {
     "basicmath": 543_857,
     "sha": 768_026,
@@ -85,10 +86,9 @@ def _spawn(name, iterations, uarch="inorder"):
     return system, system.spawn("/bin/bench")
 
 
-def _measure(name, iterations, uarch="inorder", engine="fast",
-             repeats=REPEATS):
+def _measure(name, iterations, uarch="inorder", repeats=REPEATS):
     best = None
-    with engine_override(engine):
+    with engine_override("sb"):
         for _ in range(repeats):
             system, process = _spawn(name, iterations, uarch=uarch)
             started = time.perf_counter()
@@ -125,27 +125,21 @@ def _identical_output():
         while not reference.cpu.state.halted:
             reference.cpu.step()
         expected = _snapshot(reference)
-        for engine in ("fast", "sb"):
-            with engine_override(engine):
-                system, run = _spawn(name, iterations)
-                system.run()
-            if _snapshot(run) != expected:
-                return False
+        with engine_override("sb"):
+            system, run = _spawn(name, iterations)
+            system.run()
+        if _snapshot(run) != expected:
+            return False
     return True
 
 
 @pytest.fixture(scope="module")
 def core_runs():
-    assert _identical_output(), "run() engines diverged from step()"
-    runs = {name: _measure(name, iterations)
+    assert _identical_output(), "the sb engine diverged from step()"
+    runs = {f"sb/{name}": _measure(name, iterations)
             for name, iterations in KERNELS}
     runs.update({
-        f"sb/{name}": _measure(name, iterations, engine="sb")
-        for name, iterations in KERNELS
-    })
-    runs.update({
-        f"ooo/{name}": _measure(name, iterations, uarch="ooo",
-                                engine="sb", repeats=1)
+        f"ooo/{name}": _measure(name, iterations, uarch="ooo", repeats=1)
         for name, iterations in OOO_KERNELS
     })
     return runs
@@ -156,7 +150,7 @@ def test_core_throughput_baseline(benchmark, core_runs):
 
     speedups = {
         name: round(
-            runs[name]["instructions_per_s"]
+            runs[f"sb/{name}"]["instructions_per_s"]
             / PRE_CHANGE["instructions_per_s"], 2
         )
         for name, _ in KERNELS
@@ -171,14 +165,13 @@ def test_core_throughput_baseline(benchmark, core_runs):
     ooo_vs_inorder = {
         name: round(
             runs[f"ooo/{name}"]["instructions_per_s"]
-            / runs[name]["instructions_per_s"], 2
+            / runs[f"sb/{name}"]["instructions_per_s"], 2
         )
         for name, _ in OOO_KERNELS
     }
     write_bench_json(
         "core",
-        knobs={**dict(KERNELS),
-               **{f"sb/{name}": iterations
+        knobs={**{f"sb/{name}": iterations
                   for name, iterations in KERNELS},
                **{f"ooo/{name}": iterations
                   for name, iterations in OOO_KERNELS}},
@@ -191,13 +184,13 @@ def test_core_throughput_baseline(benchmark, core_runs):
         identical_output=True,  # asserted in the core_runs fixture
     )
 
-    lines = [f"core baseline — run() engines vs pre-change "
+    lines = [f"core baseline — run() vs pre-change "
              f"{PRE_CHANGE['instructions_per_s']:,} instr/s"]
     for name, run in runs.items():
-        if name in speedups:
-            note = f"({speedups[name]:.1f}x)"
-        elif name.startswith("sb/"):
-            note = (f"({sb_vs_fast_committed[name[3:]]:.2f}x of "
+        if name.startswith("sb/"):
+            kernel = name[3:]
+            note = (f"({speedups[kernel]:.1f}x; "
+                    f"{sb_vs_fast_committed[kernel]:.2f}x of "
                     f"committed fast loop)")
         else:
             note = (f"({ooo_vs_inorder[name.split('/', 1)[1]]:.2f}x "
@@ -212,14 +205,14 @@ def test_core_throughput_baseline(benchmark, core_runs):
         benchmark.extra_info[f"{name}_instructions_per_s"] = \
             run["instructions_per_s"]
 
-    # Regression gates.  The fast in-order path must not decay back
-    # toward the step()-loop era, and the superblock engine must hold
-    # its 2x over the committed fast rows — both bars sit far below
-    # the measured ratios so host jitter cannot flake them, while
-    # still catching any real regression.  The ooo/* runs are reported
-    # but not gated — the Tomasulo interpreter is a different machine.
+    # Regression gates.  The in-order sb rows must not decay back
+    # toward the step()-loop era, and must hold their 2x over the
+    # committed fast rows — both bars sit far below the measured
+    # ratios so host jitter cannot flake them, while still catching
+    # any real regression.  The ooo/* runs are reported but not gated
+    # — the Tomasulo interpreter is a different machine.
     for name, _ in KERNELS:
-        assert runs[name]["instructions_per_s"] >= \
-            MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"], name
-        assert runs[f"sb/{name}"]["instructions_per_s"] >= \
-            SB_MIN_SPEEDUP * FAST_COMMITTED[name], f"sb/{name}"
+        sb = runs[f"sb/{name}"]["instructions_per_s"]
+        assert sb >= MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"], \
+            f"sb/{name}"
+        assert sb >= SB_MIN_SPEEDUP * FAST_COMMITTED[name], f"sb/{name}"

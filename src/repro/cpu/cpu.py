@@ -24,13 +24,13 @@ Interpreter layout
 The decode cache stores flat ``(op, rd, rs1, rs2, imm)`` tuples with
 *op* a plain int, so dispatch compares ints and operand access is
 index-based — no dataclass or enum traffic per retired instruction.
-:meth:`Cpu.step` is the readable single-instruction reference;
-:meth:`Cpu.run` additionally has a *fast loop* that keeps the program
-counter, cycle count and fetch-locality state in locals and syncs them
-back on every exit path.  The fast loop is bit-exact with the step()
-loop — the differential test in ``tests/cpu/test_fast_loop.py`` pins
-that — and is only used when tracing is off (trace events must observe
-``self.cycles`` live, so traced runs take the step() loop).
+:meth:`Cpu.step` is the one interpreter of the committed path.
+:meth:`Cpu.run` dispatches hot straight-line code to compiled
+superblocks (:mod:`repro.cpu.superblock`) and everything else to
+step(); the closures are bit-exact with step() — the differential
+tests in ``tests/cpu/`` pin that.  Traced, profiled and ``--engine
+step`` runs take the step() loop throughout (trace events must observe
+``self.cycles`` live, and profiling attributes per instruction).
 """
 
 import dataclasses
@@ -214,7 +214,7 @@ class Cpu:
         self._last_ipage = -1
         # Engine selection binds once, like the tracer/profiler below:
         # "sb" (default) builds the superblock engine lazily on the
-        # first untraced run(); "fast"/"step" never do.  The mode is
+        # first untraced run(); "step" never does.  The mode is
         # ambient and non-architectural — it never enters manifests.
         self._engine = engine_mode()
         self._sb = None
@@ -237,7 +237,7 @@ class Cpu:
                 self.caches.bind_tracer(cache_channel)
             # A tracer whose filter excludes every CPU-side category
             # binds no channels here; nothing inside the run loop can
-            # emit, so the fast interpreter loop is observationally
+            # emit, so the superblock dispatcher is observationally
             # identical and the step loop would be pure overhead.  This
             # is what keeps fully-filtered tracing within the disabled-
             # overhead budget BENCH_obs.json gates.
@@ -251,9 +251,9 @@ class Cpu:
             self._tr_kernel = None
             self._step_trace = False
         # Profiling binds the same way: resolved once here, and only an
-        # enabled *and active* profiler diverts run() off the fast loop.
-        # The disabled default (and the fully-filtered config) leaves
-        # self._prof None, so the fast path is untouched.
+        # enabled *and active* profiler diverts run() off the superblock
+        # dispatcher.  The disabled default (and the fully-filtered
+        # config) leaves self._prof None, so run() is untouched.
         profiler = current_profiler()
         self._prof = (profiler if profiler.enabled
                       and profiler.config.active else None)
@@ -395,15 +395,14 @@ class Cpu:
 
         This walk dominates wall time on mispredict-heavy workloads
         (one window is up to ``spec_window`` instructions), so — like
-        the fast commit loop and the superblock closures — it inlines
-        the L1I/L1D LRU hit paths and the TLB MRU shortcut, and
-        batches the commutative integer tallies (PMU ``spec_*``
-        counters, cache/TLB hit statistics) into locals flushed once
-        at squash.  Every *stateful* mutation (LRU clocks and stamps,
-        dirty bits, miss-path fills, replacement) still happens on the
-        live objects in exact program order — the cache disturbance
-        *is* the Spectre side channel, so only counts that commute may
-        be deferred.
+        the superblock closures — it inlines the L1I/L1D LRU hit paths
+        and the TLB MRU shortcut, and batches the commutative integer
+        tallies (PMU ``spec_*`` counters, cache/TLB hit statistics)
+        into locals flushed once at squash.  Every *stateful* mutation
+        (LRU clocks and stamps, dirty bits, miss-path fills,
+        replacement) still happens on the live objects in exact program
+        order — the cache disturbance *is* the Spectre side channel, so
+        only counts that commute may be deferred.
         """
         regs = self.state.copy_regs()
         store_buffer = {}
@@ -721,9 +720,11 @@ class Cpu:
     def step(self):
         """Execute one architectural instruction; returns False on halt.
 
-        This is the single-instruction reference implementation; the
-        fast loop in :meth:`run` replicates it exactly (differential
-        test: ``tests/cpu/test_fast_loop.py``).
+        This is the single-instruction reference implementation and the
+        interpreter :meth:`run` falls back to for every instruction a
+        compiled superblock does not cover; the closures replicate it
+        exactly (differential tests: ``tests/cpu/test_fast_loop.py``,
+        ``tests/cpu/test_superblock.py``).
         """
         state = self.state
         if state.halted:
@@ -905,7 +906,7 @@ class Cpu:
     WATCHDOG_STRIDE = 1024
 
     def _run_traced(self, max_instructions=None):
-        """The step()-driven run loop (used whenever tracing is on).
+        """The step()-driven run loop: traced runs and ``--engine step``.
 
         Trace events sample ``self.cycles`` when they are emitted, so a
         traced run must keep the architectural state live in the object
@@ -1027,410 +1028,74 @@ class Cpu:
         is what turns a never-halting injected chain into a typed error
         instead of a hang.
 
-        Untraced runs (the default) execute in a loop that keeps the
-        hot interpreter state — pc, cycle count, fetch locality, the
-        register file — in locals, and dispatches on the decode cache's
-        int tuples.  All observable state (``self.cycles``,
-        ``state.pc``, PMU counters, caches, TLBs) is synchronised on
-        every path that leaves the loop: normal exit, faults, and
-        around every syscall (whose handler may remap the address space
-        and *replace* ``state.regs``, so the loop re-reads them after).
+        Untraced runs (the default) dispatch on the superblock cache:
+        a compiled block runs when it fits whole before the next pause
+        or watchdog boundary, and anything else — cold code, block
+        terminators, a block that would straddle a boundary — runs
+        through :meth:`step`.  The object holds the machine state
+        throughout; only a block call reads ``state.pc``, ``cycles``
+        and the fetch locality into arguments and writes its return
+        tuple back.  A faulting closure syncs the object before it
+        re-raises, so every exit path leaves exactly the state the
+        step() loop would.
         """
         if self._prof is not None:
             return self._run_profiled(max_instructions)
-        if self._step_trace:
+        if self._step_trace or self._engine == "step":
             return self._run_traced(max_instructions)
-        if self._engine == "step":
-            # Forced step engine: the step()-driven loop, untraced.
-            return self._run_traced(max_instructions)
-        if self._engine == "sb":
-            sb = self._sb
-            if sb is None:
-                sb = self._sb = SuperblockEngine(self)
-            # Live references: flush() clears these dicts in place, so
-            # an invalidation fired from inside a closure (SMC) is
-            # visible to this very loop immediately.
-            sb_blocks = sb.blocks
-            sb_heat = sb.heat
-            sb_translate = sb.translate
-            sb_threshold = sb.HOT_THRESHOLD
-            sb_wp = sb.wp
-        else:
-            sb_blocks = None
-            sb_heat = sb_translate = sb_threshold = sb_wp = None
-
+        sb = self._sb
+        if sb is None:
+            sb = self._sb = SuperblockEngine(self)
+        # Live references: flush() clears these dicts in place, so an
+        # invalidation fired from inside a closure (SMC) or a step()
+        # (execve, clflush of code) is visible to this loop at once.
+        sb_blocks = sb.blocks
+        sb_heat = sb.heat
+        sb_translate = sb.translate
+        sb_threshold = sb.HOT_THRESHOLD
+        sb_wp = sb.wp
         state = self.state
-        config = self.config
         counters = self.pmu.counters
-        predictor = self.predictor
-        memory = self.memory
-        caches = self.caches
-        dcache_get = self._decode_cache.get
-        load_word = memory.load_word
-        load_byte = memory.load_byte
-        store_word = memory.store_word
-        store_byte = memory.store_byte
-        dtlb_access = self.dtlb.access
-        itlb_access = self.itlb.access
-        icache_fast = caches.instruction_access_fast
-        data_fast = caches.data_access_fast
-        predict_conditional = predictor.predict_conditional
-        resolve_conditional = predictor.resolve_conditional
-        predict_indirect = predictor.predict_indirect
-        resolve_indirect = predictor.resolve_indirect
-        on_call = predictor.on_call
-        shadow = self.shadow_stack
-        base_cost = self._base_cost
-        l1_latency = self._l1_latency
-        mul_extra = config.mul_extra
-        div_extra = config.div_extra
-        btb_miss_penalty = config.btb_miss_penalty
-        fence_latency = config.fence_latency
-        fence_stall = int(config.fence_latency)
-        clflush_latency = config.clflush_latency
-        syscall_latency = config.syscall_latency
-        clflush_privileged = config.clflush_privileged
-        size = INSTRUCTION_SIZE
+        step = self.step
         watchdog = self.watchdog
         stride = self.WATCHDOG_STRIDE
         limit = -1 if max_instructions is None else max_instructions
-
-        regs = state.regs
-        pc = state.pc
-        cycles = self.cycles
-        last_iline = self._last_iline
-        last_ipage = self._last_ipage
-        halted = state.halted
         executed = 0
 
-        try:
-            while not halted:
-                if executed == limit:
-                    break
-
-                if sb_blocks is not None:
-                    block = sb_blocks.get(pc)
-                    if block is None:
-                        heat = sb_heat.get(pc, 0) + 1
-                        if heat >= sb_threshold:
-                            block = sb_translate(pc)
-                        else:
-                            sb_heat[pc] = heat
-                    if block:
-                        fn, length, _exit = block
-                        # Enter only when the whole block fits before
-                        # the next pause/watchdog boundary — blocks
-                        # never straddle a charge stride or a chunked
-                        # run()'s instruction limit; otherwise fall
-                        # through and single-step this instruction.
-                        if ((limit < 0 or executed + length <= limit)
-                                and (watchdog is None
-                                     or executed % stride + length
-                                     <= stride)):
-                            try:
-                                (pc, done, cycles, last_iline,
-                                 last_ipage) = fn(regs, counters, cycles,
-                                                  last_iline, last_ipage)
-                            except BaseException:
-                                # The closure synced the object on its
-                                # fault path; re-read so the outer
-                                # finally writes those same values.
-                                pc = state.pc
-                                cycles = self.cycles
-                                last_iline = self._last_iline
-                                last_ipage = self._last_ipage
-                                raise
-                            executed += done
-                            wp = sb_wp[0]
-                            if wp is not None:
-                                # A compiled side exit resolved a
-                                # mispredicted branch; the closure has
-                                # fully committed, so the speculative
-                                # wrong-path walk sees exactly the
-                                # machine the fast loop would have
-                                # mid-iteration.
-                                sb_wp[0] = None
-                                self.cycles = cycles
-                                self._mispredict(wp)
-                                cycles = self.cycles
-                            if (watchdog is not None
-                                    and executed % stride == 0):
-                                watchdog.charge(stride)
-                            continue
-
-                entry = dcache_get(pc)
-                if entry is None:
-                    entry = self._decode_entry(pc)
-                line = pc >> 6
-                if line != last_iline:
-                    last_iline = line
-                    extra = icache_fast(pc)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                page = pc >> 12
-                if page != last_ipage:
-                    last_ipage = page
-                    itlb_access(pc)
-
-                op, rd, rs1, rs2, imm = entry
-                next_pc = (pc + size) & MASK32
-                cycles += base_cost
-                counters["instructions"] += 1
-
-                if _ADDI <= op <= _SLTI:
-                    counters["alu_instructions"] += 1
-                    if op == _ADDI:
-                        if rd:
-                            regs[rd] = (regs[rs1] + imm) & MASK32
-                    elif op == _MULI:
-                        counters["mul_div_instructions"] += 1
-                        cycles += mul_extra
-                        if rd:
-                            regs[rd] = (regs[rs1] * imm) & MASK32
-                    elif rd:
-                        regs[rd] = _alu_rri(op, regs[rs1], imm)
-                elif _ADD <= op <= _SLTU:
-                    counters["alu_instructions"] += 1
-                    if op == _ADD:
-                        if rd:
-                            regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
-                    elif _MUL <= op <= _MOD:
-                        counters["mul_div_instructions"] += 1
-                        cycles += div_extra if op != _MUL else mul_extra
-                        if rd:
-                            regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-                    elif rd:
-                        regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-                elif op == _LI:
-                    counters["alu_instructions"] += 1
-                    if rd:
-                        regs[rd] = imm & MASK32
-                elif op == _MOV:
-                    counters["alu_instructions"] += 1
-                    if rd:
-                        regs[rd] = regs[rs1]
-                elif op == _LW or op == _LB:
-                    counters["load_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    value = (load_word(address) if op == _LW
-                             else load_byte(address))
-                    dtlb_access(address)
-                    extra = data_fast(address, False)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                    if rd:
-                        regs[rd] = value & MASK32
-                elif op == _SW or op == _SB:
-                    counters["store_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    if op == _SW:
-                        store_word(address, regs[rs2])
-                    else:
-                        store_byte(address, regs[rs2])
-                    dtlb_access(address)
-                    extra = data_fast(address, True)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                elif _BEQ <= op <= _BGEU:
-                    counters["branch_instructions"] += 1
-                    counters["cond_branch_instructions"] += 1
-                    a = regs[rs1]
-                    b = regs[rs2]
-                    if op == _BEQ:
-                        taken = a == b
-                    elif op == _BNE:
-                        taken = a != b
-                    else:
-                        taken = _branch_taken(op, a, b)
-                    predicted = predict_conditional(pc)
-                    mispredicted = resolve_conditional(pc, predicted, taken)
-                    if taken:
-                        counters["branches_taken"] += 1
-                        next_pc = (pc + imm) & MASK32
-                    if mispredicted:
-                        wrong_path = (
-                            (pc + imm) & MASK32 if predicted
-                            else (pc + size) & MASK32
-                        )
-                        self.cycles = cycles
-                        self._mispredict(wrong_path)
-                        cycles = self.cycles
-                elif op == _JMP:
-                    counters["branch_instructions"] += 1
-                    next_pc = (pc + imm) & MASK32
-                elif op == _JMPR:
-                    counters["branch_instructions"] += 1
-                    counters["indirect_jump_instructions"] += 1
-                    target = (regs[rs1] + imm) & MASK32
-                    predicted = predict_indirect(pc)
-                    mispredicted = resolve_indirect(pc, predicted, target)
-                    if predicted is None:
-                        cycles += btb_miss_penalty
-                    elif mispredicted:
-                        self.cycles = cycles
-                        self._mispredict(predicted)
-                        cycles = self.cycles
-                    next_pc = target
-                elif op == _PUSH:
-                    counters["stack_instructions"] += 1
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, regs[rs1])
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                elif op == _POP:
-                    counters["stack_instructions"] += 1
-                    sp = regs[13]
-                    value = load_word(sp)
-                    dtlb_access(sp)
-                    extra = data_fast(sp, False)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                    regs[13] = (sp + 4) & MASK32
-                    if rd:
-                        regs[rd] = value & MASK32
-                elif op == _CALL:
-                    counters["branch_instructions"] += 1
-                    counters["call_instructions"] += 1
-                    return_address = next_pc
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, return_address)
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                    on_call(return_address)
-                    if shadow is not None:
-                        shadow.on_call(return_address)
-                    next_pc = (pc + imm) & MASK32
-                elif op == _CALLR:
-                    counters["branch_instructions"] += 1
-                    counters["call_instructions"] += 1
-                    counters["indirect_jump_instructions"] += 1
-                    target = (regs[rs1] + imm) & MASK32
-                    predicted = predict_indirect(pc)
-                    mispredicted = resolve_indirect(pc, predicted, target)
-                    return_address = next_pc
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, return_address)
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                    on_call(return_address)
-                    if shadow is not None:
-                        shadow.on_call(return_address)
-                    if predicted is None:
-                        cycles += btb_miss_penalty
-                    elif mispredicted:
-                        self.cycles = cycles
-                        self._mispredict(predicted)
-                        cycles = self.cycles
-                    next_pc = target
-                elif op == _RET:
-                    counters["branch_instructions"] += 1
-                    counters["ret_instructions"] += 1
-                    sp = regs[13]
-                    target = load_word(sp)
-                    dtlb_access(sp)
-                    extra = data_fast(sp, False)[0] - l1_latency
-                    if extra > 0:
-                        cycles += extra
-                        counters["memory_stall_cycles"] += extra
-                    regs[13] = (sp + 4) & MASK32
-                    if shadow is not None:
-                        shadow.on_return(target)
-                    predicted = predictor.predict_return()
-                    mispredicted = predictor.resolve_return(predicted, target)
-                    if mispredicted:
-                        self.cycles = cycles
-                        self._mispredict(predicted)
-                        cycles = self.cycles
-                    next_pc = target
-                elif op == _CLFLUSH:
-                    counters["clflush_instructions"] += 1
-                    if clflush_privileged and not self.kernel_mode:
-                        raise PrivilegeFault(
-                            "clflush is disabled for non-privileged code "
-                            "(countermeasure active)"
-                        )
-                    address = (regs[rs1] + imm) & MASK32
-                    caches.flush_line(address)
-                    if memory.executable_at(address):
-                        self._flush_code_line(address)
-                    cycles += clflush_latency
-                elif op == _MFENCE:
-                    counters["mfence_instructions"] += 1
-                    cycles += fence_latency
-                    counters["fence_stall_cycles"] += fence_stall
-                elif op == _RDCYCLE:
-                    counters["alu_instructions"] += 1
-                    if rd:
-                        regs[rd] = int(cycles) & MASK32
-                elif op == _RDINSTRET:
-                    counters["alu_instructions"] += 1
-                    if rd:
-                        regs[rd] = counters["instructions"] & MASK32
-                elif op == _SYSCALL:
-                    counters["syscall_instructions"] += 1
-                    cycles += syscall_latency
-                    handler = self.syscall_handler
-                    if handler is None:
-                        raise CpuFault(
-                            f"syscall at {pc:#010x} with no handler"
-                        )
-                    # Sync the architectural state the handler sees —
-                    # then reload everything it may have changed.
-                    # ``execve`` remaps memory, flushes the decode/TLB
-                    # state and installs a *new* regs list.
-                    pc = next_pc
-                    state.pc = pc
-                    self.cycles = cycles
-                    self._last_iline = last_iline
-                    self._last_ipage = last_ipage
-                    handler(self)
-                    regs = state.regs
-                    pc = state.pc
-                    cycles = self.cycles
-                    last_iline = self._last_iline
-                    last_ipage = self._last_ipage
-                    halted = state.halted
-                    executed += 1
-                    if watchdog is not None and executed % stride == 0:
-                        watchdog.charge(stride)
-                    continue
-                elif op == _NOP:
-                    pass
-                elif op == _HALT:
-                    state.halted = True
-                    halted = True
-                    next_pc = pc
-                else:  # pragma: no cover - every opcode is handled above
-                    raise CpuFault(f"unhandled opcode {op:#04x} at {pc:#010x}")
-
-                pc = next_pc
+        while not state.halted:
+            if executed == limit:
+                break
+            pc = state.pc
+            block = sb_blocks.get(pc)
+            if block is None:
+                heat = sb_heat.get(pc, 0) + 1
+                if heat >= sb_threshold:
+                    block = sb_translate(pc)
+                else:
+                    sb_heat[pc] = heat
+            # Blocks never straddle a charge stride or a chunked run()'s
+            # instruction limit; one that does not fit single-steps.
+            if block and ((limit < 0 or executed + block[1] <= limit)
+                          and (watchdog is None
+                               or executed % stride + block[1] <= stride)):
+                (state.pc, done, self.cycles, self._last_iline,
+                 self._last_ipage) = block[0](
+                    state.regs, counters, self.cycles,
+                    self._last_iline, self._last_ipage)
+                executed += done
+                wp = sb_wp[0]
+                if wp is not None:
+                    # A compiled side exit resolved a mispredicted
+                    # branch; the block has fully committed, so the
+                    # wrong-path walk sees exactly the machine step()
+                    # has when it mispredicts.
+                    sb_wp[0] = None
+                    self._mispredict(wp)
+            else:
+                step()
                 executed += 1
-                if watchdog is not None and executed % stride == 0:
-                    watchdog.charge(stride)
-        finally:
-            # Every exit path — normal, halt, budget exhaustion, CPU or
-            # memory fault — leaves the object bit-identical to what the
-            # step() loop would have left.
-            state.pc = pc
-            self.cycles = cycles
-            self._last_iline = last_iline
-            self._last_ipage = last_ipage
+            if watchdog is not None and executed % stride == 0:
+                watchdog.charge(stride)
 
         if watchdog is not None and executed % stride:
             watchdog.charge(executed % stride)

@@ -1,20 +1,16 @@
 """Ambient execution-engine selection for the interpreter cores.
 
-Three engines execute the same ISA behind the same ``CpuCore``
-contract, and all three are bit-exact with :meth:`Cpu.step` (the
-differential suites in ``tests/cpu/`` pin this):
+Two engines execute the same ISA behind the same ``CpuCore`` contract,
+and both are bit-exact (the differential suites in ``tests/cpu/`` pin
+this):
 
 ``step``
     The readable reference: one :meth:`Cpu.step` call per retired
-    instruction.  Slowest; used for differential testing and as the
-    deopt target of the other two.
-``fast``
-    The locals-bound interpreter loop in :meth:`Cpu.run` — PR 4's
-    ~8-11x over the seed interpreter.
+    instruction.  Slowest; used for differential testing.
 ``sb``
-    The superblock translation engine (the default): the fast loop plus
-    a per-PC cache of compiled basic-block closures
-    (:mod:`repro.cpu.superblock`).
+    The superblock translation engine (the default): hot straight-line
+    code runs as compiled closures (:mod:`repro.cpu.superblock`), and
+    cold code and block terminators run through :meth:`Cpu.step`.
 
 The mode is *ambient*, resolved once per ``Cpu`` at construction like
 the tracer and profiler, and is deliberately **not** part of the
@@ -32,7 +28,7 @@ import contextlib
 import os
 
 #: Recognised engine names, in deopt order (sb deopts to the step loop).
-ENGINE_MODES = ("step", "fast", "sb")
+ENGINE_MODES = ("step", "sb")
 
 #: Environment variable consulted at import; how the driver's choice
 #: propagates to spawn-based pool workers.
@@ -41,9 +37,25 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 DEFAULT_ENGINE = "sb"
 
 
+def _check(mode):
+    if mode not in ENGINE_MODES:
+        raise ValueError(
+            f"unknown engine {mode!r}; choose from {', '.join(ENGINE_MODES)}"
+        )
+
+
 def _from_env():
+    """The engine ``REPRO_ENGINE`` names; unset or empty means the default.
+
+    An unknown value raises the same ``ValueError`` as
+    :func:`set_engine_mode`, so a typo (or a removed engine) fails at
+    import instead of silently running the default.
+    """
     value = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    return value if value in ENGINE_MODES else DEFAULT_ENGINE
+    if not value:
+        return DEFAULT_ENGINE
+    _check(value)
+    return value
 
 
 _mode = _from_env()
@@ -61,10 +73,7 @@ def set_engine_mode(mode):
     so a CLI typo fails loudly instead of silently running the default.
     """
     global _mode
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine {mode!r}; choose from {', '.join(ENGINE_MODES)}"
-        )
+    _check(mode)
     previous = _mode
     _mode = mode
     os.environ[ENGINE_ENV_VAR] = mode

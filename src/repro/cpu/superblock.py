@@ -1,7 +1,8 @@
 """Superblock translation: hot straight-line runs become closures.
 
-The in-order core's fast loop still pays per-instruction dispatch: one
-decode-cache lookup, one opcode compare chain, several dict updates.
+The in-order core's step() pays per-instruction dispatch: one method
+call, one decode-cache lookup, one opcode compare chain, several dict
+updates.
 This module removes that tax for the straight-line portions of hot
 code.  When an entry PC has been dispatched :data:`SuperblockEngine.
 HOT_THRESHOLD` times, the run of translatable instructions starting
@@ -14,7 +15,7 @@ as one call.
 The region is a *superblock* proper, not just a basic block:
 unconditional direct jumps (``JMP``) do not end it — their constant
 target is followed at translation time (the jump itself costs exactly
-what the fast loop charges: one ``branch_instructions`` bump plus the
+what step() charges: one ``branch_instructions`` bump plus the
 base cycle cost), so the short runs that assembly loops fracture into
 ``…; jmp next`` chains fuse back into one closure.  Collection stops
 when a jump target (or sequential fall-through) re-enters a pc already
@@ -398,7 +399,7 @@ class _Codegen:
         ]
 
     def _emit_fetch(self, index, pc):
-        """I-cache line / I-TLB page charges, as the fast loop does them.
+        """I-cache line / I-TLB page charges, as step() does them.
 
         The first-ever instruction checks against the live locality
         state; after that check ``last_iline``/``last_ipage`` equal the
@@ -549,8 +550,8 @@ class _Codegen:
         the wrong-path pc in the engine's hand-off cell so the
         dispatcher runs ``Cpu._mispredict`` *after* the closure has
         committed — at that point the PMU, cache and register state
-        are exactly what the fast loop has when it calls
-        ``_mispredict`` mid-iteration, so the speculative wrong-path
+        are exactly what step() has when it calls
+        ``_mispredict`` mid-instruction, so the speculative wrong-path
         walk (the Spectre machinery) observes an identical machine.
         """
         # Branches are cycle sync points: flush pending costs so every
@@ -618,7 +619,7 @@ class _Codegen:
             self.counts[2] += 1
             self.add_cycles(self.div_extra)
         if rd == 0:
-            return  # the fast loop skips the computation entirely
+            return  # writes to r0 are discarded; nothing to compute
         if op == _LI:
             self.emit(f"{self.wreg(rd)} = {imm & MASK32}")
             return
@@ -740,7 +741,7 @@ class _Codegen:
         value = self.reg(rs1)
         self.reg(13)  # sp is read (decremented) before being written
         sp = self.wreg(13)
-        # sp moves *before* the store, as in step()/the fast loop — a
+        # sp moves *before* the store, as in step() — a
         # faulting push leaves the decremented sp behind.
         self.emit(f"{sp} = ({sp} - 4) & 4294967295")
         self.emit(f"_sw({sp}, {value})")
@@ -900,9 +901,8 @@ class _Codegen:
                 src.append("    _n_l1r = 0")
                 src.append("    _n_l1w = 0")
             # Fault path: flush partial progress keyed by the live pc,
-            # sync the object, re-raise.  The run() dispatcher re-reads
-            # the synced object so its finally-clause writes the same
-            # values back.
+            # sync the object, re-raise.  The run() dispatcher keeps no
+            # copies of that state, so the synced object is final.
             src.append("    try:")
             src += [f"        {line}" for line in self.lines]
             src.append("    except BaseException:")
@@ -1004,7 +1004,7 @@ class SuperblockEngine:
         call/flush overhead over more retired instructions (side exits
         keep every copy's branches architecturally exact).
         Decode-cache misses are decoded fresh but *not* cached:
-        translation observes the code, the dispatcher owns the cache.
+        translation observes the code, step() owns the cache.
         """
         dcache = self.cpu._decode_cache
         memory = self.cpu.memory

@@ -63,7 +63,7 @@ def _ensure_benchmarks_importable():
 # -- suite drivers ----------------------------------------------------
 
 def _suite_core(quick):
-    """Interpreter throughput: instr/s per kernel, both engines."""
+    """Interpreter throughput: instr/s per kernel, superblock engine."""
     from benchmarks.bench_core import KERNELS, _measure
 
     kernels = (tuple((name, max(1, iters // 5))
@@ -73,14 +73,9 @@ def _suite_core(quick):
              "uarch": "inorder"}
     metrics = {}
     for name, iterations in kernels:
-        for engine in ("fast", "sb"):
-            prefix = name if engine == "fast" else f"sb/{name}"
-            measured = _measure(name, iterations, engine=engine)
-            metrics[f"{prefix}.instructions_per_s"] = \
-                measured["instructions_per_s"]
-            metrics[f"{prefix}.cache_accesses_per_s"] = \
-                measured["cache_accesses_per_s"]
-            metrics[f"{prefix}.wall_s"] = measured["wall_s"]
+        measured = _measure(name, iterations)
+        for key in ("instructions_per_s", "cache_accesses_per_s", "wall_s"):
+            metrics[f"sb/{name}.{key}"] = measured[key]
     return knobs, metrics
 
 
@@ -259,9 +254,10 @@ def regression_floors():
     """Metric floors derived from the committed baselines.
 
     * ``core`` floors are **host-independent**: the BENCH_core contract
-      is "≥ MIN_SPEEDUP × the pre-fast-path interpreter", so any box
-      that can't clear that bar has genuinely regressed (or is not a
-      box we benchmark on).
+      is "≥ MIN_SPEEDUP × the pre-fast-path interpreter" for every
+      ``sb/*`` row, and "≥ SB_MIN_SPEEDUP × the committed fast-loop
+      row" per kernel, so any box that can't clear those bars has
+      genuinely regressed (or is not a box we benchmark on).
     * ``exec`` floors are generous fractions of the committed serial
       cells/s — sweep wall time swings with host load, so only a halving
       counts as a regression signal.
@@ -278,7 +274,8 @@ def regression_floors():
     if PRE_CHANGE is not None:
         # Instructions/s only — BENCH_core's own gate; cache-access
         # rate varies with kernel shape (sha does few accesses per
-        # instruction) and is reported, not floored.
+        # instruction) and is reported, not floored.  The bare key
+        # judges the slowest sb/* kernel row.
         floors[("core", "instructions_per_s")] = (
             MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"]
         )
@@ -287,9 +284,8 @@ def regression_floors():
     except ImportError:
         FAST_COMMITTED = None
     if FAST_COMMITTED is not None:
-        # The superblock engine's bar, keyed exactly per kernel so the
-        # bare-suffix fallback above never mixes the two gates: sb/*
-        # must hold SB_MIN_SPEEDUP × the fast-loop rows committed to
+        # The second bar, keyed exactly per kernel: sb/* must hold
+        # SB_MIN_SPEEDUP × the fast-loop rows committed to
         # BENCH_core.json when the translator landed.
         for name, committed in FAST_COMMITTED.items():
             floors[("core", f"sb/{name}.instructions_per_s")] = (

@@ -1,20 +1,28 @@
-"""The run() fast loop vs the step() reference, bit for bit.
+"""The run() dispatcher vs the step() reference, bit for bit.
 
-``Cpu.run`` keeps pc / cycles / fetch-locality / the register file in
-locals and dispatches on int tuples; ``Cpu.step`` is the readable
-single-instruction reference.  These tests pin that the two leave the
-machine in *identical* observable state — registers, virtual cycles,
-all 56 PMU events, cache and TLB counters, process output — across
-branchy code, full Spectre attacks (mispredicts + wrong-path
-speculation), syscalls, and the ``execve`` image swap that replaces the
-register file and flushes the decode cache mid-run.
+``Cpu.run`` executes hot straight-line code as compiled superblocks
+and everything else through ``Cpu.step``, the readable
+single-instruction reference.  These tests pin that a run() leaves the
+machine in *identical* observable state to a pure step() loop —
+registers, virtual cycles, all 56 PMU events, cache and TLB counters,
+process output — across branchy code, full Spectre attacks
+(mispredicts + wrong-path speculation), syscalls, the ``execve`` image
+swap that replaces the register file and flushes the decode cache
+mid-run, and faults raised both from cold code (run by step()) and
+from inside a compiled block.
 """
 
 import pytest
 
 from repro.attack import SpectreConfig, build_spectre
 from repro.core.resilience.watchdog import Watchdog
-from repro.errors import BudgetExceededError
+from repro.cpu import CpuConfig, engine_override
+from repro.errors import (
+    BudgetExceededError,
+    MemoryFault,
+    PrivilegeFault,
+    ShadowStackViolation,
+)
 from repro.kernel import System, build_binary
 
 SECRET = b"HW!"
@@ -44,8 +52,10 @@ done:
 """
 
 
-def _spawn(source=None, program=None, seed=9, target_data=None):
-    system = System(seed=seed, target_data=target_data)
+def _spawn(source=None, program=None, seed=9, target_data=None,
+           cpu_config=None):
+    system = System(seed=seed, target_data=target_data,
+                    cpu_config=cpu_config)
     program = program or build_binary("testprog", source)
     system.install_binary("/bin/testprog", program)
     return system.spawn("/bin/testprog")
@@ -168,3 +178,130 @@ class TestDecodeCacheAcrossExecve:
         fast.cpu.run()
         _run_stepwise(reference.cpu)
         assert _snapshot(fast) == _snapshot(reference)
+
+
+#: Every iteration loads through t2; on iteration {n} the address moves
+#: 1 MiB past the data segment, which is unmapped.
+_UNMAPPED_LOAD = """
+main:
+    li   t0, 0
+    la   s0, buf
+loop:
+    addi t0, t0, 1
+    slti t1, t0, {n}
+    xori t1, t1, 1
+    shli t1, t1, 20
+    add  t2, s0, t1
+    lw   t3, 0(t2)
+    jmp  loop
+.data
+buf: .word 7
+"""
+
+#: A counted loop whose exit falls into a clflush.
+_CLFLUSH_EXIT = """
+main:
+    li   t0, 0
+    la   s0, buf
+loop:
+    addi t0, t0, 1
+    lw   t2, 0(s0)
+    slti t1, t0, {n}
+    bne  t1, zero, loop
+    clflush 0(s0)
+    li   a0, 0
+    call libc_exit
+.data
+buf: .word 7
+"""
+
+#: f bumps its own return address by 4 on call {n}; its ret then
+#: disagrees with the shadow stack.
+_SHADOW_SMASH = """
+main:
+    li   t0, 0
+loop:
+    addi t0, t0, 1
+    call f
+    jmp  loop
+f:
+    slti t1, t0, {n}
+    xori t1, t1, 1
+    shli t1, t1, 2
+    lw   t2, 0(sp)
+    add  t2, t2, t1
+    sw   t2, 0(sp)
+    ret
+"""
+
+#: Iteration at which the hot variants fault: far past HOT_THRESHOLD,
+#: so the loop runs as compiled blocks by then.
+_HOT = 200
+
+
+class TestFaultParity:
+    """A fault out of run() leaves the state a step() loop leaves.
+
+    Each program faults on iteration *n*.  With ``n = 1`` nothing is
+    hot yet, so the fault is raised by step() on cold code; with
+    ``n = _HOT`` the loop has been running as compiled blocks, and the
+    unmapped load faults inside a closure.
+    """
+
+    CASES = {
+        "unmapped_load": (_UNMAPPED_LOAD, MemoryFault, CpuConfig()),
+        "clflush_privileged": (_CLFLUSH_EXIT, PrivilegeFault,
+                               CpuConfig(clflush_privileged=True)),
+        "shadow_stack": (_SHADOW_SMASH, ShadowStackViolation,
+                         CpuConfig(shadow_stack=True)),
+    }
+
+    @staticmethod
+    def _fault_state(process, fault):
+        cpu = process.cpu
+        return {
+            "fault": (type(fault), str(fault)),
+            "regs": list(cpu.state.regs),
+            "pc": cpu.state.pc,
+            "cycles": cpu.cycles,
+            "events": cpu.pmu.read(),
+        }
+
+    def _run(self, case, n):
+        source, fault_type, config = self.CASES[case]
+        source = source.format(n=n)
+        with engine_override("sb"):
+            dispatched = _spawn(source, cpu_config=config)
+            reference = _spawn(source, cpu_config=config)
+        raised_in_step = []
+        step = dispatched.cpu.step
+
+        def recording_step():
+            try:
+                return step()
+            except Exception:
+                raised_in_step.append(True)
+                raise
+
+        dispatched.cpu.step = recording_step
+        with pytest.raises(fault_type) as from_run:
+            dispatched.cpu.run()
+        with pytest.raises(fault_type) as from_step:
+            _run_stepwise(reference.cpu)
+        assert (self._fault_state(dispatched, from_run.value)
+                == self._fault_state(reference, from_step.value))
+        return dispatched.cpu._sb.stats, bool(raised_in_step)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cold_fault_matches_step(self, case):
+        stats, raised_in_step = self._run(case, 1)
+        assert stats["translated"] == 0
+        assert raised_in_step
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_hot_fault_matches_step(self, case):
+        stats, raised_in_step = self._run(case, _HOT)
+        assert stats["translated"] >= 1
+        # clflush and ret terminate blocks, so step() raises those two
+        # right after a block exit; the load faults inside the closure.
+        assert raised_in_step == (case != "unmapped_load")

@@ -4,7 +4,7 @@ The superblock engine is deliberately ambient — not part of manifests,
 run ids or cell cache keys — so its acceptance test lives here: the
 same quick experiment run under ``--engine sb`` and under the step
 reference must produce ledger runs that ``repro compare`` calls
-identical, on both microarchitectures, and a killed-and-resumed
+identical (fig4 and fig5 on both microarchitectures, table1 in order), and a killed-and-resumed
 parallel sb run (closures die mid-sweep, completed cells survive in
 the cell cache) must fuse into the byte-identical step-reference
 artefact.
@@ -35,8 +35,12 @@ def _run_dir(ledger):
 class TestEngineCompareParity:
     """``repro compare`` exits 0 between sb and step ledger runs."""
 
-    @pytest.mark.parametrize("fig", ("fig4", "fig5"))
-    @pytest.mark.parametrize("uarch", ("inorder", "ooo"))
+    # table1 (in order) is where execve re-translation and co-scheduled
+    # cache switches exercise the dispatcher most.
+    @pytest.mark.parametrize("uarch, fig", [
+        ("inorder", "fig4"), ("inorder", "fig5"), ("inorder", "table1"),
+        ("ooo", "fig4"), ("ooo", "fig5"),
+    ])
     def test_quick_run_compares_clean(self, tmp_path, fig, uarch):
         cli = [fig, "--quick", "--seed", "8", "--uarch", uarch]
         sb_ledger = tmp_path / "sb"

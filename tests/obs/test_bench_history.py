@@ -86,11 +86,11 @@ class TestRegressionVerdict:
     FLOORS = {("core", "instructions_per_s"): 500.0}
 
     def test_green_when_above_floor(self):
-        rows = [_row(**{"basicmath.instructions_per_s": 1000.0})]
+        rows = [_row(**{"sb/basicmath.instructions_per_s": 1000.0})]
         assert check_regression(rows, floors=self.FLOORS) == []
 
     def test_names_first_regressed_metric(self):
-        rows = [_row(**{"basicmath.instructions_per_s": 100.0})]
+        rows = [_row(**{"sb/basicmath.instructions_per_s": 100.0})]
         failures = check_regression(rows, floors=self.FLOORS)
         assert len(failures) == 1
         assert "instructions_per_s" in failures[0]
@@ -98,15 +98,15 @@ class TestRegressionVerdict:
 
     def test_only_latest_row_judged(self):
         rows = [
-            _row(**{"basicmath.instructions_per_s": 100.0}),
+            _row(**{"sb/basicmath.instructions_per_s": 100.0}),
             _row(ts="2026-08-02T00:00:00Z",
-                 **{"basicmath.instructions_per_s": 1000.0}),
+                 **{"sb/basicmath.instructions_per_s": 1000.0}),
         ]
         assert check_regression(rows, floors=self.FLOORS) == []
 
     def test_worst_kernel_is_the_one_floored(self):
-        rows = [_row(**{"basicmath.instructions_per_s": 1000.0,
-                        "sha.instructions_per_s": 100.0})]
+        rows = [_row(**{"sb/basicmath.instructions_per_s": 1000.0,
+                        "sb/sha.instructions_per_s": 100.0})]
         failures = check_regression(rows, floors=self.FLOORS)
         assert len(failures) == 1  # min() across kernels is judged
 
@@ -126,7 +126,7 @@ class TestRegressionVerdict:
         assert all(bench != "obs" for bench, _ in floors)
 
     def test_committed_floors_include_superblock_bars(self):
-        # The sb/* floors are exact-keyed per kernel (never the bare
+        # The second bar is exact-keyed per kernel (never the bare
         # suffix fallback) and pinned to the committed fast-loop rows.
         from repro.obs.bench import _ensure_benchmarks_importable
 
@@ -137,3 +137,29 @@ class TestRegressionVerdict:
         for name, committed in FAST_COMMITTED.items():
             assert floors[("core", f"sb/{name}.instructions_per_s")] \
                 == SB_MIN_SPEEDUP * committed
+
+    def test_both_committed_floors_gate_the_sb_rows(self):
+        # The core suite emits sb/* rows only, so the pre-change bar
+        # (bare key) and the committed-fast-loop bar (exact keys) both
+        # judge them.
+        from repro.obs.bench import _ensure_benchmarks_importable
+
+        _ensure_benchmarks_importable()
+        from benchmarks.bench_core import (
+            FAST_COMMITTED,
+            MIN_SPEEDUP,
+            PRE_CHANGE,
+            SB_MIN_SPEEDUP,
+        )
+
+        floors = regression_floors()
+        at_bar = {f"sb/{name}.instructions_per_s": SB_MIN_SPEEDUP * committed
+                  for name, committed in FAST_COMMITTED.items()}
+        assert check_regression([_row(**at_bar)], floors=floors) == []
+
+        below_pre_change = MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"] - 1
+        slow = dict(at_bar, **{"sb/sha.instructions_per_s": below_pre_change})
+        failures = check_regression([_row(**slow)], floors=floors)
+        assert len(failures) == 2
+        assert all("regressed" in failure for failure in failures)
+        assert any("sb/sha.instructions_per_s" in f for f in failures)

@@ -72,15 +72,13 @@ class TestExperimentHotspotsFlag:
 
 class TestBenchTrend:
     def _seed_history(self, path, instructions_per_s):
-        # The core suite emits fast-loop rows and sb/* superblock rows;
-        # the sb floors are exact-keyed, so the synthetic row carries
-        # both (sb comfortably over its 2x-of-fast-committed bar).
+        # The core suite emits sb/* superblock rows only; the synthetic
+        # row carries one per kernel, all at the given throughput.
         row = build_row(
             "core", {"kernels": {"basicmath": 400}},
             {
-                "basicmath.instructions_per_s": instructions_per_s,
-                "sb/basicmath.instructions_per_s": 3 * instructions_per_s,
-                "sb/sha.instructions_per_s": 3 * instructions_per_s,
+                "sb/basicmath.instructions_per_s": instructions_per_s,
+                "sb/sha.instructions_per_s": instructions_per_s,
             },
             quick=True,
         )
@@ -88,8 +86,9 @@ class TestBenchTrend:
 
     def test_green_verdict(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"
-        # Comfortably above the committed core floor (2x ~65.6k).
-        self._seed_history(history, 1_000_000.0)
+        # Comfortably above both committed core floors (2x ~65.6k
+        # pre-change, 2x the committed fast rows: at most ~1.54M).
+        self._seed_history(history, 3_000_000.0)
         assert main(["bench", "--trend",
                      "--history", str(history)]) == EXIT_OK
         out = capsys.readouterr().out
