@@ -47,4 +47,5 @@ class BranchHistoryTable:
         return self._counters[self._index(pc)]
 
     def reset(self):
-        self._counters = [self._initial] * self.entries
+        # In place: compiled superblocks bind the counter list itself.
+        self._counters[:] = [self._initial] * self.entries

@@ -20,6 +20,8 @@ PERM_R = 1
 PERM_W = 2
 PERM_X = 4
 
+_WORD = struct.Struct("<I")
+
 
 def format_perms(perms):
     """Render a permission bitmask as e.g. ``"r-x"``."""
@@ -31,9 +33,13 @@ def format_perms(perms):
 
 
 class Segment:
-    """A contiguous mapped region."""
+    """A contiguous mapped region.
 
-    __slots__ = ("name", "base", "size", "perms", "buffer")
+    ``base``, ``size``, ``end`` and ``buffer`` are fixed once mapped
+    (``perms`` may change; the access paths read it live).
+    """
+
+    __slots__ = ("name", "base", "size", "end", "perms", "buffer")
 
     def __init__(self, name, base, size, perms):
         if size <= 0:
@@ -41,16 +47,10 @@ class Segment:
         self.name = name
         self.base = base
         self.size = size
+        #: one past the last mapped address
+        self.end = base + size
         self.perms = perms
         self.buffer = bytearray(size)
-
-    @property
-    def end(self):
-        """One past the last mapped address."""
-        return self.base + self.size
-
-    def contains(self, address):
-        return self.base <= address < self.end
 
     def overlaps(self, other):
         return self.base < other.end and other.base < self.end
@@ -65,9 +65,15 @@ class Segment:
 class Memory:
     """A process address space: a small set of non-overlapping segments.
 
-    The hot path (``load_word``/``store_word``) keeps a one-entry segment
-    cache because real programs overwhelmingly hit the same segment in
-    bursts.
+    Real programs overwhelmingly hit the same segment in bursts, so
+    ``_last`` remembers the segment of the latest lookup.  The typed
+    accessors (``load_word``/``store_word``/``load_byte``/
+    ``store_byte``) check it inline: when it covers the whole access
+    and carries the permission bit, the access is one call.  Anything
+    else falls back to :meth:`_checked`, which walks the segments,
+    refreshes ``_last`` and raises the typed fault.  Both paths agree
+    on every value, fault and ``_last`` update; the fast path is only
+    the case where the walk would have returned ``_last`` unchanged.
     """
 
     def __init__(self):
@@ -113,16 +119,23 @@ class Memory:
                 return segment
         raise KeyError(f"no segment named {name!r}")
 
-    def find_segment(self, address):
-        """Return the segment containing *address* or raise a fault."""
+    def _lookup(self, address):
+        """The segment containing *address* (refreshing ``_last``), or None."""
         last = self._last
-        if last is not None and last.contains(address):
+        if last is not None and last.base <= address < last.end:
             return last
         for segment in self.segments:
-            if segment.contains(address):
+            if segment.base <= address < segment.end:
                 self._last = segment
                 return segment
-        raise SegmentationFault("unmapped access", address)
+        return None
+
+    def find_segment(self, address):
+        """Return the segment containing *address* or raise a fault."""
+        segment = self._lookup(address)
+        if segment is None:
+            raise SegmentationFault("unmapped access", address)
+        return segment
 
     def is_mapped(self, address):
         try:
@@ -138,14 +151,8 @@ class Memory:
         the shared one-entry segment cache; used by ``clflush`` to
         decide whether a flushed line carries code.
         """
-        last = self._last
-        if last is not None and last.contains(address):
-            return bool(last.perms & PERM_X)
-        for segment in self.segments:
-            if segment.contains(address):
-                self._last = segment
-                return bool(segment.perms & PERM_X)
-        return False
+        segment = self._lookup(address)
+        return segment is not None and bool(segment.perms & PERM_X)
 
     # ---- typed access -------------------------------------------------
     def _checked(self, address, size, perm):
@@ -161,12 +168,20 @@ class Memory:
             )
         return segment
 
+    # The four accessors below try ``_last`` inline before falling back
+    # to _checked() (see the class docstring).
     def load_byte(self, address):
-        segment = self._checked(address, 1, PERM_R)
+        segment = self._last
+        if (segment is None or not segment.base <= address < segment.end
+                or not segment.perms & PERM_R):
+            segment = self._checked(address, 1, PERM_R)
         return segment.buffer[address - segment.base]
 
     def store_byte(self, address, value):
-        segment = self._checked(address, 1, PERM_W)
+        segment = self._last
+        if (segment is None or not segment.base <= address < segment.end
+                or not segment.perms & PERM_W):
+            segment = self._checked(address, 1, PERM_W)
         segment.buffer[address - segment.base] = value & 0xFF
         if segment.perms & PERM_X:
             for listener in self._code_listeners:
@@ -175,16 +190,21 @@ class Memory:
     def load_word(self, address):
         if address & 3:
             raise AlignmentFault("misaligned word load", address)
-        segment = self._checked(address, 4, PERM_R)
-        offset = address - segment.base
-        return struct.unpack_from("<I", segment.buffer, offset)[0]
+        segment = self._last
+        if (segment is None or not segment.base <= address <= segment.end - 4
+                or not segment.perms & PERM_R):
+            segment = self._checked(address, 4, PERM_R)
+        return _WORD.unpack_from(segment.buffer, address - segment.base)[0]
 
     def store_word(self, address, value):
         if address & 3:
             raise AlignmentFault("misaligned word store", address)
-        segment = self._checked(address, 4, PERM_W)
-        offset = address - segment.base
-        struct.pack_into("<I", segment.buffer, offset, value & 0xFFFFFFFF)
+        segment = self._last
+        if (segment is None or not segment.base <= address <= segment.end - 4
+                or not segment.perms & PERM_W):
+            segment = self._checked(address, 4, PERM_W)
+        _WORD.pack_into(segment.buffer, address - segment.base,
+                        value & 0xFFFFFFFF)
         if segment.perms & PERM_X:
             for listener in self._code_listeners:
                 listener(address, 4)

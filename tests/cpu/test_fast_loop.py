@@ -305,3 +305,94 @@ class TestFaultParity:
         # clflush and ret terminate blocks, so step() raises those two
         # right after a block exit; the load faults inside the closure.
         assert raised_in_step == (case != "unmapped_load")
+
+
+#: A counted loop whose forward branch is taken every 4th iteration;
+#: on iteration {n} the load address moves 1 MiB past the data segment.
+#: With n % 4 != 0 the branch falls through (its traced direction), so
+#: the load faults inside a compiled block after the branch.
+_BRANCH_THEN_FAULT = """
+main:
+    li   t0, 0
+    li   s1, 0
+    la   s0, buf
+loop:
+    addi t0, t0, 1
+    slti t1, t0, {n}
+    xori t1, t1, 1
+    shli t1, t1, 20
+    add  t2, s0, t1
+    andi a1, t0, 3
+    beq  a1, zero, skip
+    addi s1, s1, 1
+skip:
+    lw   t3, 0(t2)
+    jmp  loop
+.data
+buf: .word 7
+"""
+
+
+class TestPredictorInBlocks:
+    """Compiled blocks predict and train the live BHT counters.
+
+    Closures bind the BHT's counter list and batch the predictor's
+    conditional tallies into their exits, so the list must survive
+    ``BranchPredictor.reset()`` and the tallies must be exact on every
+    exit a run can end on, the fault path included.
+    """
+
+    @staticmethod
+    def _predictor_state(cpu):
+        predictor = cpu.predictor
+        return {
+            "bht": list(predictor.bht._counters),
+            "predictions": predictor.conditional_predictions,
+            "mispredictions": predictor.conditional_mispredictions,
+        }
+
+    def test_reset_after_translation_matches_step(self):
+        with engine_override("sb"):
+            fast = _spawn(_BRANCHY)
+            reference = _spawn(_BRANCHY)
+        fast.cpu.run(max_instructions=1000)
+        _run_stepwise(reference.cpu, max_instructions=1000)
+        translated = fast.cpu._sb.stats["translated"]
+        assert translated >= 1
+        for process in (fast, reference):
+            process.cpu.predictor.reset()
+        fast.cpu.run()
+        _run_stepwise(reference.cpu)
+        assert fast.cpu.state.halted
+        assert fast.cpu.pmu.read()["cond_branch_mispredictions"] > 0
+        assert _snapshot(fast) == _snapshot(reference)
+        assert (self._predictor_state(fast.cpu)
+                == self._predictor_state(reference.cpu))
+        # The blocks compiled before the reset kept running after it.
+        assert fast.cpu._sb.stats["invalidations"] == 0
+
+    def test_fault_after_branch_matches_step(self):
+        source = _BRANCH_THEN_FAULT.format(n=_HOT + 1)
+        with engine_override("sb"):
+            fast = _spawn(source)
+            reference = _spawn(source)
+        step = fast.cpu.step
+        raised_in_step = []
+
+        def recording_step():
+            try:
+                return step()
+            except Exception:
+                raised_in_step.append(True)
+                raise
+
+        fast.cpu.step = recording_step
+        with pytest.raises(MemoryFault) as from_run:
+            fast.cpu.run()
+        with pytest.raises(MemoryFault) as from_step:
+            _run_stepwise(reference.cpu)
+        assert not raised_in_step          # raised inside a closure
+        assert str(from_run.value) == str(from_step.value)
+        assert _snapshot(fast) == _snapshot(reference)
+        assert (self._predictor_state(fast.cpu)
+                == self._predictor_state(reference.cpu))

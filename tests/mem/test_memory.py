@@ -1,7 +1,7 @@
 """Memory model tests: segments, permissions (DEP), typed access."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     AlignmentFault,
@@ -144,3 +144,117 @@ class TestBulkHelpers:
             memory.load_byte(offset + i) << (8 * i) for i in range(4)
         )
         assert value == 0xDEADBEEF
+
+
+class _CheckedMemory(Memory):
+    """Reference: every typed access walks :meth:`Memory._checked`."""
+
+    def load_byte(self, address):
+        segment = self._checked(address, 1, PERM_R)
+        return segment.buffer[address - segment.base]
+
+    def store_byte(self, address, value):
+        segment = self._checked(address, 1, PERM_W)
+        segment.buffer[address - segment.base] = value & 0xFF
+        if segment.perms & PERM_X:
+            for listener in self._code_listeners:
+                listener(address, 1)
+
+    def load_word(self, address):
+        if address & 3:
+            raise AlignmentFault("misaligned word load", address)
+        segment = self._checked(address, 4, PERM_R)
+        return int.from_bytes(
+            segment.buffer[address - segment.base:address - segment.base + 4],
+            "little")
+
+    def store_word(self, address, value):
+        if address & 3:
+            raise AlignmentFault("misaligned word store", address)
+        segment = self._checked(address, 4, PERM_W)
+        offset = address - segment.base
+        segment.buffer[offset:offset + 4] = (
+            (value & 0xFFFFFFFF).to_bytes(4, "little"))
+        if segment.perms & PERM_X:
+            for listener in self._code_listeners:
+                listener(address, 4)
+
+
+_PERMS = st.sampled_from([
+    PERM_R | PERM_X, PERM_R | PERM_W, PERM_R, PERM_R | PERM_W | PERM_X,
+])
+
+#: ``(gap before, size, perms)`` per segment; gap 0 maps it adjacent to
+#: the previous one, and sizes that are not a multiple of 4 leave a
+#: word slot that crosses the segment end.
+_LAYOUTS = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 4, 64]),
+              st.integers(min_value=1, max_value=24), _PERMS),
+    min_size=1, max_size=5,
+)
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["load_word", "store_word", "load_byte",
+                         "store_byte", "chmod"]),
+        st.integers(min_value=0, max_value=4),      # segment to aim at
+        st.integers(min_value=-6, max_value=30),    # offset from its base
+        st.integers(min_value=0, max_value=(1 << 33) - 1),
+    ),
+    max_size=40,
+)
+
+
+def _outcome(memory, op, address, value):
+    try:
+        if op.startswith("store"):
+            return ("ok", getattr(memory, op)(address, value))
+        return ("ok", getattr(memory, op)(address))
+    except (AlignmentFault, ProtectionFault, SegmentationFault) as fault:
+        return (type(fault), str(fault), fault.address)
+
+
+class TestAccessFastPath:
+    """The inline ``_last`` path agrees with a walk through _checked()."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LAYOUTS, _OPS, _PERMS)
+    def test_matches_checked_reference(self, layout, ops, new_perms):
+        fast, reference = Memory(), _CheckedMemory()
+        fired = {id(fast): [], id(reference): []}
+        base = 0x1000
+        for memory in (fast, reference):
+            memory.add_code_listener(
+                lambda address, size, log=fired[id(memory)]:
+                    log.append((address, size)))
+        for gap, size, perms in layout:
+            base += gap
+            for memory in (fast, reference):
+                memory.map_segment(f"s{base:x}", base, size, perms)
+            base += size
+        for op, which, offset, value in ops:
+            segments = fast.segments
+            target = segments[which % len(segments)]
+            if op == "chmod":
+                # Permissions may change after mapping; both paths read
+                # them live.
+                for memory in (fast, reference):
+                    memory.segment_by_name(target.name).perms = new_perms
+                continue
+            address = max(0, target.base + offset)
+            assert (_outcome(fast, op, address, value)
+                    == _outcome(reference, op, address, value))
+            last = [m._last.name if m._last else None
+                    for m in (fast, reference)]
+            assert last[0] == last[1]
+        assert fired[id(fast)] == fired[id(reference)]
+        assert ([bytes(s.buffer) for s in fast.segments]
+                == [bytes(s.buffer) for s in reference.segments])
+
+    def test_executable_at_shares_the_lookup(self, memory):
+        assert memory.executable_at(0x4010)
+        assert memory._last.name == "text"
+        assert not memory.executable_at(0x1010)
+        assert memory._last.name == "data"
+        assert not memory.executable_at(0x9000)   # unmapped: no update
+        assert memory._last.name == "data"
