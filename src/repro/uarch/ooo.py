@@ -16,13 +16,17 @@ produce the cycle counter, so load misses overlap with independent
 work, long dividers hide behind ALU chains, and ``rdcycle`` (a
 serialising read, as on real hardware) observes the drained machine.
 
-The timing state allocates nothing per instruction but one ROB tuple
-(see :mod:`repro.uarch.structures`), and the commit port is inlined in
-the dispatch loop.  The commit clock *is* the cycle counter: each
-commit slot is ``max(cycles + 1/commit_width, done)``.  L1 hits on
-committed fetches and loads, and on wrong-path fetches, take the hit
-arm bound through :meth:`~repro.cache.cache.Cache.inline_state`, as
-the superblock engine does; anything else goes through the hierarchy.
+The timing state keeps one float per in-flight entry: its commit
+time, fixed as it dispatches, ``max(c_prev + 1/commit_width, done)``,
+and appended to the ROB's list of commit times (see
+:mod:`repro.uarch.structures`), so no loop retires entries: a full ROB
+or LSQ is one comparison, and occupancy and the committed clock
+(``self.cycles``) are read by bisect only where something reads them.
+The dispatch loop calls nothing on its common paths: the 2-bit BHT,
+the hottest ALU ops, the D-TLB MRU page and the L1 hit arms (bound
+through :meth:`~repro.cache.cache.Cache.inline_state`, as the
+superblock engine does) are inline, with their tallies batched in
+locals; anything else goes through the hierarchy.
 
 Speculation
 -----------
@@ -46,7 +50,7 @@ always architectural and a run is bit-deterministic regardless of how
 """
 
 import dataclasses
-from heapq import heappush
+from heapq import heappop, heappush
 
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
@@ -58,6 +62,7 @@ from repro.cpu.cpu import (
     _branch_taken,
     _ADD,
     _ADDI,
+    _ANDI,
     _BEQ,
     _BGEU,
     _CALL,
@@ -81,6 +86,8 @@ from repro.cpu.cpu import (
     _RDINSTRET,
     _RET,
     _SB,
+    _SHLI,
+    _SHRI,
     _SLTI,
     _SLTU,
     _SW,
@@ -112,9 +119,15 @@ _HISTOGRAMS = ("ooo.spec.window", "ooo.rob.occupancy",
 _COUNTERS = ("ooo.squashes", "ooo.wrong_path_uops", "ooo.commit_stalls",
              "ooo.dispatch_stalls", "ooo.lsq_stalls")
 
+#: The instruction-mix PMU events the dispatch loop tallies in locals,
+#: in the order :meth:`OooCore._fold` takes them.
+_MIX = ("alu_instructions", "mul_div_instructions", "load_instructions",
+        "store_instructions", "branch_instructions",
+        "cond_branch_instructions", "branches_taken")
+
 #: Hit-path state for a cache whose hit arm cannot be inlined: the
 #: lookup always misses, so every access takes the hierarchy.
-_NO_INLINE = (0, 0, 0, ({},), None, None, None)
+_NO_INLINE = (0, 0, 0, ({},), None, None, None, None)
 
 
 def _hit_path(cache):
@@ -124,20 +137,21 @@ def _hit_path(cache):
         return _NO_INLINE
     return (state["line_shift"], state["set_mask"], state["index_shift"],
             state["maps"], state["clocks"], state["stamps"],
-            state["stats"])
+            state["dirty"], state["stats"])
 
 
-def _count_hits(stats, hits):
-    """Fold batched inlined read hits into *stats*, as ``access`` does."""
-    if hits:
-        stats.accesses += hits
-        stats.read_accesses += hits
-        stats.hits += hits
+def _count_hits(stats, reads, writes=0):
+    """Fold batched inlined hits into *stats*, as ``access`` does."""
+    if reads or writes:
+        stats.accesses += reads + writes
+        stats.hits += reads + writes
+        stats.read_accesses += reads
+        stats.write_accesses += writes
 
 
 @dataclasses.dataclass(frozen=True)
 class OooParams:
-    """Out-of-order core knobs.
+    """Out-of-order core knobs; each must be a positive int.
 
     ``rob_depth`` is the speculation budget: free ROB slots bound how
     far a mispredicted branch executes down the wrong path, the way
@@ -152,6 +166,14 @@ class OooParams:
     rs_branch: int = 4
     lsq_depth: int = 12
     commit_width: int = 4
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < 1):
+                raise ValueError(f"OooParams.{field.name} must be a "
+                                 f"positive int, got {value!r}")
 
 
 class OooCore:
@@ -189,7 +211,7 @@ class OooCore:
 
         # Tomasulo timing state.
         p = self.params
-        self.rob = ReorderBuffer(p.rob_depth)
+        self.rob = ReorderBuffer(p.rob_depth, p.lsq_depth)
         #: Reservation-station pools (min-heaps of completion times) and
         #: their capacities, indexed by opcode; ``None`` for ops that
         #: take no station (nop, halt and the serialising ops).
@@ -271,7 +293,7 @@ class OooCore:
         if self.shadow_stack is not None:
             self.shadow_stack.reset()
         self.predictor.rsb.reset()
-        self.rob.clear()
+        self.rob.drain()
         for pool in self._rs_pools:
             pool.clear()
         self._ready = [self.cycles] * len(self._ready)
@@ -281,13 +303,17 @@ class OooCore:
         self._decode_cache.clear()
 
     def _decode_entry(self, pc):
+        """Decode *pc* into its dispatch entry: the operands, then the
+        station pool and its capacity, then the fall-through pc."""
         blob = self.memory.fetch(pc, INSTRUCTION_SIZE)
         try:
             instruction = decode(blob)
         except EncodingError as exc:
             raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
-        entry = (int(instruction.opcode), instruction.rd,
-                 instruction.rs1, instruction.rs2, instruction.imm)
+        op = int(instruction.opcode)
+        entry = (op, instruction.rd, instruction.rs1, instruction.rs2,
+                 instruction.imm, self._rs_of[op], self._rs_cap[op],
+                 (pc + INSTRUCTION_SIZE) & MASK32)
         self._decode_cache[pc] = entry
         return entry
 
@@ -305,39 +331,78 @@ class OooCore:
                 metrics.inc(name, count)
                 counts[name] = 0
 
+    def _fold(self, instructions, alu, mul, load, store, branch, cond,
+              taken, miss, i_hits, d_reads, d_writes, dtlb_hits):
+        """Fold the dispatch loop's batched tallies into the PMU, the
+        predictor, the L1 stats and the D-TLB.
+
+        Conditional branches (*cond*) are tallied apart from the other
+        branches, and each one is also a BHT prediction.
+        """
+        counters = self.pmu.counters
+        counters["instructions"] = instructions
+        for name, count in zip(_MIX, (alu, mul, load, store,
+                                      branch + cond, cond, taken)):
+            counters[name] += count
+        self.predictor.conditional_predictions += cond
+        self.predictor.conditional_mispredictions += miss
+        self.dtlb.hits += dtlb_hits
+        _count_hits(self._l1i_hit[-1], i_hits)
+        _count_hits(self._l1d_hit[-1], d_reads, d_writes)
+
     # ------------------------------------------------------------------
-    # commit port (the dispatch loop inlines the per-instruction case)
+    # commit clock (the dispatch loop inlines allocation)
     # ------------------------------------------------------------------
+    def _sync_clock(self, retire):
+        """Write the commit clock at threshold *retire* to
+        ``self.cycles``, the clock recovery and the trace read."""
+        rob = self.rob
+        rob.retired = retire
+        self.cycles = rob.committed()
+
     def _drain(self):
         """Retire the whole ROB (quantum boundary, fault, serialise)."""
-        rob = self.rob
-        log = self.commit_log
-        inv_commit = self._inv_commit
-        cycles = self.cycles
-        for done, _, seq, pc in rob:
-            cycles += inv_commit
-            if done > cycles:
-                cycles = done
-            if log is not None:
-                log.append((seq, pc))
-        rob.clear()
-        self.cycles = cycles
+        self.cycles = self.rob.drain()
         self.arch_regs = list(self.state.regs)
 
-    def _serialize(self, fclock, extra=0.0):
+    def _stall(self, now, index, pc, lsq):
+        """Dispatch at *now* waits for ROB entry *index* to commit: the
+        slot a full ROB frees, or with *lsq* the memory entry a full
+        load/store queue frees.  Returns that commit time."""
+        rob = self.rob
+        commit, stalls = rob.wait(now, index)
+        if self._metrics is not None:
+            rob.retired = now
+            if lsq:
+                self._counts["ooo.lsq_stalls"] += stalls
+                trace, args = self._tr_lsq, {"pc": pc}
+            else:
+                self._counts["ooo.dispatch_stalls"] += stalls
+                trace, args = self._tr_dispatch, {"pc": pc, "rob": len(rob)}
+            if trace is not None:
+                self.cycles = rob.committed()
+                ts0 = trace.now()
+                self.cycles = commit
+                trace.complete("ooo.lsq.stall" if lsq
+                               else "ooo.dispatch.stall", ts0, **args)
+        return commit
+
+    def _serialize(self, fclock, retire, extra=0.0):
         """Drain, then retire a serialising op; returns the new fetch
         clock (== ``self.cycles``: the machine is momentarily in-order).
         """
         rob = self.rob
+        rob.retired = retire
         if self._metrics is not None and rob:
             # Commit-stall bookkeeping: a serialising op forces the
             # whole ROB to retire before it may even dispatch.
+            occupancy = len(rob)
             self._counts["ooo.commit_stalls"] += 1
-            self._hists["ooo.rob.occupancy"][len(rob)] += 1
+            self._hists["ooo.rob.occupancy"][occupancy] += 1
             trace = self._tr_commit
             if trace is not None:
+                self.cycles = rob.committed()
                 ts0 = trace.now()
-                occupancy = len(rob)
                 self._drain()
                 trace.complete("ooo.commit.drain", ts0, rob=occupancy)
             else:
@@ -348,8 +413,20 @@ class OooCore:
         if fclock > t:
             t = fclock
         t += extra
-        self.cycles = t
+        self.cycles = rob.base = t
         return t
+
+    def _data_access(self, address, is_write, retire):
+        """A data access through the hierarchy (an L1D hit the loop did
+        not inline, or a miss); returns its latency and charges the
+        cycles past an L1 hit as memory stall."""
+        if self._metrics is not None:
+            self._sync_clock(retire)
+        latency = self.caches.data_access_fast(address, is_write)[0]
+        extra = latency - self._l1_latency
+        if extra > 0:
+            self.pmu.counters["memory_stall_cycles"] += extra
+        return latency
 
     # ------------------------------------------------------------------
     # misprediction recovery + wrong-path execution
@@ -357,8 +434,8 @@ class OooCore:
     def _recover(self, pc, wrong_path_pc, resolve_time, fclock, seq):
         """Mispredict: transient wrong path, squash, redirect fetch.
 
-        Returns the redirected fetch clock and the next sequence number
-        (wrong-path uops consume sequence numbers too).
+        Returns the redirected fetch clock and *seq* advanced past the
+        wrong-path uops (they consume sequence numbers too).
         """
         trace = self._tr_cpu
         ts0 = trace.now() if trace is not None else 0
@@ -412,11 +489,13 @@ class OooCore:
         data_fast = self.caches.data_access_fast
         icache_fast = self.caches.instruction_access_fast
         dtlb_access = self.dtlb.access
-        itlb_access = self.itlb.access
+        itlb = self.itlb
+        itlb_access = itlb.access
         invisible = self.config.invisible_speculation
-        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps,
+        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps, _,
          i_stats) = self._l1i_hit
         i_hits = 0
+        itlb_hits = 0
         pc = start_pc
         executed = 0
 
@@ -424,14 +503,9 @@ class OooCore:
             entry = dcache.get(pc)
             if entry is None:
                 try:
-                    blob = memory.fetch(pc, INSTRUCTION_SIZE)
-                    instruction = decode(blob)
-                except (MemoryFault, EncodingError):
+                    entry = self._decode_entry(pc)
+                except (MemoryFault, CpuFault):
                     break
-                entry = (int(instruction.opcode), instruction.rd,
-                         instruction.rs1, instruction.rs2,
-                         instruction.imm)
-                dcache[pc] = entry
             # Wrong-path fetch fills the I-cache / ITLB too.
             line = pc >> i_shift
             index = line & i_mask
@@ -443,12 +517,14 @@ class OooCore:
                 i_clocks[index] = clock
                 i_stamps[index][way] = clock
                 i_hits += 1
-            itlb_access(pc)
+            if pc >> 12 == itlb._last_page:
+                itlb_hits += 1
+            else:
+                itlb_access(pc)
 
             executed += 1
             counters["spec_instructions"] += 1
-            op, rd, rs1, rs2, imm = entry
-            next_pc = (pc + INSTRUCTION_SIZE) & MASK32
+            op, rd, rs1, rs2, imm, _, _, next_pc = entry
 
             if op == _LW or op == _LB:
                 address = (regs[rs1] + imm) & MASK32
@@ -559,6 +635,7 @@ class OooCore:
             pc = next_pc
 
         _count_hits(i_stats, i_hits)
+        itlb.hits += itlb_hits
         counters["squashed_instructions"] += executed
         regs[:] = checkpoint_regs
         return executed
@@ -574,12 +651,19 @@ class OooCore:
         return not self.state.halted
 
     def run(self, max_instructions=None):
-        """Dispatch/commit until halt (or budget); returns retired count.
+        """Dispatch until halt (or budget); returns retired count.
 
-        One loop serves traced and untraced runs.  The commit clock
-        lives in a local and is written back to ``self.cycles`` (the
-        trace clock) before every call that may emit a record or read
-        it, so the channels always observe a live clock.
+        One loop serves traced and untraced runs.  Each entry's commit
+        time is fixed as it allocates, so nothing retires per
+        instruction: the loop keeps the last commit time and the
+        dispatch-side *retire* threshold (every entry committed by then
+        has left), and ``self.cycles`` is written from them only where
+        it is read — before recovery (wrong-path ``rdcycle``), at
+        drains, and when tracing, before any call that may emit a
+        record.  The instruction-mix, predictor and inlined-hit tallies
+        live in locals: recovery and ``rdinstret`` read the instruction
+        count as ``instructions + executed``, and everything is folded
+        in before the syscall handler and on exit.
         All observable state is synchronised — and the ROB drained — on
         every exit path, including faults (precise exceptions: older
         work commits, the faulting instruction never allocates).
@@ -593,57 +677,48 @@ class OooCore:
         memory = self.memory
         caches = self.caches
         rob = self.rob
-        rob_append = rob.append
-        rob_popleft = rob.popleft
+        times = rob.times
+        times_append = times.append
+        lsq = rob.mem
+        lsq_append = lsq.append
         rob_depth = rob.depth
+        lsq_depth = rob.lsq_depth
         inv_commit = self._inv_commit
         log = self.commit_log
-        rs_of = self._rs_of
-        rs_cap = self._rs_cap
         mem_pool = self._rs_pools[1]
-        lsq_depth = self.params.lsq_depth
         dcache_get = self._decode_cache.get
         load_word = memory.load_word
         load_byte = memory.load_byte
         store_word = memory.store_word
         store_byte = memory.store_byte
-        dtlb_access = self.dtlb.access
+        dtlb = self.dtlb
+        dtlb_access = dtlb.access
         itlb_access = self.itlb.access
         icache_fast = caches.instruction_access_fast
-        data_fast = caches.data_access_fast
-        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps,
-         i_stats) = self._l1i_hit
-        (d_shift, d_mask, d_ishift, d_maps, d_clocks, d_stamps,
-         d_stats) = self._l1d_hit
-        predict_conditional = predictor.predict_conditional
-        resolve_conditional = predictor.resolve_conditional
+        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps, _,
+         _) = self._l1i_hit
+        (d_shift, d_mask, d_ishift, d_maps, d_clocks, d_stamps, d_dirty,
+         _) = self._l1d_hit
+        bht = predictor.bht._counters
+        bht_mask = predictor.bht._mask
         predict_indirect = predictor.predict_indirect
         resolve_indirect = predictor.resolve_indirect
         on_call = predictor.on_call
         shadow = self.shadow_stack
         base_cost = self._base_cost
         l1_latency = self._l1_latency
-        mul_extra = config.mul_extra
-        div_extra = config.div_extra
+        mul_latency = 1.0 + config.mul_extra
+        div_latency = 1.0 + config.div_extra
         btb_miss_penalty = config.btb_miss_penalty
         fence_latency = config.fence_latency
         fence_stall = int(config.fence_latency)
         clflush_latency = config.clflush_latency
         syscall_latency = config.syscall_latency
         clflush_privileged = config.clflush_privileged
-        size = INSTRUCTION_SIZE
         watchdog = self.watchdog
         stride = self.WATCHDOG_STRIDE
         limit = -1 if max_instructions is None else max_instructions
-        tr_dispatch = self._tr_dispatch
-        tr_lsq = self._tr_lsq
-        # Hot-path tallies, flushed once per quantum (so a telemetry-off
-        # run pays one integer add per stalled dispatch or inlined L1
-        # hit and nothing else).
-        dispatch_stalls = 0
-        lsq_stalls = 0
-        i_hits = 0
-        d_hits = 0
+        traced = self._metrics is not None
         # Profiling cursor: read-only sequential accounting.  One
         # ``is not None`` guard per instruction (the tr_dispatch idiom);
         # cost attribution is by dispatch-clock progression, with the
@@ -658,15 +733,21 @@ class OooCore:
         fclock = self._fetch_clock
         last_iline = self._last_iline
         last_ipage = self._last_ipage
-        seq = self._seq - 1     # advanced as each instruction starts
-        # The commit clock (== ``self.cycles``; see the docstring):
-        # synced before cache fallbacks, trace spans, recovery and
-        # serialisation.
-        cycles = self.cycles
-        # In-flight memory ops: the ROB's ``is_mem`` entries.  The ROB
-        # is empty between run() calls and after every serialise.
-        lsq = 0
+        # The ROB is empty between run() calls: the next commit time
+        # follows the commit clock.
+        last = rob.base = self.cycles
+        retire = fclock
+        # ``seq + executed`` is the current instruction's sequence
+        # number; recovery advances ``seq`` past wrong-path uops.
+        seq = self._seq - 1
+        instructions = counters["instructions"]
         executed = 0
+        mispredict = False
+        wrong_path = None
+        # Batched tallies (see _fold): instruction mix, BHT
+        # mispredictions, inlined L1 / D-TLB hits.
+        n_alu = n_mul = n_load = n_store = n_branch = n_cond = 0
+        n_taken = n_miss = i_hits = d_reads = d_writes = dtlb_hits = 0
 
         try:
             while not state.halted:
@@ -685,7 +766,8 @@ class OooCore:
                     index = line & i_mask
                     way = i_maps[index].get(line >> i_ishift)
                     if way is None:
-                        self.cycles = cycles
+                        if traced:
+                            self._sync_clock(retire)
                         extra = icache_fast(pc)[0] - l1_latency
                         if extra > 0:
                             fclock += extra
@@ -702,10 +784,8 @@ class OooCore:
                         last_ipage = page
                         itlb_access(pc)
 
-                op, rd, rs1, rs2, imm = entry
-                next_pc = (pc + size) & MASK32
-                counters["instructions"] += 1
-                seq += 1
+                op, rd, rs1, rs2, imm, pool, cap, next_pc = entry
+                executed += 1
                 if cursor is not None:
                     # Finalises the *previous* instruction with this
                     # one's fetch clock; this one stays pending.
@@ -713,491 +793,410 @@ class OooCore:
                                 counters["memory_stall_cycles"],
                                 counters["mispredict_penalty_cycles"])
 
-                # Dispatch: retire whatever is due, then stall on
-                # structural hazards (full ROB / stations / LSQ).
+                # Dispatch: stall on a full ROB; every entry committed
+                # by then has left (the retire threshold).  Then stall
+                # on a full station (after releasing its completed
+                # entries) or a full LSQ.
                 dispatch = fclock
-                while rob:
-                    slot = cycles + inv_commit
-                    if slot > dispatch:
-                        break
-                    head = rob[0]
-                    if head[0] > dispatch:
-                        break
-                    if head[0] > slot:
-                        slot = head[0]
-                    rob_popleft()
-                    cycles = slot
-                    if head[1]:
-                        lsq -= 1
-                    if log is not None:
-                        log.append(head[2:])
-                if len(rob) >= rob_depth:
-                    if tr_dispatch is not None:
-                        self.cycles = cycles
-                        stall_ts = tr_dispatch.now()
-                        stall_occ = len(rob)
-                    while len(rob) >= rob_depth:
-                        head = rob_popleft()
-                        slot = cycles + inv_commit
-                        if head[0] > slot:
-                            slot = head[0]
-                        cycles = slot
-                        if head[1]:
-                            lsq -= 1
+                if times[-rob_depth] > dispatch:
+                    dispatch = self._stall(dispatch, len(times) - rob_depth,
+                                           pc, False)
+                retire = dispatch
+                if pool is None:
+                    fclock = dispatch + base_cost
+                    if op == _RDCYCLE:
+                        n_alu += 1
+                        fclock = last = self._serialize(fclock, retire)
+                        if rd:
+                            regs[rd] = int(fclock) & MASK32
+                            ready[rd] = fclock
+                    elif op == _MFENCE:
+                        counters["mfence_instructions"] += 1
+                        fclock = last = self._serialize(fclock, retire,
+                                                        fence_latency)
+                        counters["fence_stall_cycles"] += fence_stall
+                    elif op == _CLFLUSH:
+                        counters["clflush_instructions"] += 1
+                        if clflush_privileged and not self.kernel_mode:
+                            raise PrivilegeFault(
+                                "clflush is disabled for non-privileged "
+                                "code (countermeasure active)"
+                            )
+                        if traced:
+                            self._sync_clock(retire)
+                        caches.flush_line((regs[rs1] + imm) & MASK32)
+                        fclock = last = self._serialize(fclock, retire,
+                                                        clflush_latency)
+                    elif op == _SYSCALL:
+                        counters["syscall_instructions"] += 1
+                        fclock = last = self._serialize(fclock, retire,
+                                                        syscall_latency)
+                        handler = self.syscall_handler
+                        if handler is None:
+                            raise CpuFault(
+                                f"syscall at {pc:#010x} with no handler"
+                            )
+                        # Sync the architectural state the handler sees
+                        # — then reload everything it may have changed
+                        # (``execve`` remaps memory, resets the pipeline
+                        # and installs a *new* regs list).
+                        pc = next_pc
+                        state.pc = pc
+                        self._fetch_clock = fclock
+                        self._last_iline = last_iline
+                        self._last_ipage = last_ipage
+                        self._fold(instructions + executed, n_alu, n_mul,
+                                   n_load, n_store, n_branch, n_cond,
+                                   n_taken, n_miss, i_hits, d_reads,
+                                   d_writes, dtlb_hits)
+                        n_alu = n_mul = n_load = n_store = n_branch = 0
+                        n_cond = n_taken = n_miss = i_hits = d_reads = 0
+                        d_writes = dtlb_hits = 0
+                        handler(self)
+                        regs = state.regs
+                        ready = self._ready
+                        pc = state.pc
+                        fclock = self._fetch_clock
+                        if fclock < self.cycles:
+                            fclock = self.cycles
+                        last_iline = self._last_iline
+                        last_ipage = self._last_ipage
+                        if watchdog is not None and executed % stride == 0:
+                            watchdog.charge(stride)
+                        continue
+                    elif op == _NOP:
+                        last = max(last + inv_commit, dispatch)
+                        times_append(last)
                         if log is not None:
-                            log.append(head[2:])
-                        dispatch_stalls += 1
-                        if slot > dispatch:
-                            dispatch = slot
-                    if tr_dispatch is not None:
-                        self.cycles = cycles
-                        tr_dispatch.complete("ooo.dispatch.stall",
-                                             stall_ts, pc=pc,
-                                             rob=stall_occ)
-                pool = rs_of[op]
-                if pool is not None:
-                    if len(pool) >= rs_cap[op]:
-                        dispatch = acquire(pool, rs_cap[op], dispatch)
-                    if pool is mem_pool:
-                        if lsq >= lsq_depth:
-                            if tr_lsq is not None:
-                                self.cycles = cycles
-                                stall_ts = tr_lsq.now()
-                            while lsq >= lsq_depth:
-                                head = rob_popleft()
-                                slot = cycles + inv_commit
-                                if head[0] > slot:
-                                    slot = head[0]
-                                cycles = slot
-                                if head[1]:
-                                    lsq -= 1
-                                if log is not None:
-                                    log.append(head[2:])
-                                lsq_stalls += 1
-                                if slot > dispatch:
-                                    dispatch = slot
-                            if tr_lsq is not None:
-                                self.cycles = cycles
-                                tr_lsq.complete("ooo.lsq.stall",
-                                                stall_ts, pc=pc)
-                        lsq += 1
-                fclock = dispatch + base_cost
-
-                if _ADDI <= op <= _SLTI:
-                    counters["alu_instructions"] += 1
-                    latency = 1.0
-                    if op == _MULI:
-                        counters["mul_div_instructions"] += 1
-                        latency += mul_extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    if rd:
-                        regs[rd] = _alu_rri(op, regs[rs1], imm)
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                elif _ADD <= op <= _SLTU:
-                    counters["alu_instructions"] += 1
-                    latency = 1.0
-                    if _MUL <= op <= _MOD:
-                        counters["mul_div_instructions"] += 1
-                        latency += (div_extra if op != _MUL
-                                    else mul_extra)
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    if rd:
-                        regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                elif op == _LI:
-                    counters["alu_instructions"] += 1
-                    done = dispatch + 1.0
-                    if rd:
-                        regs[rd] = imm & MASK32
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                elif op == _MOV:
-                    counters["alu_instructions"] += 1
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    if rd:
-                        regs[rd] = regs[rs1]
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                elif _BEQ <= op <= _BGEU:
-                    counters["branch_instructions"] += 1
-                    counters["cond_branch_instructions"] += 1
-                    taken = _branch_taken(op, regs[rs1], regs[rs2])
-                    predicted = predict_conditional(pc)
-                    mispredicted = resolve_conditional(pc, predicted,
-                                                       taken)
-                    if taken:
-                        counters["branches_taken"] += 1
-                        next_pc = (pc + imm) & MASK32
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                    if mispredicted:
-                        wrong_path = (
-                            (pc + imm) & MASK32 if predicted
-                            else (pc + size) & MASK32
+                            log.append((seq + executed, pc))
+                    elif op == _HALT:
+                        state.halted = True
+                        next_pc = pc
+                    else:  # pragma: no cover - every opcode handled
+                        raise CpuFault(
+                            f"unhandled opcode {op:#04x} at {pc:#010x}"
                         )
-                        self.cycles = cycles
+                else:
+                    if len(pool) >= cap:
+                        while pool and pool[0] <= dispatch:
+                            heappop(pool)
+                        if len(pool) >= cap:
+                            dispatch = acquire(pool, cap, dispatch)
+                    if pool is mem_pool:
+                        if times[lsq[-lsq_depth]] > retire:
+                            retire = self._stall(retire, lsq[-lsq_depth],
+                                                 pc, True)
+                            if retire > dispatch:
+                                dispatch = retire
+                        # The index this entry allocates at.
+                        lsq_append(len(times))
+                    fclock = dispatch + base_cost
+
+                    if _ADDI <= op <= _SLTI:
+                        n_alu += 1
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        done = start + 1.0
+                        if op == _ADDI:
+                            value = (regs[rs1] + imm) & MASK32
+                        elif op == _MULI:
+                            n_mul += 1
+                            done = start + mul_latency
+                            value = (regs[rs1] * imm) & MASK32
+                        elif op == _ANDI:
+                            value = regs[rs1] & (imm & MASK32)
+                        elif op == _SHRI:
+                            value = regs[rs1] >> (imm & 31)
+                        elif op == _SHLI:
+                            value = (regs[rs1] << (imm & 31)) & MASK32
+                        else:
+                            value = _alu_rri(op, regs[rs1], imm)
+                        if rd:
+                            regs[rd] = value
+                            ready[rd] = done
+                    elif _BEQ <= op <= _BGEU:
+                        n_cond += 1
+                        a = regs[rs1]
+                        b = regs[rs2]
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        t = ready[rs2]
+                        if t > start:
+                            start = t
+                        done = start + 1.0
+                        # The 2-bit BHT counter, predicted and trained
+                        # as BranchHistoryTable does: predicted taken
+                        # at 2 (weakly taken) and up, saturating at 0
+                        # and 3.
+                        index = (pc >> 3) & bht_mask
+                        counter = bht[index]
+                        if (a == b if op == _BEQ
+                                else _branch_taken(op, a, b)):
+                            n_taken += 1
+                            if counter < 3:
+                                bht[index] = counter + 1
+                            if counter < 2:
+                                n_miss += 1
+                                mispredict = True
+                                wrong_path = next_pc
+                            next_pc = (pc + imm) & MASK32
+                        else:
+                            if counter:
+                                bht[index] = counter - 1
+                            if counter > 1:
+                                n_miss += 1
+                                mispredict = True
+                                wrong_path = (pc + imm) & MASK32
+                    elif op == _JMP:
+                        n_branch += 1
+                        done = dispatch
+                        next_pc = (pc + imm) & MASK32
+                    elif _ADD <= op <= _SLTU:
+                        n_alu += 1
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        t = ready[rs2]
+                        if t > start:
+                            start = t
+                        if op == _ADD:
+                            done = start + 1.0
+                            value = (regs[rs1] + regs[rs2]) & MASK32
+                        else:
+                            if _MUL <= op <= _MOD:
+                                n_mul += 1
+                                done = start + (div_latency if op != _MUL
+                                                else mul_latency)
+                            else:
+                                done = start + 1.0
+                            value = _alu_rrr(op, regs[rs1], regs[rs2])
+                        if rd:
+                            regs[rd] = value
+                            ready[rd] = done
+                    elif op == _LW or op == _LB:
+                        n_load += 1
+                        address = (regs[rs1] + imm) & MASK32
+                        value = (load_word(address) if op == _LW
+                                 else load_byte(address))
+                        if address >> 12 == dtlb._last_page:
+                            dtlb_hits += 1
+                        else:
+                            dtlb_access(address)
+                        line = address >> d_shift
+                        index = line & d_mask
+                        way = d_maps[index].get(line >> d_ishift)
+                        if way is None:
+                            latency = self._data_access(address, False,
+                                                        retire)
+                        else:
+                            clock = d_clocks[index] + 1
+                            d_clocks[index] = clock
+                            d_stamps[index][way] = clock
+                            d_reads += 1
+                            latency = l1_latency
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        done = start + latency
+                        if rd:
+                            regs[rd] = value & MASK32
+                            ready[rd] = done
+                    elif op == _LI:
+                        n_alu += 1
+                        done = dispatch + 1.0
+                        if rd:
+                            regs[rd] = imm & MASK32
+                            ready[rd] = done
+                    elif op == _SW or op == _SB:
+                        n_store += 1
+                        address = (regs[rs1] + imm) & MASK32
+                        if op == _SW:
+                            store_word(address, regs[rs2])
+                        else:
+                            store_byte(address, regs[rs2])
+                        if address >> 12 == dtlb._last_page:
+                            dtlb_hits += 1
+                        else:
+                            dtlb_access(address)
+                        line = address >> d_shift
+                        index = line & d_mask
+                        way = d_maps[index].get(line >> d_ishift)
+                        if way is None:
+                            self._data_access(address, True, retire)
+                        else:
+                            clock = d_clocks[index] + 1
+                            d_clocks[index] = clock
+                            d_stamps[index][way] = clock
+                            d_dirty[index][way] = True
+                            d_writes += 1
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        t = ready[rs2]
+                        if t > start:
+                            start = t
+                        # Stores retire from the store queue off the
+                        # critical path: the miss latency is not
+                        # serialised into the dependency chain.
+                        done = start + 1.0
+                    elif op == _MOV:
+                        n_alu += 1
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        done = start + 1.0
+                        if rd:
+                            regs[rd] = regs[rs1]
+                            ready[rd] = done
+                    elif op == _PUSH:
+                        counters["stack_instructions"] += 1
+                        sp = (regs[13] - 4) & MASK32
+                        regs[13] = sp
+                        store_word(sp, regs[rs1])
+                        dtlb_access(sp)
+                        self._data_access(sp, True, retire)
+                        start = dispatch
+                        t = ready[13]
+                        if t > start:
+                            start = t
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        done = start + 1.0
+                        ready[13] = done
+                    elif op == _POP:
+                        counters["stack_instructions"] += 1
+                        sp = regs[13]
+                        value = load_word(sp)
+                        dtlb_access(sp)
+                        latency = self._data_access(sp, False, retire)
+                        regs[13] = (sp + 4) & MASK32
+                        start = dispatch
+                        t = ready[13]
+                        if t > start:
+                            start = t
+                        done = start + latency
+                        ready[13] = done
+                        if rd:
+                            regs[rd] = value & MASK32
+                            ready[rd] = done
+                    elif op == _CALL or op == _CALLR:
+                        n_branch += 1
+                        counters["call_instructions"] += 1
+                        start = dispatch
+                        t = ready[13]
+                        if t > start:
+                            start = t
+                        if op == _CALL:
+                            target = (pc + imm) & MASK32
+                        else:
+                            counters["indirect_jump_instructions"] += 1
+                            target = (regs[rs1] + imm) & MASK32
+                            wrong_path = predict_indirect(pc)
+                            mispredict = resolve_indirect(pc, wrong_path,
+                                                          target)
+                            t = ready[rs1]
+                            if t > start:
+                                start = t
+                        sp = (regs[13] - 4) & MASK32
+                        regs[13] = sp
+                        store_word(sp, next_pc)
+                        dtlb_access(sp)
+                        self._data_access(sp, True, retire)
+                        on_call(next_pc)
+                        if shadow is not None:
+                            shadow.on_call(next_pc)
+                        done = start + 1.0
+                        ready[13] = done
+                        if op == _CALLR and wrong_path is None:
+                            mispredict = False
+                            if fclock < done:
+                                fclock = done
+                            fclock += btb_miss_penalty
+                        next_pc = target
+                    elif op == _RET:
+                        n_branch += 1
+                        counters["ret_instructions"] += 1
+                        sp = regs[13]
+                        target = load_word(sp)
+                        dtlb_access(sp)
+                        latency = self._data_access(sp, False, retire)
+                        regs[13] = (sp + 4) & MASK32
+                        if shadow is not None:
+                            try:
+                                shadow.on_return(target)
+                            except ShadowStackViolation:
+                                if self._tr_cpu is not None:
+                                    self._sync_clock(retire)
+                                    self._tr_cpu.event(
+                                        "cpu.shadow_divergence",
+                                        pc=pc, target=target,
+                                    )
+                                raise
+                        wrong_path = predictor.predict_return()
+                        mispredict = predictor.resolve_return(wrong_path,
+                                                              target)
+                        start = dispatch
+                        t = ready[13]
+                        if t > start:
+                            start = t
+                        done = start + latency
+                        ready[13] = done
+                        next_pc = target
+                    elif op == _JMPR:
+                        n_branch += 1
+                        counters["indirect_jump_instructions"] += 1
+                        target = (regs[rs1] + imm) & MASK32
+                        wrong_path = predict_indirect(pc)
+                        mispredict = resolve_indirect(pc, wrong_path,
+                                                      target)
+                        start = dispatch
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                        done = start + 1.0
+                        if wrong_path is None:
+                            mispredict = False
+                            if fclock < done:
+                                fclock = done
+                            fclock += btb_miss_penalty
+                        next_pc = target
+                    elif op == _RDINSTRET:
+                        n_alu += 1
+                        done = dispatch + 1.0
+                        if rd:
+                            regs[rd] = (instructions + executed) & MASK32
+                            ready[rd] = done
+                    else:  # pragma: no cover - every opcode handled
+                        raise CpuFault(
+                            f"unhandled opcode {op:#04x} at {pc:#010x}"
+                        )
+
+                    # Allocate: the station entry, then the ROB entry,
+                    # whose commit time the commit port fixes now.
+                    heappush(pool, done)
+                    last += inv_commit
+                    if done > last:
+                        last = done
+                    times_append(last)
+                    if log is not None:
+                        log.append((seq + executed, pc))
+                    if mispredict:
+                        mispredict = False
+                        counters["instructions"] = instructions + executed
+                        self._sync_clock(retire)
                         fclock, seq = self._recover(pc, wrong_path, done,
                                                     fclock, seq)
-                elif op == _JMP:
-                    counters["branch_instructions"] += 1
-                    heappush(pool, dispatch)
-                    rob_append((dispatch, False, seq, pc))
-                    next_pc = (pc + imm) & MASK32
-                elif op == _LW or op == _LB:
-                    counters["load_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    value = (load_word(address) if op == _LW
-                             else load_byte(address))
-                    dtlb_access(address)
-                    line = address >> d_shift
-                    index = line & d_mask
-                    way = d_maps[index].get(line >> d_ishift)
-                    if way is None:
-                        self.cycles = cycles
-                        latency = data_fast(address, False)[0]
-                        extra = latency - l1_latency
-                        if extra > 0:
-                            counters["memory_stall_cycles"] += extra
-                    else:
-                        clock = d_clocks[index] + 1
-                        d_clocks[index] = clock
-                        d_stamps[index][way] = clock
-                        d_hits += 1
-                        latency = l1_latency
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    if rd:
-                        regs[rd] = value & MASK32
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, True, seq, pc))
-                elif op == _SW or op == _SB:
-                    counters["store_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    if op == _SW:
-                        store_word(address, regs[rs2])
-                    else:
-                        store_byte(address, regs[rs2])
-                    dtlb_access(address)
-                    self.cycles = cycles
-                    extra = data_fast(address, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    # Stores retire from the store queue off the
-                    # critical path: the miss latency is not serialised
-                    # into the dependency chain.
-                    done = start + 1.0
-                    heappush(pool, done)
-                    rob_append((done, True, seq, pc))
-                elif op == _PUSH:
-                    counters["stack_instructions"] += 1
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, regs[rs1])
-                    dtlb_access(sp)
-                    self.cycles = cycles
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    heappush(pool, done)
-                    rob_append((done, True, seq, pc))
-                elif op == _POP:
-                    counters["stack_instructions"] += 1
-                    sp = regs[13]
-                    value = load_word(sp)
-                    dtlb_access(sp)
-                    line = sp >> d_shift
-                    index = line & d_mask
-                    way = d_maps[index].get(line >> d_ishift)
-                    if way is None:
-                        self.cycles = cycles
-                        latency = data_fast(sp, False)[0]
-                        extra = latency - l1_latency
-                        if extra > 0:
-                            counters["memory_stall_cycles"] += extra
-                    else:
-                        clock = d_clocks[index] + 1
-                        d_clocks[index] = clock
-                        d_stamps[index][way] = clock
-                        d_hits += 1
-                        latency = l1_latency
-                    regs[13] = (sp + 4) & MASK32
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    ready[13] = done
-                    if rd:
-                        regs[rd] = value & MASK32
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, True, seq, pc))
-                elif op == _JMPR:
-                    counters["branch_instructions"] += 1
-                    counters["indirect_jump_instructions"] += 1
-                    target = (regs[rs1] + imm) & MASK32
-                    predicted = predict_indirect(pc)
-                    mispredicted = resolve_indirect(pc, predicted,
-                                                    target)
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                    if predicted is None:
-                        if fclock < done:
-                            fclock = done
-                        fclock += btb_miss_penalty
-                    elif mispredicted:
-                        self.cycles = cycles
-                        fclock, seq = self._recover(pc, predicted, done,
-                                                    fclock, seq)
-                    next_pc = target
-                elif op == _CALL:
-                    counters["branch_instructions"] += 1
-                    counters["call_instructions"] += 1
-                    return_address = next_pc
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, return_address)
-                    dtlb_access(sp)
-                    self.cycles = cycles
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    on_call(return_address)
-                    if shadow is not None:
-                        shadow.on_call(return_address)
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                    next_pc = (pc + imm) & MASK32
-                elif op == _CALLR:
-                    counters["branch_instructions"] += 1
-                    counters["call_instructions"] += 1
-                    counters["indirect_jump_instructions"] += 1
-                    target = (regs[rs1] + imm) & MASK32
-                    predicted = predict_indirect(pc)
-                    mispredicted = resolve_indirect(pc, predicted,
-                                                    target)
-                    return_address = next_pc
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, return_address)
-                    dtlb_access(sp)
-                    self.cycles = cycles
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    on_call(return_address)
-                    if shadow is not None:
-                        shadow.on_call(return_address)
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                    if predicted is None:
-                        if fclock < done:
-                            fclock = done
-                        fclock += btb_miss_penalty
-                    elif mispredicted:
-                        self.cycles = cycles
-                        fclock, seq = self._recover(pc, predicted, done,
-                                                    fclock, seq)
-                    next_pc = target
-                elif op == _RET:
-                    counters["branch_instructions"] += 1
-                    counters["ret_instructions"] += 1
-                    sp = regs[13]
-                    target = load_word(sp)
-                    dtlb_access(sp)
-                    line = sp >> d_shift
-                    index = line & d_mask
-                    way = d_maps[index].get(line >> d_ishift)
-                    if way is None:
-                        self.cycles = cycles
-                        latency = data_fast(sp, False)[0]
-                        extra = latency - l1_latency
-                        if extra > 0:
-                            counters["memory_stall_cycles"] += extra
-                    else:
-                        clock = d_clocks[index] + 1
-                        d_clocks[index] = clock
-                        d_stamps[index][way] = clock
-                        d_hits += 1
-                        latency = l1_latency
-                    regs[13] = (sp + 4) & MASK32
-                    if shadow is not None:
-                        try:
-                            shadow.on_return(target)
-                        except ShadowStackViolation:
-                            self.cycles = cycles
-                            if self._tr_cpu is not None:
-                                self._tr_cpu.event(
-                                    "cpu.shadow_divergence",
-                                    pc=pc, target=target,
-                                )
-                            raise
-                    predicted = predictor.predict_return()
-                    mispredicted = predictor.resolve_return(predicted,
-                                                            target)
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    ready[13] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                    if mispredicted:
-                        self.cycles = cycles
-                        fclock, seq = self._recover(pc, predicted, done,
-                                                    fclock, seq)
-                    next_pc = target
-                elif op == _CLFLUSH:
-                    counters["clflush_instructions"] += 1
-                    if clflush_privileged and not self.kernel_mode:
-                        raise PrivilegeFault(
-                            "clflush is disabled for non-privileged "
-                            "code (countermeasure active)"
-                        )
-                    address = (regs[rs1] + imm) & MASK32
-                    self.cycles = cycles
-                    caches.flush_line(address)
-                    fclock = cycles = self._serialize(fclock, clflush_latency)
-                    lsq = 0
-                elif op == _MFENCE:
-                    counters["mfence_instructions"] += 1
-                    self.cycles = cycles
-                    fclock = cycles = self._serialize(fclock, fence_latency)
-                    lsq = 0
-                    counters["fence_stall_cycles"] += fence_stall
-                elif op == _RDCYCLE:
-                    counters["alu_instructions"] += 1
-                    self.cycles = cycles
-                    fclock = cycles = self._serialize(fclock)
-                    lsq = 0
-                    if rd:
-                        regs[rd] = int(fclock) & MASK32
-                        ready[rd] = fclock
-                elif op == _RDINSTRET:
-                    counters["alu_instructions"] += 1
-                    done = dispatch + 1.0
-                    if rd:
-                        regs[rd] = counters["instructions"] & MASK32
-                        ready[rd] = done
-                    heappush(pool, done)
-                    rob_append((done, False, seq, pc))
-                elif op == _SYSCALL:
-                    counters["syscall_instructions"] += 1
-                    self.cycles = cycles
-                    fclock = cycles = self._serialize(fclock, syscall_latency)
-                    lsq = 0
-                    handler = self.syscall_handler
-                    if handler is None:
-                        raise CpuFault(
-                            f"syscall at {pc:#010x} with no handler"
-                        )
-                    # Sync the architectural state the handler sees —
-                    # then reload everything it may have changed
-                    # (``execve`` remaps memory, resets the pipeline
-                    # and installs a *new* regs list).
-                    pc = next_pc
-                    state.pc = pc
-                    self._fetch_clock = fclock
-                    self._last_iline = last_iline
-                    self._last_ipage = last_ipage
-                    _count_hits(i_stats, i_hits)
-                    _count_hits(d_stats, d_hits)
-                    i_hits = d_hits = 0
-                    handler(self)
-                    regs = state.regs
-                    ready = self._ready
-                    pc = state.pc
-                    fclock = self._fetch_clock
-                    if fclock < self.cycles:
-                        fclock = self.cycles
-                    last_iline = self._last_iline
-                    last_ipage = self._last_ipage
-                    executed += 1
-                    if watchdog is not None and executed % stride == 0:
-                        watchdog.charge(stride)
-                    continue
-                elif op == _NOP:
-                    rob_append((dispatch, False, seq, pc))
-                elif op == _HALT:
-                    state.halted = True
-                    next_pc = pc
-                else:  # pragma: no cover - every opcode handled above
-                    raise CpuFault(
-                        f"unhandled opcode {op:#04x} at {pc:#010x}"
-                    )
 
                 pc = next_pc
-                executed += 1
                 if watchdog is not None and executed % stride == 0:
                     watchdog.charge(stride)
         finally:
@@ -1206,19 +1205,18 @@ class OooCore:
             # faulting instruction never allocated) and leaves every
             # observable in the object.
             state.pc = pc
-            self.cycles = cycles
             self._fetch_clock = fclock
             self._last_iline = last_iline
             self._last_ipage = last_ipage
-            self._seq = seq + 1
-            _count_hits(i_stats, i_hits)
-            _count_hits(d_stats, d_hits)
+            self._seq = seq + executed + 1
+            self._fold(instructions + executed, n_alu, n_mul, n_load,
+                       n_store, n_branch, n_cond, n_taken, n_miss, i_hits,
+                       d_reads, d_writes, dtlb_hits)
             if self._metrics is not None:
                 # One ROB-occupancy sample per quantum (pre-drain) plus
                 # the quantum's tallies.
+                rob.retired = retire
                 self._hists["ooo.rob.occupancy"][len(rob)] += 1
-                self._counts["ooo.dispatch_stalls"] += dispatch_stalls
-                self._counts["ooo.lsq_stalls"] += lsq_stalls
                 self._flush_metrics()
             self._drain()
             if cursor is not None:

@@ -1,5 +1,7 @@
 """The CpuCore interface and the microarchitecture registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.cpu.cpu import Cpu
@@ -57,6 +59,16 @@ class TestMakeCore:
         core = make_core("ooo", _memory(), params=OooParams(rob_depth=4))
         assert core.params.rob_depth == 4
         assert core.rob.depth == 4
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(OooParams)])
+    @pytest.mark.parametrize("value", (0, -3, 2.0, True, "4", None))
+    def test_ooo_params_must_be_positive_ints(self, field, value):
+        """A degenerate knob is refused up front, naming the field,
+        instead of failing deep inside run() (an empty ROB, a division
+        by zero) or, for the LSQ, running regardless."""
+        with pytest.raises(ValueError, match=f"OooParams.{field} "):
+            OooParams(**{field: value})
 
     def test_common_attribute_surface(self):
         """Every attribute the kernel/scenario layers touch exists on

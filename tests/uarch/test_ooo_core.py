@@ -131,17 +131,21 @@ class TestRobInvariants:
 
     def test_wrong_path_fits_the_free_rob_slots(self, monkeypatch):
         """Wrong-path uops take no ROB entries: each squash executes at
-        most as many uops as the ROB had free slots at the branch."""
+        most as many uops as the ROB had free slots at the branch, which
+        itself holds one, and the squash leaves the occupancy as it was."""
         squashes = []
         recover = OooCore._recover
 
         def spy(core, *args):
-            free, occupancy = core.rob.free_slots(), len(core.rob)
+            rob = core.rob
+            occupancy = len(rob)
+            assert 1 <= occupancy <= rob.depth
+            assert rob.free_slots() == rob.depth - occupancy
             before = core.pmu.counters["spec_instructions"]
             result = recover(core, *args)
-            squashes.append(
-                (free, core.pmu.counters["spec_instructions"] - before))
-            assert len(core.rob) == occupancy
+            squashes.append((rob.depth - occupancy,
+                             core.pmu.counters["spec_instructions"] - before))
+            assert len(rob) == occupancy
             return result
 
         monkeypatch.setattr(OooCore, "_recover", spy)
@@ -162,6 +166,143 @@ class TestRobInvariants:
         snap = _run_ooo(SPEC_LOOP).pmu.read()
         assert snap["spec_instructions"] > 0
         assert snap["squashed_instructions"] == snap["spec_instructions"]
+
+
+#: The PMU events both cores count the same way on the committed path.
+#: The ``dtlb_*`` events are left out: they include wrong-path accesses,
+#: which differ between the cores.
+COMMITTED_EVENTS = (
+    "instructions", "alu_instructions", "load_instructions",
+    "store_instructions", "stack_instructions", "call_instructions",
+    "ret_instructions", "branch_instructions", "cond_branch_instructions",
+    "cond_branch_mispredictions",
+)
+
+
+class TestMidRunTallies:
+    """The OoO loop batches its tallies in locals; every exit folds
+    them in, so a run sliced anywhere reads the same committed counts
+    as the in-order core after every slice."""
+
+    @staticmethod
+    def _spawn_pair(program):
+        pair = []
+        for uarch in ("inorder", "ooo"):
+            system = System(seed=7, uarch=uarch)
+            system.install_binary("/bin/w", program)
+            pair.append(system.spawn("/bin/w"))
+        return pair
+
+    @pytest.mark.parametrize("slice_size", (1, 7, 1000))
+    @pytest.mark.parametrize("name,iterations",
+                             (("sha", 1), ("basicmath", 30), ("qsort", 1)))
+    def test_events_agree_after_every_slice(self, name, iterations,
+                                            slice_size):
+        inorder, ooo = self._spawn_pair(
+            get_workload(name).build(iterations=iterations))
+        while inorder.alive or ooo.alive:
+            assert inorder.alive and ooo.alive
+            inorder.step_quantum(slice_size)
+            ooo.step_quantum(slice_size)
+            expected, got = inorder.pmu.read(), ooo.pmu.read()
+            assert [got[e] for e in COMMITTED_EVENTS] == \
+                [expected[e] for e in COMMITTED_EVENTS], got["instructions"]
+        assert ooo.exit_code == inorder.exit_code
+
+    def test_events_agree_inside_the_syscall_handler(self):
+        """The tallies are folded in before the handler runs, so a
+        handler reading the PMU sees the committed counts."""
+        seen = []
+        for process in self._spawn_pair(build_binary("calls", SYSCALL_LOOP)):
+            reads = []
+            seen.append(reads)
+
+            def spy(cpu, handler=process.cpu.syscall_handler, reads=reads):
+                events = cpu.pmu.read()
+                reads.append([events[e] for e in COMMITTED_EVENTS])
+                handler(cpu)
+
+            process.cpu.syscall_handler = spy
+            process.run_to_completion()
+        inorder, ooo = seen
+        assert len(ooo) == 7 and ooo == inorder
+
+    def test_wrong_path_rdinstret_reads_the_committed_count(self):
+        """The wrong path turns ``rdinstret`` into a probe line: the one
+        it fills is picked by the committed count at the branch, one
+        less than the committed ``rdinstret`` right after it."""
+        process = _run_ooo(RDINSTRET_PROBE)
+        committed = process.exit_code   # the count after the branch
+        probe = process.image.address_of("probe")
+        filled = [line for line in range(64) if
+                  process.cpu.caches.probe_data(probe + 64 * line)]
+        assert filled == [(committed - 1) & 63]
+        assert process.pmu.read()["spec_cache_fills"] > 0
+
+
+#: Loads, stores and a mispredicted loop exit between syscalls.
+SYSCALL_LOOP = """
+main:
+    li   a2, 0
+    la   t1, cells
+loop:
+    lw   t2, 0(t1)
+    addi t2, t2, 1
+    sw   t2, 4(t1)
+    call libc_getpid
+    addi a2, a2, 1
+    slti t0, a2, 6
+    bne  t0, zero, loop
+    li   a0, 0
+    call libc_exit
+.data
+cells: .word 7, 0
+"""
+
+#: ``victim`` is trained taken into ``gadget``; its last call falls
+#: through, so the wrong path runs the gadget, whose load address is
+#: the instruction count ``rdinstret`` reads there.  The probe lines the
+#: architectural training runs filled are flushed before that call.
+RDINSTRET_PROBE = """
+main:
+    li   a2, 6
+train:
+    beq  a2, zero, flush
+    li   a0, 1
+    call victim
+    addi a2, a2, -1
+    jmp  train
+flush:
+    la   t1, probe
+    li   t2, 64
+flush_line:
+    clflush 0(t1)
+    addi t1, t1, 64
+    addi t2, t2, -1
+    bne  t2, zero, flush_line
+    mfence
+    li   a0, 0
+    call victim
+    andi a0, a1, 255
+    call libc_exit
+
+victim:
+    bne  a0, zero, gadget
+    rdinstret a1
+    ret
+gadget:
+    rdinstret t0
+    andi t0, t0, 63
+    shli t0, t0, 6
+    la   t1, probe
+    add  t1, t1, t0
+    lw   t2, 0(t1)
+    ret
+
+.data
+    .align 6
+probe: .space 4096
+"""
 
 
 class TestSquash:

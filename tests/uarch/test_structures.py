@@ -1,7 +1,9 @@
-"""Unit tests for the out-of-order core's timing state: the tuple ROB,
-the heap reservation stations and the load/store-queue count."""
+"""Unit tests for the out-of-order core's timing state: the list of
+commit times (ROB and load/store queue, checked against the deque it
+replaced) and the heap reservation stations."""
 
 import random
+from collections import deque
 from heapq import heappush
 
 from repro.isa.opcodes import Opcode
@@ -14,22 +16,167 @@ from repro.workloads import get_workload
 
 class TestReorderBuffer:
     def test_capacity_and_free_slots(self):
-        rob = ReorderBuffer(3)
-        assert rob.free_slots() == 3
-        rob.append((4.0, False, 0, 0x100))
-        rob.append((9.0, True, 1, 0x108))
+        rob = ReorderBuffer(3, 2)
+        assert rob.free_slots() == 3 and len(rob) == 0
+        times = rob.times
+        assert not times[-rob.depth] > 0.0      # not full
+        times += [4.0, 9.0]
         assert rob.free_slots() == 1
-        rob.append((5.0, False, 2, 0x110))
+        times.append(9.25)
         assert rob.free_slots() == 0
-        rob.append((6.0, False, 3, 0x118))
-        assert rob.free_slots() == 0
+        assert times[-rob.depth] > 3.0          # full at t=3 ...
+        rob.retired = 4.0
+        assert rob.free_slots() == 1            # ... one slot free at t=4
+        assert not times[-rob.depth] > 4.0
+        assert rob.committed() == 4.0
 
     def test_commit_is_fifo(self):
-        rob = ReorderBuffer(4)
-        for seq in range(3):
-            rob.append((float(3 - seq), False, seq, seq * 8))
-        assert [rob.popleft()[2] for _ in range(3)] == [0, 1, 2]
-        assert len(rob) == 0
+        """Out-of-order completions commit in program order: the commit
+        times are monotone, so the entries that have left are a prefix."""
+        rob = ReorderBuffer(4, 2)
+        last = rob.base
+        for done in (3.0, 2.0, 1.0):
+            last = max(last + 0.25, done)
+            rob.times.append(last)
+        assert rob.times[rob.depth:] == [3.0, 3.25, 3.5]
+        rob.retired = 3.25
+        assert len(rob) == 1 and rob.committed() == 3.25
+        rob.retired = 2.0
+        assert len(rob) == 3 and rob.committed() == rob.base
+        assert rob.drain() == 3.5
+        assert len(rob) == 0 and rob.times == [float("-inf")] * 4
+
+    def test_lsq_deeper_than_the_rob_never_fills(self):
+        rob = ReorderBuffer(4, 1 << 30)
+        assert rob.lsq_depth == 4 and len(rob.mem) == 4
+
+
+class _DequeRob:
+    """The deque ROB the commit-time list replaced, with the dispatch
+    loop's retire, ROB-full and LSQ-full loops: the reference."""
+
+    def __init__(self, depth, lsq_depth, commit_width):
+        self.rob = deque()
+        self.depth = depth
+        self.lsq_depth = lsq_depth
+        self.inv = 1.0 / commit_width
+        self.cycles = 0.0
+        self.lsq = 0
+        self.stalls = [0, 0]
+
+    def _pop(self):
+        done, is_mem = self.rob.popleft()
+        slot = self.cycles + self.inv
+        if done > slot:
+            slot = done
+        self.cycles = slot
+        self.lsq -= is_mem
+        return slot
+
+    def dispatch(self, now, bump, is_mem):
+        rob = self.rob
+        while rob:
+            slot = self.cycles + self.inv
+            if slot > now or rob[0][0] > now:
+                break
+            self._pop()
+        while len(rob) >= self.depth:
+            self.stalls[0] += 1
+            now = max(now, self._pop())
+        now += bump                 # a reservation-station stall
+        if is_mem:
+            while self.lsq >= self.lsq_depth:
+                self.stalls[1] += 1
+                now = max(now, self._pop())
+            self.lsq += 1
+        return now
+
+    def allocate(self, done, is_mem):
+        self.rob.append((done, is_mem))
+
+    def drain(self):
+        while self.rob:
+            self._pop()
+        return self.cycles
+
+
+class _ClosedForm:
+    """The same stream through :class:`ReorderBuffer`, the way
+    ``OooCore.run`` drives it."""
+
+    def __init__(self, depth, lsq_depth, commit_width):
+        self.rob = ReorderBuffer(depth, lsq_depth)
+        self.inv = 1.0 / commit_width
+        self.last = 0.0
+        self.stalls = [0, 0]
+
+    def _wait(self, now, index, kind):
+        commit, stalls = self.rob.wait(now, index)
+        self.stalls[kind] += stalls
+        return commit
+
+    def dispatch(self, now, bump, is_mem):
+        rob, times, mem = self.rob, self.rob.times, self.rob.mem
+        if times[-rob.depth] > now:
+            now = self._wait(now, len(times) - rob.depth, 0)
+        retire = now
+        now += bump
+        if is_mem:
+            if times[mem[-rob.lsq_depth]] > retire:
+                retire = self._wait(retire, mem[-rob.lsq_depth], 1)
+                now = max(now, retire)
+            mem.append(len(times))
+        return now, retire
+
+    def allocate(self, done, is_mem):
+        self.last += self.inv
+        if done > self.last:
+            self.last = done
+        self.rob.times.append(self.last)
+
+    def drain(self):
+        self.last = self.rob.drain()
+        return self.last
+
+
+class TestClosedFormCommit:
+    def test_matches_the_deque_oracle(self):
+        """Seeded streams — dispatch clocks with ties, out-of-order
+        completions, memory ops, station stalls and serialising drains
+        — give the deque's dispatch times, commit clock, occupancy,
+        stall counts and drained cycles, all compared with ``==``."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            shape = (rng.randint(1, 8), rng.randint(1, 4),
+                     rng.randint(1, 4))
+            oracle, closed = _DequeRob(*shape), _ClosedForm(*shape)
+            now = 0.0
+            for step in range(120):
+                now += rng.choice((0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 14.0))
+                if rng.random() < 0.06:
+                    # A serialising op: drain, then restart from the
+                    # later of the commit and fetch clocks.
+                    drained = oracle.drain()
+                    assert closed.drain() == drained, (seed, step)
+                    now = max(now, drained) + rng.choice((0.0, 8.0))
+                    oracle.cycles = closed.rob.base = closed.last = now
+                    continue
+                bump = rng.choice((0.0, 0.0, 0.0, 0.5, 3.0))
+                is_mem = rng.random() < 0.4
+                dispatch, retire = closed.dispatch(now, bump, is_mem)
+                assert dispatch == oracle.dispatch(now, bump, is_mem), \
+                    (seed, step)
+                closed.rob.retired = retire
+                assert closed.rob.committed() == oracle.cycles, (seed, step)
+                assert len(closed.rob) == len(oracle.rob), (seed, step)
+                assert closed.stalls == oracle.stalls, (seed, step)
+                done = dispatch + rng.choice((0.0, 1.0, 1.0, 2.0, 3.0,
+                                              30.0, 200.0))
+                oracle.allocate(done, is_mem)
+                closed.allocate(done, is_mem)
+                now = dispatch + 0.25
+            assert closed.drain() == oracle.drain(), seed
+            assert len(closed.rob) == 0, seed
 
 
 def _list_acquire(pool, capacity, now):
@@ -115,11 +262,20 @@ def _sha_counters(**params):
 
 
 class TestLoadStoreQueue:
-    """The LSQ is the count of the ROB's memory entries."""
+    """The LSQ is the ROB's memory entries."""
 
     def test_full(self):
         _, counters = _sha_counters(lsq_depth=1)
         assert counters["ooo.lsq_stalls"] > 0
+
+    def test_full_is_judged_before_the_station_wait(self):
+        """A memory op waits on its station, then on the LSQ, which is
+        judged at the dispatch time before the station wait: a
+        one-entry station in front of a one-entry queue stalls on both.
+        The count is the deque loop's (judged after the station wait,
+        it would be 4)."""
+        _, counters = _sha_counters(rob_depth=8, rs_mem=1, lsq_depth=1)
+        assert counters["ooo.lsq_stalls"] == 17934
 
     def test_release_matches_the_head_seq(self):
         """Every memory commit releases the oldest slot, so a queue as
