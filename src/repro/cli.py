@@ -587,6 +587,8 @@ def cmd_experiment(args):
         kwargs["profiles"] = profiles
     phases = {}
     kwargs["phases"] = phases
+    profile_memo = {}
+    kwargs["profile_memo"] = profile_memo
 
     ledger_dir = None
     if not getattr(args, "no_ledger", False):
@@ -694,6 +696,9 @@ def cmd_experiment(args):
                     {"enabled": True, **cell_cache.stats()}
                     if cell_cache is not None else {"enabled": False}
                 ),
+                # Benign-profile replays (see execute_plan); a pool
+                # run's counts depend on its batching.
+                "profile_memo": dict(profile_memo),
             },
         )
         manifest_path = write_manifest(ledger_dir, manifest)

@@ -309,7 +309,8 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
                measurement_budget=None, faults=None, jobs=1,
                backend=None, progress=None, trace=None, traces=None,
                timings=None, cell_cache=None, profile=None,
-               profiles=None, phases=None, uarch="inorder"):
+               profiles=None, phases=None, profile_memo=None,
+               uarch="inorder"):
     """Regenerate Table I.  Returns a :class:`Table1Result`.
 
     ``repetitions`` mirrors the paper's averaging over repeated runs
@@ -331,7 +332,7 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
                            trace=trace, traces=traces, metrics=metrics,
                            timings=timings, cell_cache=cell_cache,
                            profile=profile, profiles=profiles,
-                           phases=phases)
+                           phases=phases, profile_memo=profile_memo)
     result_rows = []
     for label, _workload, _iterations in rows:
         value = results.get(f"row/{label}")

@@ -5,6 +5,11 @@ build), other benign applications and attack binaries installed, and
 produces labelled profiler samples on demand — benign streams from the
 white-listed applications, attack streams from an actual ROP injection
 followed by in-place ``execve`` of the generated Spectre binary.
+
+Benign profiles are keyed by everything their simulation reads, so
+inside an executor scope (:func:`repro.hid.profiler.profile_memo_scope`)
+identical browser and editor profiles of different cells are simulated
+once and replayed after that.
 """
 
 import dataclasses
@@ -14,11 +19,14 @@ from repro.attack import (
     build_spectre,
     plan_execve_injection,
 )
+from repro.cpu.engine import engine_mode
 from repro.errors import AttackError
 from repro.hid.dataset import ATTACK, BENIGN
 from repro.hid.profiler import Profiler
 from repro.kernel.process import ProcessState
 from repro.kernel.system import System
+from repro.obs.prof import current_profiler
+from repro.obs.tracer import current_tracer
 from repro.workloads import get_workload
 
 #: Effectively-infinite loop counts so profiled processes never run dry.
@@ -116,6 +124,33 @@ class Scenario:
             return samples
         return self.faults.filter_samples(samples, context=context)
 
+    def _profile_key(self, process, path, num_samples):
+        """Content key of a fresh benign profile of *process* (spawned
+        from *path* without arguments), or ``None`` when it must be
+        simulated: armed faults, tracing and the virtual-cycle profiler
+        observe the run itself, and ASLR, a shared L2 or a watchdog
+        make it depend on more than the key.  The seed only feeds ASLR
+        and the pid only ``getpid`` (never stored), so neither is in it.
+        """
+        system = self.system
+        if (self.faults is not None or current_tracer().enabled
+                or current_profiler().enabled or system.aslr
+                or system.shared_l2 is not None
+                or process.cpu.watchdog is not None):
+            return None
+        program = system.lookup_binary(path)
+        profiler = self.profiler
+        return (
+            system.uarch, repr(system.uarch_params),
+            repr(system.cpu_config), repr(system.cache_config),
+            system.target_data, engine_mode(),
+            program.name, program.text, program.data, program.entry,
+            tuple(program.symbols.items()), tuple(program.relocations),
+            (), path,  # argv, path
+            profiler.quantum, profiler.warmup_windows,
+            num_samples,
+        )
+
     def benign_samples(self, num_samples, include_extras=True):
         """Windows from the host + the other benign applications."""
         sources = [self.host_path]
@@ -129,9 +164,10 @@ class Scenario:
                 self.faults.corrupt_cache(
                     process.cpu.caches, context=f"benign:{path}"
                 )
-            samples.extend(
-                self.profiler.profile(process, per_source, label=BENIGN)
-            )
+            samples.extend(self.profiler.profile(
+                process, per_source, label=BENIGN,
+                memo_key=self._profile_key(process, path, per_source),
+            ))
         samples = (
             samples[:num_samples] if len(samples) > num_samples else samples
         )
@@ -145,7 +181,6 @@ class Scenario:
         windows profile the (possibly perturbed) Spectre binary executing
         under the host's PID.
         """
-        from repro.obs.tracer import current_tracer
         current_tracer().event(
             "attack.samples", "attack", variant=variant,
             perturbed=perturb is not None, samples=num_samples,

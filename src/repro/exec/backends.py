@@ -26,6 +26,7 @@ import time
 
 from repro.core.resilience import RECOVERABLE, error_chain
 from repro.errors import WorkerCrashError
+from repro.hid.profiler import active_profile_memo
 from repro.obs.prof import Profiler, activate_profile
 from repro.obs.tracer import Tracer, activate
 
@@ -45,9 +46,13 @@ def invoke_cell(fn, kwargs, faults_kw=None, trace=None):
     around the body; recorded spans, the metrics snapshot and the
     profile travel back in the outcome — all virtual-timed (the
     profile's wall section aside), so the driver merges identical
-    payloads whether the cell ran here or in a pool worker.
+    payloads whether the cell ran here or in a pool worker.  A cell
+    that used the profile memo in scope returns its memo counts too
+    (volatile like ``elapsed``: they depend on the batching).
     """
     injector = kwargs.get(faults_kw) if faults_kw else None
+    memo = active_profile_memo()
+    memo0 = memo.counts() if memo is not None else None
     tracer = None
     profiler = None
     if trace is not None:
@@ -74,6 +79,11 @@ def invoke_cell(fn, kwargs, faults_kw=None, trace=None):
             "type": type(exc).__name__,
         }
     outcome["elapsed"] = time.monotonic() - started
+    if memo is not None:
+        counts = {name: count - memo0[name]
+                  for name, count in memo.counts().items()}
+        if any(counts.values()):
+            outcome["profile_memo"] = counts
     if injector is not None:
         outcome["fired"] = {
             kind: count for kind, count in injector.fired.items() if count

@@ -127,12 +127,16 @@ def invoke_batch(batch):
     exactly as the runner built them.  Cells run in batch order (which
     is declaration order — the backend partitions contiguously), each
     through :func:`invoke_cell`, so a cell cannot tell whether it
-    travelled alone or with company.
+    travelled alone or with company.  The batch shares one profile
+    memo, dropped when it returns (the pool's counterpart of the memo
+    :func:`~repro.exec.runner.execute_plan` scopes around a serial run).
     """
     from repro.exec.backends import invoke_cell
+    from repro.hid.profiler import profile_memo_scope
 
     out = []
-    for key, fn, kwargs, faults_kw, *rest in batch:
-        trace = rest[0] if rest else None
-        out.append((key, invoke_cell(fn, kwargs, faults_kw, trace)))
+    with profile_memo_scope():
+        for key, fn, kwargs, faults_kw, *rest in batch:
+            trace = rest[0] if rest else None
+            out.append((key, invoke_cell(fn, kwargs, faults_kw, trace)))
     return out

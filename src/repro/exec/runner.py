@@ -16,6 +16,7 @@ statuses/results are emitted in declaration order regardless of the
 order cells actually finished in.
 """
 
+import contextlib
 import json
 import time
 
@@ -23,6 +24,7 @@ from repro.core.resilience import CELL_CACHED, CELL_FAILED, CELL_OK
 from repro.core.reporting import format_table
 from repro.errors import FatalError
 from repro.exec.backends import SerialBackend
+from repro.hid.profiler import profile_memo_scope
 
 
 class CellExecutionError(FatalError):
@@ -75,7 +77,7 @@ def _cell_digest(cell_cache, plan, cell, kwargs, trace):
 def execute_plan(plan, statuses=None, backend=None, progress=None,
                  trace=None, traces=None, metrics=None, timings=None,
                  cell_cache=None, profile=None, profiles=None,
-                 phases=None):
+                 phases=None, profile_memo=None):
     """Run every cell of *plan*; returns ``{cell key: value-or-None}``.
 
     *statuses* (dict) receives ``key -> {"status": ..., "error": ...}``
@@ -124,6 +126,13 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
     residue; approximate under parallelism, where compute overlaps),
     ``merge`` (absorbing outcomes, storing, final distribution).
     Volatile by nature — manifests keep it under ``timing``.
+
+    Every call runs its cells under a fresh profile memo
+    (:func:`~repro.hid.profiler.profile_memo_scope`), dropped when it
+    returns: under the serial backend the whole plan shares it, under
+    the pool each worker batch has its own.  *profile_memo* (dict)
+    receives its summed ``hits`` / ``misses`` / ``stored`` counts —
+    volatile too, since they depend on the backend's batching.
     """
     backend = backend or SerialBackend()
     if plan.has_local_cells and backend.concurrent:
@@ -145,6 +154,7 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
     memoizing = cell_cache is not None and not profiling
     phase_acc = {"schedule": 0.0, "cache_lookup": 0.0, "compute": 0.0,
                  "ipc": 0.0, "merge": 0.0}
+    memo_counts = {"hits": 0, "misses": 0, "stored": 0}
 
     def note(key, status, elapsed, snapshot):
         if progress is None:
@@ -160,7 +170,7 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
         if plan.faults is not None and fired:
             plan.faults.absorb(fired)
 
-    try:
+    with profile_memo_scope(), contextlib.closing(backend):
         for wave in plan.waves():
             build0 = time.monotonic()
             cache0 = phase_acc["cache_lookup"]
@@ -217,6 +227,8 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
                 merge0 = time.monotonic()
                 compute_wave += outcome.get("elapsed", 0.0)
                 absorb_fired(outcome.get("fired"))
+                for name, count in outcome.get("profile_memo", {}).items():
+                    memo_counts[name] += count
                 snapshot = None
                 if "trace" in outcome:
                     # Round-trip like the value: a fresh trace and a
@@ -256,8 +268,6 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
             if residue > 0:
                 phase_acc["ipc"] += residue
             phase_acc["compute"] += compute_wave
-    finally:
-        backend.close()
 
     merge0 = time.monotonic()
     for cell in plan:
@@ -272,6 +282,8 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
         if profiles is not None and cell.key in cell_profiles:
             profiles[cell.key] = cell_profiles[cell.key]
     phase_acc["merge"] += time.monotonic() - merge0
+    if profile_memo is not None:
+        profile_memo.update(memo_counts)
     if phases is not None:
         phases.update(
             {name: round(seconds, 6)

@@ -3,8 +3,14 @@
 Samples a process's PMU at fixed instruction quanta — the simulated
 equivalent of timer-driven performance-counter reads.  Each window's
 event *deltas* form one sample; the HID never sees anything else.
+
+A :class:`ProfileMemo`, active inside :func:`profile_memo_scope`,
+lets a profile whose caller supplies a content key replay the raw
+deltas an identical earlier profile measured instead of simulating
+them again (see docs/PARALLELISM.md, "Profile memo").
 """
 
+import contextlib
 import random
 
 from repro.hid.dataset import ATTACK, BENIGN, Sample
@@ -48,6 +54,51 @@ _TICK_PROFILE = {
 }
 
 
+#: Syscalls whose effect a profile key does not cover: ``getpid``
+#: reads the pid and ``execve`` runs another binary.  A profile that
+#: made either is never stored.
+_UNKEYED_SYSCALLS = frozenset(("execve", "getpid"))
+
+
+class ProfileMemo:
+    """Raw post-warm-up window deltas of profiles, by content key.
+
+    In memory only and scoped by :func:`profile_memo_scope`; ``hits``,
+    ``misses`` and ``stored`` count keyed :meth:`Profiler.profile`
+    calls that replayed, simulated, and were kept for replay.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.hits = 0
+        self.misses = 0
+        self.stored = 0
+
+    def counts(self):
+        return {"hits": self.hits, "misses": self.misses,
+                "stored": self.stored}
+
+
+#: Ambient memo stack; ``None`` (the bottom) means no memo.
+_MEMOS = [None]
+
+
+def active_profile_memo():
+    """The innermost scoped :class:`ProfileMemo`, or ``None``."""
+    return _MEMOS[-1]
+
+
+@contextlib.contextmanager
+def profile_memo_scope():
+    """Run the block with a fresh, empty :class:`ProfileMemo` active."""
+    memo = ProfileMemo()
+    _MEMOS.append(memo)
+    try:
+        yield memo
+    finally:
+        _MEMOS.pop()
+
+
 class Profiler:
     """Quantum-based PMU sampler.
 
@@ -82,13 +133,34 @@ class Profiler:
                 out[name] = out.get(name, 0.0) + burst * scale
         return out
 
-    def profile(self, process, num_samples, label=BENIGN, name=None):
+    def profile(self, process, num_samples, label=BENIGN, name=None,
+                memo_key=None):
         """Run *process* alone, collecting up to *num_samples* windows.
 
         Warm-up windows (cold caches, loader effects) are discarded.
         Returns fewer samples if the process terminates first — callers
         size workload iterations generously.
+
+        *memo_key* (the content key of a freshly spawned process's
+        profile, built by the caller) consults the active memo: a hit
+        leaves *process* unstepped and applies the noise model to a
+        copy of each stored delta, in order, so the noise RNG advances
+        exactly as profiling would advance it.  A miss profiles and
+        stores the deltas, unless the process died or made a syscall
+        in :data:`_UNKEYED_SYSCALLS`.
         """
+        name = name or process.name
+        memo = _MEMOS[-1] if memo_key is not None else None
+        recorded = None
+        if memo is not None:
+            deltas = memo.entries.get(memo_key)
+            if deltas is not None:
+                memo.hits += 1
+                return [Sample(process_name=name, label=label,
+                               events=self._measure(dict(delta)))
+                        for delta in deltas]
+            memo.misses += 1
+            recorded = []
         tracer = current_tracer()
         trace = (tracer.channel("hid", getattr(process.cpu, "trace_clk", 0))
                  if tracer.enabled else None)
@@ -113,15 +185,22 @@ class Profiler:
                     instructions=int(delta.get("instructions", 0)),
                     misses=int(delta.get("total_cache_misses", 0)),
                 )
+            if recorded is not None:
+                recorded.append(dict(delta))
             samples.append(Sample(
-                process_name=name or process.name,
+                process_name=name,
                 label=label,
                 events=self._measure(delta),
             ))
         if trace is not None:
             trace.complete("hid.profile", ts0,
-                           process=name or process.name,
+                           process=name,
                            label=int(label), windows=len(samples))
+        if recorded is not None and process.alive and not any(
+                call in _UNKEYED_SYSCALLS
+                for call, _ in process.cpu.syscall_handler.log):
+            memo.entries[memo_key] = recorded
+            memo.stored += 1
         return samples
 
     def profile_concurrent(self, system, labelled_processes, num_samples):

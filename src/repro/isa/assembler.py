@@ -42,6 +42,9 @@ _SYMBOL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 
 
 def _strip_comment(line):
+    """Drop a ``;`` or ``#`` comment that is outside string literals."""
+    if '"' not in line:
+        return line.split(";", 1)[0].split("#", 1)[0].strip()
     out = []
     in_string = False
     for ch in line:
@@ -55,6 +58,8 @@ def _strip_comment(line):
 
 def _split_operands(text):
     """Split an operand list on commas that are outside string literals."""
+    if '"' not in text:
+        return [p for p in (part.strip() for part in text.split(",")) if p]
     parts = []
     current = []
     in_string = False

@@ -15,7 +15,7 @@ from repro.uarch.core import (
     register_uarch,
 )
 from repro.uarch.ooo import OooCore, OooParams
-from repro.uarch.structures import ReorderBuffer, acquire
+from repro.uarch.structures import ReorderBuffer
 
 __all__ = [
     "CpuCore",
@@ -24,7 +24,6 @@ __all__ = [
     "OooParams",
     "ReorderBuffer",
     "UARCHS",
-    "acquire",
     "make_core",
     "register_uarch",
 ]

@@ -8,9 +8,10 @@ commit strictly in order at ``commit_width`` per cycle.  The functional
 state executes eagerly at dispatch — the register file ``state.regs``
 always holds the newest values — so the architectural results are
 instruction-for-instruction identical to the in-order core.  There is
-no rename table: scheduling reads only the per-register ready times,
-and ``arch_regs`` (the committed view) is re-seated on ``state.regs``
-whenever the ROB drains.  What differs is *time*: per-register ready
+no rename table and no separate committed register file: scheduling
+reads only the per-register ready times, and the ROB drains at every
+exit of :meth:`OooCore.run`, so between calls ``state.regs`` is the
+committed state.  What differs is *time*: per-register ready
 times, ROB / reservation-station / LSQ occupancy and the commit stream
 produce the cycle counter, so load misses overlap with independent
 work, long dividers hide behind ALU chains, and ``rdcycle`` (a
@@ -50,7 +51,7 @@ always architectural and a run is bit-deterministic regardless of how
 """
 
 import dataclasses
-from heapq import heappop, heappush
+from heapq import heappushpop
 
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
@@ -109,7 +110,7 @@ from repro.obs.prof import current_profiler
 from repro.obs.tracer import current_tracer
 from time import perf_counter
 from repro.uarch.core import register_uarch
-from repro.uarch.structures import ReorderBuffer, acquire
+from repro.uarch.structures import ReorderBuffer, station
 
 #: ``ooo.*`` telemetry, tallied in the core and flushed into the metrics
 #: registry once per quantum.  Histogram values never exceed the ROB
@@ -212,23 +213,21 @@ class OooCore:
         # Tomasulo timing state.
         p = self.params
         self.rob = ReorderBuffer(p.rob_depth, p.lsq_depth)
-        #: Reservation-station pools (min-heaps of completion times) and
-        #: their capacities, indexed by opcode; ``None`` for ops that
-        #: take no station (nop, halt and the serialising ops).
-        self._rs_pools = ([], [], [])
+        #: Reservation-station pools (heaps of the ``capacity`` largest
+        #: completion times, see :func:`~repro.uarch.structures.station`)
+        #: indexed by opcode; ``None`` for ops that take no station
+        #: (nop, halt and the serialising ops).
+        self._rs_pools = (station(p.rs_alu), station(p.rs_mem),
+                          station(p.rs_branch))
         alu, mem, br = self._rs_pools
         self._rs_of = [None] * 256
-        self._rs_cap = [0] * 256
         for op in range(256):
             if _ADD <= op < _LW or op == _RDINSTRET:
-                self._rs_of[op], self._rs_cap[op] = alu, p.rs_alu
+                self._rs_of[op] = alu
             elif _LW <= op < _BEQ:
-                self._rs_of[op], self._rs_cap[op] = mem, p.rs_mem
+                self._rs_of[op] = mem
             elif _BEQ <= op < _SYSCALL:
-                self._rs_of[op], self._rs_cap[op] = br, p.rs_branch
-        #: Committed register file; re-seated on the eagerly-updated
-        #: ``state.regs`` whenever the ROB drains.
-        self.arch_regs = list(self.state.regs)
+                self._rs_of[op] = br
         #: Per-register result-ready times (values live in
         #: ``state.regs``).
         self._ready = [0.0] * len(self.state.regs)
@@ -295,7 +294,7 @@ class OooCore:
         self.predictor.rsb.reset()
         self.rob.drain()
         for pool in self._rs_pools:
-            pool.clear()
+            pool[:] = station(len(pool))
         self._ready = [self.cycles] * len(self._ready)
 
     def _on_code_write(self, address, size):
@@ -304,7 +303,7 @@ class OooCore:
 
     def _decode_entry(self, pc):
         """Decode *pc* into its dispatch entry: the operands, then the
-        station pool and its capacity, then the fall-through pc."""
+        station pool, then the fall-through pc."""
         blob = self.memory.fetch(pc, INSTRUCTION_SIZE)
         try:
             instruction = decode(blob)
@@ -312,7 +311,7 @@ class OooCore:
             raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
         op = int(instruction.opcode)
         entry = (op, instruction.rd, instruction.rs1, instruction.rs2,
-                 instruction.imm, self._rs_of[op], self._rs_cap[op],
+                 instruction.imm, self._rs_of[op],
                  (pc + INSTRUCTION_SIZE) & MASK32)
         self._decode_cache[pc] = entry
         return entry
@@ -363,7 +362,6 @@ class OooCore:
     def _drain(self):
         """Retire the whole ROB (quantum boundary, fault, serialise)."""
         self.cycles = self.rob.drain()
-        self.arch_regs = list(self.state.regs)
 
     def _stall(self, now, index, pc, lsq):
         """Dispatch at *now* waits for ROB entry *index* to commit: the
@@ -524,7 +522,7 @@ class OooCore:
 
             executed += 1
             counters["spec_instructions"] += 1
-            op, rd, rs1, rs2, imm, _, _, next_pc = entry
+            op, rd, rs1, rs2, imm, _, next_pc = entry
 
             if op == _LW or op == _LB:
                 address = (regs[rs1] + imm) & MASK32
@@ -784,7 +782,7 @@ class OooCore:
                         last_ipage = page
                         itlb_access(pc)
 
-                op, rd, rs1, rs2, imm, pool, cap, next_pc = entry
+                op, rd, rs1, rs2, imm, pool, next_pc = entry
                 executed += 1
                 if cursor is not None:
                     # Finalises the *previous* instruction with this
@@ -795,8 +793,8 @@ class OooCore:
 
                 # Dispatch: stall on a full ROB; every entry committed
                 # by then has left (the retire threshold).  Then stall
-                # on a full station (after releasing its completed
-                # entries) or a full LSQ.
+                # on a full station (its earliest of the ``capacity``
+                # latest completions) or a full LSQ.
                 dispatch = fclock
                 if times[-rob_depth] > dispatch:
                     dispatch = self._stall(dispatch, len(times) - rob_depth,
@@ -877,11 +875,9 @@ class OooCore:
                             f"unhandled opcode {op:#04x} at {pc:#010x}"
                         )
                 else:
-                    if len(pool) >= cap:
-                        while pool and pool[0] <= dispatch:
-                            heappop(pool)
-                        if len(pool) >= cap:
-                            dispatch = acquire(pool, cap, dispatch)
+                    t = pool[0]
+                    if t > dispatch:
+                        dispatch = t
                     if pool is mem_pool:
                         if times[lsq[-lsq_depth]] > retire:
                             retire = self._stall(retire, lsq[-lsq_depth],
@@ -1182,7 +1178,7 @@ class OooCore:
 
                     # Allocate: the station entry, then the ROB entry,
                     # whose commit time the commit port fixes now.
-                    heappush(pool, done)
+                    heappushpop(pool, done)
                     last += inv_commit
                     if done > last:
                         last = done

@@ -9,8 +9,15 @@ the entries that have left by a time ``t`` are exactly the prefix with
 ``c_k <= t``: occupancy, the committed clock and the wait a full ROB or
 load/store queue imposes are each a bisect or an index away, and
 nothing retires one entry at a time.  The load/store queue is the
-list's indices of the memory entries.  Each reservation-station pool is
-a min-heap of its occupants' completion times.
+list's indices of the memory entries.
+
+Each reservation-station pool is a min-heap of the ``capacity`` largest
+completion times allocated to it (see :func:`station`).  Dispatch times
+never decrease, so every entry that has left a pool completed by the
+current dispatch, and the pool is full exactly when its ``capacity``
+largest completions are all later: ``pool[0] > dispatch``.  The op then
+dispatches at ``pool[0]``, the earliest of them, and allocation is one
+``heappushpop``.
 
 :meth:`~repro.uarch.ooo.OooCore.run` inlines allocation and the
 one-comparison full checks; the pieces here are what it calls on the
@@ -19,7 +26,6 @@ kept separately testable.
 """
 
 from bisect import bisect_right
-from heapq import heappop
 
 #: Commit time of the sentinels: committed before anything else.
 _NEVER = float("-inf")
@@ -86,19 +92,13 @@ class ReorderBuffer:
         return self.base
 
 
-def acquire(pool, capacity, now):
-    """Dispatch time of an op arriving at a full reservation station.
+def station(capacity):
+    """An empty reservation-station pool of *capacity* entries.
 
-    *pool* is a min-heap of the occupants' completion times; an entry
-    frees once its result is ready.  Every entry done by *now* leaves;
-    while the pool is still full, dispatch slips to the earliest
-    completion, which leaves along with its ties.  Structural hazards
-    push fetch this way, exactly like a full ROB does.
+    The pool is a heap of *capacity* completion times; its sentinels
+    complete before anything, so an empty pool is never full.
+    Allocation is ``heappushpop(pool, done)``, which keeps the largest
+    *capacity* times; ``pool[:] = station(len(pool))`` empties it in
+    place.
     """
-    while pool and pool[0] <= now:
-        heappop(pool)
-    while len(pool) >= capacity:
-        now = heappop(pool)
-        while pool and pool[0] <= now:
-            heappop(pool)
-    return now
+    return [_NEVER] * capacity

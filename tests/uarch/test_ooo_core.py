@@ -54,10 +54,8 @@ class TestArchitecturalEquivalence:
         assert ooo_pmu["instructions"] == inorder_pmu["instructions"], name
 
     def test_committed_state_drained(self, kernel_pair):
-        """After a run every uop has committed: the architectural view
-        equals the rename file and the ROB is empty."""
+        """After a run every uop has committed: the ROB is empty."""
         name, _, ooo = kernel_pair
-        assert ooo.cpu.arch_regs == ooo.cpu.state.regs, name
         assert len(ooo.cpu.rob) == 0, name
 
 
@@ -160,7 +158,6 @@ class TestRobInvariants:
     def test_rob_drains_at_halt(self):
         process = _run_ooo(SPEC_LOOP)
         assert len(process.cpu.rob) == 0
-        assert process.cpu.arch_regs == process.cpu.state.regs
 
     def test_every_wrong_path_uop_is_squashed(self):
         snap = _run_ooo(SPEC_LOOP).pmu.read()

@@ -1,16 +1,18 @@
 """Unit tests for the out-of-order core's timing state: the list of
 commit times (ROB and load/store queue, checked against the deque it
-replaced) and the heap reservation stations."""
+replaced) and the closed-form reservation stations, checked against the
+list and heap loops they replaced)."""
 
 import random
 from collections import deque
-from heapq import heappush
+from heapq import heappop, heappush, heappushpop
 
 from repro.isa.opcodes import Opcode
 from repro.kernel import System
 from repro.mem.memory import Memory
 from repro.obs.tracer import TraceConfig, Tracer, activate
-from repro.uarch import OooParams, ReorderBuffer, acquire, make_core
+from repro.uarch import OooParams, ReorderBuffer, make_core
+from repro.uarch.structures import station
 from repro.workloads import get_workload
 
 
@@ -189,21 +191,48 @@ def _list_acquire(pool, capacity, now):
     return now
 
 
+def _heap_acquire(pool, capacity, now):
+    """The occupants' min-heap the closed form replaced: release what
+    completed by *now*, then, while full, slip to the earliest
+    completion, which leaves along with its ties."""
+    if len(pool) >= capacity:
+        while pool and pool[0] <= now:
+            heappop(pool)
+        while len(pool) >= capacity:
+            now = heappop(pool)
+            while pool and pool[0] <= now:
+                heappop(pool)
+    return now
+
+
+def _closed_dispatch(pool, now):
+    """The station check ``OooCore.run`` inlines."""
+    t = pool[0]
+    return t if t > now else now
+
+
 class TestReservationStations:
     def test_acquire_stalls_until_an_entry_frees(self):
-        pool = [10.0, 20.0]
+        pool = station(2)
+        assert _closed_dispatch(pool, 0.0) == 0.0   # empty: never full
+        heappushpop(pool, 10.0)
+        assert _closed_dispatch(pool, 0.0) == 0.0   # one slot still free
+        heappushpop(pool, 20.0)
         # Pool full at t=5: dispatch slips to the earliest completion.
-        assert acquire(pool, 2, 5.0) == 10.0
-        heappush(pool, 12.0)            # takes the freed slot: {12, 20}
-        assert acquire(pool, 2, 11.0) == 12.0   # still full at t=11
-        assert sorted(pool) == [20.0]
+        assert _closed_dispatch(pool, 5.0) == 10.0
+        heappushpop(pool, 12.0)         # takes the freed slot: {12, 20}
+        assert _closed_dispatch(pool, 11.0) == 12.0  # still full at 11
+        assert sorted(pool) == [12.0, 20.0]
+        assert _closed_dispatch(pool, 12.0) == 12.0  # 12 has left
+        pool[:] = station(len(pool))    # reset_for_exec empties it
+        assert _closed_dispatch(pool, 0.0) == 0.0
 
     def test_kinds_are_independent(self):
         """ALU, memory and branch ops each get their own pool and
         capacity; nop, halt and the serialising ops take none."""
         core = make_core("ooo", Memory(), params=OooParams(
             rs_alu=3, rs_mem=2, rs_branch=1))
-        pool, cap = core._rs_of, core._rs_cap
+        pool = core._rs_of
         kinds = {
             3: (Opcode.ADD, Opcode.ADDI, Opcode.LI, Opcode.MOV,
                 Opcode.RDINSTRET),
@@ -213,7 +242,7 @@ class TestReservationStations:
         heads = {}
         for capacity, ops in kinds.items():
             for op in ops:
-                assert cap[op] == capacity, op
+                assert len(pool[op]) == capacity, op
                 assert pool[op] is pool[ops[0]], op
             heads[capacity] = pool[ops[0]]
         assert len({id(p) for p in heads.values()}) == 3
@@ -222,30 +251,36 @@ class TestReservationStations:
             assert pool[op] is None, op
 
     def test_heap_matches_the_list_oracle(self):
-        """Seeded (now, completion) streams with ties, capacities 1-8:
-        the heap returns the oracle's dispatch times and keeps the same
-        multiset of occupants."""
-        for seed in range(200):
+        """Seeded non-decreasing dispatch streams with ties and resets,
+        capacities 1-8: the closed form dispatches exactly when the list
+        oracle and the occupants' heap do, and holds the heap's
+        occupants among its entries."""
+        for seed in range(300):
             rng = random.Random(seed)
             capacity = rng.randint(1, 8)
-            heap, oracle = [], []
+            closed, heap, oracle = station(capacity), [], []
             now = 0.0
-            for _ in range(150):
-                # Mostly forward in small (often zero) steps, sometimes
-                # back: ties between arrivals and completions abound.
-                now = max(0.0, now + rng.choice(
-                    (0.0, 0.0, 0.25, 0.5, 1.0, 3.0, -1.0)))
+            for step in range(200):
+                if rng.random() < 0.02:
+                    closed[:] = station(capacity)
+                    heap.clear()
+                    oracle.clear()
+                # Forward in small (often zero) steps: ties between
+                # arrivals and completions abound.
+                now += rng.choice((0.0, 0.0, 0.25, 0.5, 1.0, 3.0))
                 expected = _list_acquire(oracle, capacity, now)
-                if len(heap) >= capacity:
-                    got = acquire(heap, capacity, now)
-                else:
-                    got = now
-                assert got == expected, (seed, now)
-                assert sorted(heap) == sorted(oracle), seed
+                assert _heap_acquire(heap, capacity, now) == expected, (
+                    seed, step)
+                got = _closed_dispatch(closed, now)
+                assert got == expected, (seed, step)
+                live = sorted(t for t in closed if t > got)
+                assert live == sorted(t for t in heap if t > got), seed
                 done = got + rng.choice((0.0, 0.5, 1.0, 1.0, 2.0, 4.0,
                                          200.0))
+                heappushpop(closed, done)
                 heappush(heap, done)
                 oracle.append(done)
+                now = got
 
 
 def _sha_counters(**params):
