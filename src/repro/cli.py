@@ -10,8 +10,6 @@ Commands
 ``profile``     profile a *simulated workload*: dump HPC windows to CSV
 ``hotspots``    profile the *simulator itself*: cycle attribution by
                 subsystem / opcode / basic block (see docs/PROFILING.md)
-``bench``       unified bench runner + perf-trend ledger (``--trend``
-                renders sparklines and the regression verdict)
 ``smoke``       fast resilience smoke run (CI): faults + retries
 ``trace``       summarise a recorded trace (see ``--trace`` above)
 ``compare``     diff two ledger runs knob-by-knob / span-by-span
@@ -177,8 +175,8 @@ def _add_ledger(parser):
     parser.add_argument(
         "--ledger", metavar="DIR", default="runs",
         help="run-ledger root: record a run manifest under "
-             "DIR/<run-id>/ and index it in DIR/ledger.jsonl "
-             "(default: runs/; see docs/LEDGER.md)",
+             "DIR/<run-id>/manifest.json (default: runs/; see "
+             "docs/LEDGER.md)",
     )
     parser.add_argument(
         "--no-ledger", action="store_true",
@@ -359,33 +357,6 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit the merged profile snapshot as JSON")
     _add_seed(p)
-
-    p = sub.add_parser(
-        "bench",
-        help="unified bench runner + perf-trend ledger: run a suite "
-             "and append one row to benchmarks/history.jsonl; --trend "
-             "renders per-metric sparklines and the regression verdict "
-             "(exit 5 on regression, like 'repro gate')",
-    )
-    from repro.obs.bench import SUITES as _BENCH_SUITES
-
-    p.add_argument("--suite", default="core",
-                   choices=(*_BENCH_SUITES, "all"),
-                   help="bench suite to run (default: core)")
-    p.add_argument("--quick", action="store_true",
-                   help="scaled-down measurement (noisier; recorded "
-                        "as quick=true in the history row)")
-    p.add_argument("--history", metavar="FILE", default=None,
-                   help="history ledger path (default: "
-                        "benchmarks/history.jsonl in the checkout)")
-    p.add_argument("--trend", action="store_true",
-                   help="render the trend from the history and check "
-                        "the latest rows against the committed "
-                        "baselines instead of running a suite")
-    p.add_argument("--last", type=int, default=20, metavar="N",
-                   help="history rows per sparkline (default 20)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the appended row(s) as JSON")
 
     p = sub.add_parser(
         "trace",
@@ -808,53 +779,6 @@ def cmd_hotspots(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    """Unified bench runner and perf-trend ledger (``repro bench``)."""
-    from repro.obs.bench import (
-        SUITES,
-        append_history,
-        build_row,
-        check_regression,
-        default_history_path,
-        format_metrics,
-        read_history,
-        render_trend,
-        run_suite,
-    )
-
-    history = args.history or default_history_path()
-    if args.trend:
-        rows = read_history(history)
-        print(render_trend(rows, last=args.last))
-        failures = check_regression(rows)
-        if failures:
-            print()
-            for failure in failures:
-                print(f"regression: {failure}")
-            return EXIT_GATE
-        if rows:
-            print("\nverdict: no regressions vs committed baselines")
-        return EXIT_OK
-
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    rows = []
-    for suite in suites:
-        knobs, metrics = run_suite(suite, quick=args.quick)
-        row = build_row(suite, knobs, metrics, quick=args.quick)
-        append_history(history, row)
-        rows.append(row)
-        if not args.json:
-            print(format_metrics(suite, knobs, metrics))
-            print()
-    if args.json:
-        import json
-
-        print(json.dumps(rows if len(rows) > 1 else rows[0],
-                         sort_keys=True, indent=1))
-    print(f"history: {history} (+{len(rows)} row(s))", file=sys.stderr)
-    return EXIT_OK
-
-
 def cmd_trace(args):
     """Summarise one trace sink (``repro trace FILE``).
 
@@ -1109,7 +1033,6 @@ def main(argv=None):
         "hardening": cmd_experiment,
         "profile": cmd_profile,
         "hotspots": cmd_hotspots,
-        "bench": cmd_bench,
         "smoke": cmd_smoke,
         "trace": cmd_trace,
         "compare": cmd_compare,

@@ -19,38 +19,20 @@ capturing everything needed to reproduce, diff, and gate the run:
 Everything except the ``timing`` section is a pure function of
 (experiment, knobs, root seed): manifests of a resumed run and an
 uninterrupted run are byte-identical once :func:`strip_volatile` drops
-the wall-clock fields.  Manifests live under ``<ledger>/<run_id>/`` and
-are indexed by ``ledger.jsonl`` at the ledger root; index entries land
-first as per-run shards under ``ledger.jsonl.d/`` (merged on read,
-consolidated under a lock) so concurrent recorders — parallel CI
-shards, several drivers sharing one ledger — never lose each other's
-entries to a read-modify-write race.  Every write goes through
-:mod:`repro.atomicio`.
+the wall-clock fields.  Each manifest lives at
+``<ledger>/<run_id>/manifest.json`` and is the only record of its run:
+:func:`read_index` lists runs by scanning those files.  Every write
+goes through :mod:`repro.atomicio`.
 """
 
 import hashlib
 import json
 import os
-import time
 
-from repro.atomicio import atomic_write_json, atomic_write_text
+from repro.atomicio import atomic_write_json
 
 #: Manifest format tag; bump on incompatible shape changes.
 LEDGER_FORMAT = "repro-ledger/1"
-
-#: Name of the JSONL index file at the ledger root.
-LEDGER_INDEX = "ledger.jsonl"
-
-#: Per-run index shard directory next to the monolithic index.  A
-#: rewrite of ``ledger.jsonl`` is a read-modify-write — unsafe when
-#: several drivers (parallel CI shards, concurrent experiment runs)
-#: record runs into one ledger concurrently.  So every
-#: recording first lands as its own shard file (atomic rename, one
-#: file per run id, no cross-process contention) and the monolith is a
-#: *consolidation* of the shards: shards are merged on read, folded
-#: into the monolith opportunistically under an ``O_EXCL`` lock, and
-#: never required for correctness once merged.
-LEDGER_SHARDS = "ledger.jsonl.d"
 
 #: Manifest keys that vary run-to-run even for identical configs
 #: (``__path__`` is the load-time annotation :func:`load_manifest` adds).
@@ -233,160 +215,16 @@ def manifest_bytes(manifest):
 
 
 def write_manifest(ledger_dir, manifest):
-    """Persist one run: per-run directory + ledger index entry.
+    """Persist one run as ``<ledger>/<run_id>/manifest.json``.
 
-    Returns the manifest path.  The index entry is first written as a
-    per-run **shard** under ``ledger.jsonl.d/`` (one atomic rename, no
-    contention between concurrent recorders), then opportunistically
-    consolidated into ``ledger.jsonl`` under an ``O_EXCL`` lock — a
-    writer that loses the lock race just leaves its shard behind, and
-    :func:`read_index` merges shards on read, so no recording is ever
-    lost to a concurrent rewrite.  Re-recording an existing run id
-    replaces its entry rather than appending a duplicate.
+    Returns the manifest path.  Re-recording an existing run id
+    replaces its manifest in place.
     """
-    ledger_dir = os.fspath(ledger_dir)
-    run_dir = os.path.join(ledger_dir, manifest["run_id"])
+    run_dir = os.path.join(os.fspath(ledger_dir), manifest["run_id"])
     os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, "manifest.json")
     atomic_write_json(path, manifest)
-
-    entry = {
-        "run_id": manifest["run_id"],
-        "experiment": manifest["experiment"],
-        "seed": manifest["seed"],
-        "config_hash": manifest["config_hash"],
-        "git_sha": manifest["git_sha"],
-        "partial": manifest["partial"],
-        "headlines": manifest["headlines"],
-        "wall_s": manifest.get("timing", {}).get("wall_s"),
-        "path": os.path.relpath(path, ledger_dir),
-    }
-    shard_dir = os.path.join(ledger_dir, LEDGER_SHARDS)
-    os.makedirs(shard_dir, exist_ok=True)
-    atomic_write_json(os.path.join(shard_dir, f"{entry['run_id']}.json"),
-                      entry)
-    consolidate_index(ledger_dir)
     return path
-
-
-#: A consolidation lock older than this is presumed orphaned by a
-#: killed process and is broken.
-_LOCK_STALE_S = 30.0
-
-
-def _read_shards(ledger_dir):
-    """Index shards oldest-recorded first: ``[(shard path, entry)]``."""
-    shard_dir = os.path.join(os.fspath(ledger_dir), LEDGER_SHARDS)
-    try:
-        names = os.listdir(shard_dir)
-    except OSError:
-        return []
-    shards = []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(shard_dir, name)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-            mtime = os.stat(path).st_mtime
-        except (OSError, ValueError):
-            continue
-        shards.append((mtime, path, entry))
-    shards.sort(key=lambda item: (item[0], item[2].get("run_id") or ""))
-    return [(path, entry) for _, path, entry in shards]
-
-
-def _read_monolith(index_path):
-    entries = []
-    try:
-        with open(index_path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError:
-        return entries
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            entries.append(json.loads(line))
-        except ValueError:
-            continue
-    return entries
-
-
-def _merge_index(monolith, shard_entries):
-    """Monolith entries + shard entries, deduplicated by run id.
-
-    A shard supersedes the monolith's entry for the same run (it is
-    newer by construction); order is monolith order with superseded
-    entries replaced in place, then genuinely new shard entries,
-    oldest-recorded first.
-    """
-    by_id = {entry.get("run_id"): entry for entry in shard_entries}
-    merged = []
-    seen = set()
-    for entry in monolith:
-        run_id = entry.get("run_id")
-        if run_id in seen:
-            continue
-        seen.add(run_id)
-        merged.append(by_id.pop(run_id, entry))
-    for entry in shard_entries:
-        run_id = entry.get("run_id")
-        if run_id in by_id:
-            merged.append(by_id.pop(run_id))
-    return merged
-
-
-def consolidate_index(ledger_dir):
-    """Fold index shards into ``ledger.jsonl`` (best effort).
-
-    Guarded by an ``O_EXCL`` lock file so exactly one consolidator
-    rewrites the monolith at a time; a caller that loses the race
-    returns ``False`` and loses nothing — its shard stays on disk and
-    every reader merges shards anyway.  Only the shards actually
-    folded in are deleted, so a shard written mid-consolidation
-    survives for the next pass.
-    """
-    ledger_dir = os.fspath(ledger_dir)
-    index_path = os.path.join(ledger_dir, LEDGER_INDEX)
-    lock_path = index_path + ".lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        try:
-            stale = (os.stat(lock_path).st_mtime
-                     < time.time() - _LOCK_STALE_S)
-        except OSError:
-            return False
-        if not stale:
-            return False
-        try:
-            os.unlink(lock_path)
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except OSError:
-            return False
-    try:
-        shards = _read_shards(ledger_dir)
-        if shards:
-            merged = _merge_index(_read_monolith(index_path),
-                                  [entry for _, entry in shards])
-            atomic_write_text(index_path, "\n".join(
-                json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                for entry in merged
-            ) + "\n")
-            for shard_path, _ in shards:
-                try:
-                    os.unlink(shard_path)
-                except OSError:
-                    pass
-        return True
-    finally:
-        os.close(fd)
-        try:
-            os.unlink(lock_path)
-        except OSError:
-            pass
 
 
 def load_manifest(ref, ledger_dir="runs"):
@@ -416,16 +254,40 @@ def load_manifest(ref, ledger_dir="runs"):
     return manifest
 
 
-def read_index(ledger_dir="runs"):
-    """All ledger index entries, oldest first (empty when no ledger).
+#: Manifest fields copied verbatim into a :func:`read_index` entry.
+_INDEX_FIELDS = ("run_id", "experiment", "seed", "config_hash", "git_sha",
+                 "partial", "headlines")
 
-    Merges the monolithic ``ledger.jsonl`` with any unconsolidated
-    shards under ``ledger.jsonl.d/`` — a run recorded by a concurrent
-    writer that lost the consolidation race is still visible here.
+
+def read_index(ledger_dir="runs"):
+    """One summary entry per recorded run, oldest first.
+
+    Scans ``<ledger>/*/manifest.json``, ordered by manifest mtime with
+    ties broken by run id.  Directories without a manifest (the cell
+    cache, a ``--trace-out`` dir) and unreadable or foreign manifests
+    are skipped; a missing ledger reads as empty.
     """
     ledger_dir = os.fspath(ledger_dir)
-    index_path = os.path.join(ledger_dir, LEDGER_INDEX)
-    return _merge_index(
-        _read_monolith(index_path),
-        [entry for _, entry in _read_shards(ledger_dir)],
-    )
+    try:
+        names = os.listdir(ledger_dir)
+    except OSError:
+        return []
+    found = []
+    for name in names:
+        relative = os.path.join(name, "manifest.json")
+        path = os.path.join(ledger_dir, relative)
+        try:
+            mtime = os.stat(path).st_mtime
+            with open(path, encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError):
+            continue
+        if (not isinstance(manifest, dict)
+                or manifest.get("format") != LEDGER_FORMAT):
+            continue
+        entry = {key: manifest.get(key) for key in _INDEX_FIELDS}
+        entry["wall_s"] = (manifest.get("timing") or {}).get("wall_s")
+        entry["path"] = relative
+        found.append((mtime, entry["run_id"], entry))
+    found.sort(key=lambda item: item[:2])
+    return [entry for _, _, entry in found]

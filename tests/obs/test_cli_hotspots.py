@@ -1,16 +1,13 @@
-"""CLI tests for ``repro hotspots`` and ``repro bench``.
+"""CLI tests for ``repro hotspots`` and the ``--hotspots`` flag.
 
-Suite *runs* are bench-scale and live in ``benchmarks/``; these tests
-exercise the command surfaces — argument validation, output modes,
-the ledger integration of ``--hotspots``, and the ``--trend``
-regression verdict's exit code — against small workloads and
-synthetic history rows.
+These tests exercise the command surface — argument validation, output
+modes, and the ledger integration of ``--hotspots`` — against small
+workloads.
 """
 
 import json
 
-from repro.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
-from repro.obs.bench import append_history, build_row
+from repro.cli import EXIT_OK, EXIT_USAGE, main
 
 
 class TestHotspotsCommand:
@@ -69,42 +66,3 @@ class TestExperimentHotspotsFlag:
         assert set(phases) == {"schedule", "cache_lookup", "compute",
                                "ipc", "merge"}
 
-
-class TestBenchTrend:
-    def _seed_history(self, path, instructions_per_s):
-        # The core suite emits sb/* superblock rows only; the synthetic
-        # row carries one per kernel, all at the given throughput.
-        row = build_row(
-            "core", {"kernels": {"basicmath": 400}},
-            {
-                "sb/basicmath.instructions_per_s": instructions_per_s,
-                "sb/sha.instructions_per_s": instructions_per_s,
-            },
-            quick=True,
-        )
-        append_history(path, row)
-
-    def test_green_verdict(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        # Comfortably above both committed core floors (2x ~65.6k
-        # pre-change, 2x the committed fast rows: at most ~1.54M).
-        self._seed_history(history, 3_000_000.0)
-        assert main(["bench", "--trend",
-                     "--history", str(history)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "core: 1 run(s)" in out
-        assert "no regressions" in out
-
-    def test_regression_exits_gate(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        self._seed_history(history, 1_000.0)
-        assert main(["bench", "--trend",
-                     "--history", str(history)]) == EXIT_GATE
-        out = capsys.readouterr().out
-        assert "regression:" in out
-        assert "instructions_per_s" in out
-
-    def test_empty_history_is_green(self, tmp_path, capsys):
-        assert main(["bench", "--trend", "--history",
-                     str(tmp_path / "none.jsonl")]) == EXIT_OK
-        assert "empty" in capsys.readouterr().out

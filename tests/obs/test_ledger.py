@@ -1,4 +1,4 @@
-"""Unit tests for the run ledger (manifests, index, resume parity)."""
+"""Unit tests for the run ledger (manifests, run scan, resume parity)."""
 
 import dataclasses
 import json
@@ -6,14 +6,12 @@ import os
 
 import pytest
 
+from repro.cli import EXIT_OK, main
 from repro.core.experiments import run_fig4
 from repro.exec import CellCache
 from repro.obs.ledger import (
     LEDGER_FORMAT,
-    LEDGER_INDEX,
-    LEDGER_SHARDS,
     build_manifest,
-    consolidate_index,
     file_digest,
     git_sha,
     load_manifest,
@@ -193,90 +191,50 @@ def _record(ledger, seed, accuracy=0.97):
     return manifest["run_id"]
 
 
-class TestIndexShards:
-    """The shard-then-consolidate discipline behind concurrent writers."""
+class TestIndexScan:
+    """``read_index`` is a scan of ``<ledger>/*/manifest.json``."""
 
-    def _shard_files(self, ledger):
-        shard_dir = os.path.join(ledger, LEDGER_SHARDS)
-        if not os.path.isdir(shard_dir):
-            return []
-        return [name for name in os.listdir(shard_dir)
-                if name.endswith(".json")]
+    def test_default_ledger_cli_run_is_one_entry(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["table1", "--quick"]) == EXIT_OK
+        # The cell cache lives at runs/cellcache/ but is not a run.
+        assert (tmp_path / "runs" / "cellcache").is_dir()
+        entries = read_index("runs")
+        assert len(entries) == 1
+        entry = entries[0]
+        assert entry["experiment"] == "table1"
+        assert entry["path"] == os.path.join(entry["run_id"],
+                                             "manifest.json")
+        assert set(entry) == {"run_id", "experiment", "seed",
+                              "config_hash", "git_sha", "partial",
+                              "headlines", "wall_s", "path"}
 
-    def test_write_consolidates_its_own_shard(self, tmp_path):
+    def test_trace_out_dir_inside_ledger_is_skipped(self, tmp_path):
+        ledger = tmp_path / "runs"
+        trace_out = ledger / "traces"
+        assert main(["table1", "--quick", "--trace", "--ledger",
+                     str(ledger), "--trace-out", str(trace_out)]) == EXIT_OK
+        assert any(trace_out.iterdir())
+        assert len(read_index(ledger)) == 1
+
+    def test_rerecorded_run_is_one_entry_with_new_headlines(self,
+                                                             tmp_path):
         ledger = str(tmp_path)
         run_id = _record(ledger, seed=1)
-        # The writer held the lock, so the shard was folded straight in.
-        assert self._shard_files(ledger) == []
-        assert [e["run_id"] for e in read_index(ledger)] == [run_id]
-
-    def test_unconsolidated_shard_is_still_visible(self, tmp_path):
-        ledger = str(tmp_path)
-        lock = tmp_path / (LEDGER_INDEX + ".lock")
-        lock.touch()                    # a rival holds the lock
-        run_id = _record(ledger, seed=1)
-        assert self._shard_files(ledger) == [f"{run_id}.json"]
-        # Merge-on-read: the entry is visible without the monolith.
-        assert [e["run_id"] for e in read_index(ledger)] == [run_id]
-
-        lock.unlink()
-        assert consolidate_index(ledger)
-        assert self._shard_files(ledger) == []
-        assert [e["run_id"] for e in read_index(ledger)] == [run_id]
-
-    def test_shard_supersedes_monolith_in_place(self, tmp_path):
-        ledger = str(tmp_path)
-        first = _record(ledger, seed=1)
-        second = _record(ledger, seed=2)
-        lock = tmp_path / (LEDGER_INDEX + ".lock")
-        lock.touch()
-        assert _record(ledger, seed=1, accuracy=0.5) == first
-        third = _record(ledger, seed=3)
+        assert _record(ledger, seed=1, accuracy=0.5) == run_id
         entries = read_index(ledger)
-        # Order: monolith order with the re-recorded run replaced in
-        # place, then the genuinely new run.
-        assert [e["run_id"] for e in entries] == [first, second, third]
+        assert [e["run_id"] for e in entries] == [run_id]
         assert entries[0]["headlines"] == {"accuracy": 0.5}
-        lock.unlink()
 
-    def test_stale_lock_is_broken(self, tmp_path):
+    def test_ledger_root_holds_only_run_dirs(self, tmp_path):
         ledger = str(tmp_path)
-        lock = tmp_path / (LEDGER_INDEX + ".lock")
-        lock.touch()
-        ancient = os.path.getmtime(lock) - 3600.0
-        os.utime(lock, (ancient, ancient))
-        run_id = _record(ledger, seed=4)
-        # The dead rival's lock did not wedge consolidation forever.
-        assert self._shard_files(ledger) == []
-        assert [e["run_id"] for e in read_index(ledger)] == [run_id]
-
-    def test_concurrent_recorders_lose_nothing(self, tmp_path):
-        """The race the shards exist for: N writers, one ledger, no
-        read-modify-write, every entry survives."""
-        import threading
-
-        ledger = str(tmp_path)
-        start = threading.Barrier(8)
-        recorded = []
-
-        def record(seed):
-            start.wait()
-            recorded.append(_record(ledger, seed=seed))
-
-        threads = [threading.Thread(target=record, args=(seed,))
-                   for seed in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        entries = read_index(ledger)
-        assert sorted(e["run_id"] for e in entries) == sorted(recorded)
-        assert len(entries) == 8
-        # A final consolidation folds any shards the racers left.
-        assert consolidate_index(ledger)
-        assert self._shard_files(ledger) == []
-        assert len(read_index(ledger)) == 8
+        recorded = {_record(ledger, seed=1), _record(ledger, seed=2)}
+        assert set(os.listdir(ledger)) == recorded
+        for run_id in recorded:
+            assert os.listdir(os.path.join(ledger, run_id)) == [
+                "manifest.json"
+            ]
 
 
 class TestResumeParity:
