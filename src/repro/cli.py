@@ -560,6 +560,8 @@ def cmd_experiment(args):
     kwargs["phases"] = phases
     profile_memo = {}
     kwargs["profile_memo"] = profile_memo
+    fit_memo = {}
+    kwargs["fit_memo"] = fit_memo
 
     ledger_dir = None
     if not getattr(args, "no_ledger", False):
@@ -667,9 +669,11 @@ def cmd_experiment(args):
                     {"enabled": True, **cell_cache.stats()}
                     if cell_cache is not None else {"enabled": False}
                 ),
-                # Benign-profile replays (see execute_plan); a pool
-                # run's counts depend on its batching.
+                # Benign-profile and classifier-fit replays (see
+                # execute_plan); a pool run's counts depend on how its
+                # cells spread over the workers.
                 "profile_memo": dict(profile_memo),
+                "fit_memo": dict(fit_memo),
             },
         )
         manifest_path = write_manifest(ledger_dir, manifest)

@@ -189,7 +189,7 @@ def run_fig4(seed=0, hosts=FIG4_HOSTS, feature_sizes=FEATURE_SIZES,
              jobs=1, backend=None, progress=None, trace=None,
              traces=None, timings=None, cell_cache=None, profile=None,
              profiles=None, phases=None, profile_memo=None,
-             uarch="inorder"):
+             fit_memo=None, uarch="inorder"):
     """Regenerate Figure 4.  Returns a :class:`Fig4Result`."""
     plan = plan_fig4(seed, hosts, feature_sizes, classifier,
                      benign_per_host, attack_per_variant, variants,
@@ -202,7 +202,8 @@ def run_fig4(seed=0, hosts=FIG4_HOSTS, feature_sizes=FEATURE_SIZES,
                            trace=trace, traces=traces, metrics=metrics,
                            timings=timings, cell_cache=cell_cache,
                            profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo)
+                           phases=phases, profile_memo=profile_memo,
+                           fit_memo=fit_memo)
     accuracies = {}
     for host in hosts:
         value = results.get(f"host/{host}")

@@ -284,7 +284,7 @@ def run_fig5(seed=0, host="basicmath", attempts=10,
              jobs=1, backend=None, progress=None, trace=None,
              traces=None, timings=None, cell_cache=None, profile=None,
              profiles=None, phases=None, profile_memo=None,
-             uarch="inorder"):
+             fit_memo=None, uarch="inorder"):
     """Regenerate Figure 5.  Returns a :class:`Fig5Result`."""
     plan = plan_fig5(seed, host, attempts, detector_names,
                      training_benign, training_attack, attempt_samples,
@@ -298,7 +298,8 @@ def run_fig5(seed=0, host="basicmath", attempts=10,
                            trace=trace, traces=traces, metrics=metrics,
                            timings=timings, cell_cache=cell_cache,
                            profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo)
+                           phases=phases, profile_memo=profile_memo,
+                           fit_memo=fit_memo)
 
     search = results.get("search")
     if search is None:

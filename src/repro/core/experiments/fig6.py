@@ -285,7 +285,7 @@ def run_fig6(seed=0, host="basicmath", attempts=10,
              faults=None, jobs=1, backend=None, progress=None, trace=None,
              traces=None, timings=None, cell_cache=None, profile=None,
              profiles=None, phases=None, profile_memo=None,
-             uarch="inorder"):
+             fit_memo=None, uarch="inorder"):
     """Regenerate Figure 6.  Returns a :class:`Fig6Result`.
 
     ``audit_every``: every k-th attempt the defender's analysts audit
@@ -305,7 +305,8 @@ def run_fig6(seed=0, host="basicmath", attempts=10,
                            trace=trace, traces=traces, metrics=metrics,
                            timings=timings, cell_cache=cell_cache,
                            profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo)
+                           phases=phases, profile_memo=profile_memo,
+                           fit_memo=fit_memo)
 
     phase_b_value = results.get("crspectre")
     if phase_b_value is None:

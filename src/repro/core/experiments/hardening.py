@@ -225,7 +225,7 @@ def run_hardening(seed=0, classifier="mlp", train_variant_counts=(0, 2, 4, 8),
                   faults=None, jobs=1, backend=None, progress=None,
                   trace=None, traces=None, timings=None, cell_cache=None,
                   profile=None, profiles=None, phases=None,
-                  profile_memo=None, uarch="inorder"):
+                  profile_memo=None, fit_memo=None, uarch="inorder"):
     """Run the adversarial-training ablation.
 
     For each K in *train_variant_counts*: train on benign + plain
@@ -244,7 +244,8 @@ def run_hardening(seed=0, classifier="mlp", train_variant_counts=(0, 2, 4, 8),
                            trace=trace, traces=traces, metrics=metrics,
                            timings=timings, cell_cache=cell_cache,
                            profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo)
+                           phases=phases, profile_memo=profile_memo,
+                           fit_memo=fit_memo)
     accuracy_by_k = {}
     for k in train_variant_counts:
         value = results.get(f"k/{k}")

@@ -310,7 +310,7 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
                backend=None, progress=None, trace=None, traces=None,
                timings=None, cell_cache=None, profile=None,
                profiles=None, phases=None, profile_memo=None,
-               uarch="inorder"):
+               fit_memo=None, uarch="inorder"):
     """Regenerate Table I.  Returns a :class:`Table1Result`.
 
     ``repetitions`` mirrors the paper's averaging over repeated runs
@@ -332,7 +332,8 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
                            trace=trace, traces=traces, metrics=metrics,
                            timings=timings, cell_cache=cell_cache,
                            profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo)
+                           phases=phases, profile_memo=profile_memo,
+                           fit_memo=fit_memo)
     result_rows = []
     for label, _workload, _iterations in rows:
         value = results.get(f"row/{label}")

@@ -9,9 +9,13 @@ the paper's MLP (sklearn), NN (TensorFlow), LR and SVM map onto
 :class:`~repro.hid.classifiers.svm.LinearSvmClassifier`.
 """
 
+import copy
+import hashlib
+
 import numpy as np
 
 from repro.errors import HidError
+from repro.hid.memo import active_memos
 
 
 class BaseClassifier:
@@ -31,9 +35,40 @@ class BaseClassifier:
             raise HidError("X and y row counts differ")
         if X.shape[0] == 0:
             raise HidError("cannot fit on an empty dataset")
-        self._fit(X, y)
+        memos = active_memos()
+        if memos is None:
+            self._fit(X, y)
+        else:
+            self._fit_memoized(memos.fits, X, y)
         self._fitted = True
         return self
+
+    def _fit_memoized(self, memo, X, y):
+        """Fit through the scope's fit memo (docs/PARALLELISM.md).
+
+        The key is the class, every hyper-parameter :meth:`clone`
+        carries (the seed among them) and a sha256 over the bytes,
+        shape and dtype of *X* and *y*.  A hit restores an independent
+        copy of the stored fitted arrays, so a caller that mutates its
+        model never reaches the entry.
+        """
+        digest = hashlib.sha256()
+        for array in (X, y):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).data)
+        key = (type(self), tuple(sorted(self.hyperparams().items())),
+               digest.hexdigest())
+        state = memo.entries.get(key)
+        if state is not None:
+            memo.hits += 1
+            vars(self).update(copy.deepcopy(state))
+            return
+        memo.misses += 1
+        self._fit(X, y)
+        memo.entries[key] = copy.deepcopy(
+            {name: value for name, value in vars(self).items()
+             if name.endswith("_") and not name.startswith("_")})
+        memo.stored += 1
 
     def predict(self, X):
         self._require_fitted()
@@ -64,6 +99,12 @@ class BaseClassifier:
         if not self._fitted:
             raise HidError(f"{self.name} classifier used before fit()")
 
+    def hyperparams(self):
+        """Constructor arguments by name: every public attribute that
+        is not fitted state (fitted attributes end in ``_``)."""
+        return {name: value for name, value in vars(self).items()
+                if not name.startswith("_") and not name.endswith("_")}
+
     def clone(self):
         """Fresh, unfitted copy with identical hyper-parameters."""
-        raise NotImplementedError
+        return type(self)(**self.hyperparams())

@@ -45,11 +45,3 @@ class LogisticRegressionClassifier(BaseClassifier):
     def predict_proba(self, X):
         """P(attack) per row."""
         return _sigmoid(self.decision_function(X))
-
-    def clone(self):
-        return LogisticRegressionClassifier(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            l2=self.l2,
-            seed=self.seed,
-        )

@@ -27,25 +27,31 @@ class LinearSvmClassifier(BaseClassifier):
         b = 0.0
         signs = np.where(y == 1, 1.0, -1.0)
         step = self.learning_rate
+        decay = np.empty(d)
         for epoch in range(self.epochs):
+            # Gather the epoch's permutation once; batches are slices.
             order = rng.permutation(n)
+            x_epoch, s_epoch = X[order], signs[order]
             for start in range(0, n, self.batch_size):
-                batch = order[start:start + self.batch_size]
-                xb, sb = X[batch], signs[batch]
+                xb = x_epoch[start:start + self.batch_size]
+                sb = s_epoch[start:start + self.batch_size]
                 margins = sb * (xb @ w + b)
                 active = margins < 1.0
-                # subgradient of 0.5||w||^2 + C * mean(hinge)
-                grad_w = w.copy()
+                # subgradient of 0.5||w||^2 + C * mean(hinge):
+                # ``w - C * mean(active hinge terms)``
                 grad_b = 0.0
-                if np.any(active):
-                    grad_w -= self.c * (
-                        (sb[active][:, None] * xb[active]).mean(axis=0)
-                        * np.sum(active) / len(batch)
+                if active.any():
+                    s_active = sb[active]
+                    grad_w = self.c * (
+                        (s_active[:, None] * xb[active]).mean(axis=0)
+                        * np.sum(active) / len(sb)
                     )
-                    grad_b -= self.c * float(
-                        sb[active].sum() / len(batch)
-                    )
-                w -= step * grad_w
+                    np.subtract(w, grad_w, out=grad_w)
+                    grad_w *= step
+                    grad_b -= self.c * float(s_active.sum() / len(sb))
+                else:
+                    grad_w = np.multiply(step, w, out=decay)
+                w -= grad_w
                 b -= step * grad_b
             # 1/t learning-rate decay keeps late epochs stable.
             step = self.learning_rate / (1.0 + 0.01 * epoch)
@@ -54,12 +60,3 @@ class LinearSvmClassifier(BaseClassifier):
 
     def _decision(self, X):
         return X @ self.weights_ + self.bias_
-
-    def clone(self):
-        return LinearSvmClassifier(
-            c=self.c,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
