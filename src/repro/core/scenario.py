@@ -7,7 +7,7 @@ white-listed applications, attack streams from an actual ROP injection
 followed by in-place ``execve`` of the generated Spectre binary.
 
 Benign profiles are keyed by everything their simulation reads, so
-inside an executor scope (:func:`repro.hid.profiler.profile_memo_scope`)
+inside an executor scope (:func:`repro.hid.memo.memo_scope`)
 identical browser and editor profiles of different cells are simulated
 once and replayed after that.
 """
