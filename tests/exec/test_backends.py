@@ -119,8 +119,9 @@ def _scrub(outcome):
             if key != "elapsed"}
 
 
-def _wave(backend, jobs):
-    return {key: _scrub(outcome) for key, outcome in backend.run_wave(jobs)}
+def _wave(backend, jobs, scope=0):
+    return {key: _scrub(outcome)
+            for key, outcome in backend.run_wave(jobs, scope)}
 
 
 class TestPoolOutcomes:
@@ -141,7 +142,7 @@ class TestPoolOutcomes:
         first = dict(backend.run_wave(
             [(f"cell/{index}", seeded_value,
               {"tag": f"t{index}", "cell_seed": index}, None, None)
-             for index in range(3)]
+             for index in range(3)], 0
         ))
         second_jobs = [("cell/sum", summed,
                         {"values": first["cell/0"]["value"],
