@@ -34,7 +34,7 @@ from benchmarks.conftest import publish
 from benchmarks.schema import write_bench_json
 from repro.core.experiments import run_fig5
 from repro.core.experiments.fig5 import plan_fig5
-from repro.exec import warmup
+from repro.exec import RunContext, backend_for, warmup
 
 #: Reduced fig5: full cell topology, ~quarter-scale sampling.
 KNOBS = dict(
@@ -54,7 +54,8 @@ CPU_COUNT = os.cpu_count()
 
 def _timed_run(jobs):
     started = time.perf_counter()
-    result = run_fig5(jobs=jobs, **KNOBS)
+    result = run_fig5(**KNOBS,
+                      context=RunContext(backend=backend_for(jobs)))
     return result, time.perf_counter() - started
 
 

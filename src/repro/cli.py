@@ -191,11 +191,12 @@ def _resolve(command, kwargs):
     signature, then overlays *kwargs* — so plan/meta helpers called via
     :func:`_call_accepted` see exactly what ``run_<command>`` would.
     """
-    import importlib
     import inspect
 
-    module = importlib.import_module(f"repro.core.experiments.{command}")
-    run_fn = getattr(module, f"run_{command}")
+    from repro.core.experiments import RUNNERS
+
+    run_fn = RUNNERS[command]
+    module = sys.modules[run_fn.__module__]
     values = {
         name: parameter.default
         for name, parameter in inspect.signature(run_fn).parameters.items()
@@ -509,16 +510,9 @@ def cmd_workloads(_args):
 
 
 def cmd_experiment(args):
-    from repro.core.experiments import run_fig4, run_fig5, run_fig6, \
-        run_hardening, run_table1
+    from repro.core.experiments import RUNNERS
+    from repro.exec import RunContext, backend_for
 
-    runner = {
-        "fig4": run_fig4,
-        "fig5": run_fig5,
-        "fig6": run_fig6,
-        "table1": run_table1,
-        "hardening": run_hardening,
-    }[args.command]
     kwargs = {"seed": args.seed,
               "uarch": getattr(args, "uarch", "inorder")}
     if getattr(args, "quick", False):
@@ -529,7 +523,6 @@ def cmd_experiment(args):
     if args.command == "table1" and args.budget is not None:
         kwargs["measurement_budget"] = args.budget
     trace_config = None
-    traces = {}
     if getattr(args, "trace", False):
         from repro.obs import TraceConfig, parse_filter
 
@@ -539,10 +532,7 @@ def cmd_experiment(args):
             print(f"repro: {exc}", file=sys.stderr)
             return EXIT_USAGE
         trace_config = TraceConfig(categories=categories)
-        kwargs["trace"] = trace_config
-        kwargs["traces"] = traces
     profile_config = None
-    profiles = {}
     if getattr(args, "hotspots", False):
         from repro.obs import ProfileConfig, parse_profile_filter
 
@@ -554,14 +544,6 @@ def cmd_experiment(args):
             print(f"repro: {exc}", file=sys.stderr)
             return EXIT_USAGE
         profile_config = ProfileConfig(subsystems=subsystems)
-        kwargs["profile"] = profile_config
-        kwargs["profiles"] = profiles
-    phases = {}
-    kwargs["phases"] = phases
-    profile_memo = {}
-    kwargs["profile_memo"] = profile_memo
-    fit_memo = {}
-    kwargs["fit_memo"] = fit_memo
 
     ledger_dir = None
     if not getattr(args, "no_ledger", False):
@@ -577,16 +559,23 @@ def cmd_experiment(args):
             from repro.exec import CellCache
 
             cell_cache = CellCache(cache_dir)
-            kwargs["cell_cache"] = cell_cache
+
+    # --jobs alone picks the backend: 1 = the serial reference, N > 1 =
+    # the warm pool with N workers (with progress/ETA on stderr).
+    jobs = getattr(args, "jobs", 1) or 1
+    progress = None
+    if jobs > 1:
+        from repro.exec import SweepProgress
+
+        progress = SweepProgress(cell_cache=cell_cache)
+    context = RunContext(backend=backend_for(jobs), progress=progress,
+                         trace=trace_config, profile=profile_config,
+                         cell_cache=cell_cache)
 
     if getattr(args, "list_cells", False):
         from repro.exec import describe_plan
 
-        # A --hotspots run recomputes every cell, so none is cached.
-        print(describe_plan(_plan(args.command, kwargs),
-                            None if profile_config is not None
-                            else cell_cache,
-                            trace=trace_config))
+        print(describe_plan(_plan(args.command, kwargs), context))
         return EXIT_OK
 
     run_id = None
@@ -597,33 +586,21 @@ def cmd_experiment(args):
         config = _call_accepted(getattr(module, f"{args.command}_meta"),
                                 values)
         run_id = run_id_for(args.command, config)
-        kwargs["timings"] = {}
-
-    # --jobs alone picks the backend (the runner calls backend_for):
-    # 1 = the serial reference, N > 1 = the warm pool with N workers.
-    jobs = getattr(args, "jobs", 1) or 1
-    if jobs > 1:
-        from repro.exec import SweepProgress
-
-        kwargs["jobs"] = jobs
-        kwargs["progress"] = SweepProgress(
-            args.command, total=len(_plan(args.command, kwargs)),
-            jobs=jobs, cell_cache=cell_cache,
-        )
 
     import time
 
     started_at = time.time()
     tick = time.monotonic()
-    result = runner(**kwargs)
+    result = RUNNERS[args.command](**kwargs, context=context)
     wall_s = time.monotonic() - tick
     print(result.format())
+    sweep = result.sweep
 
     merged_profile = None
     if profile_config is not None:
         from repro.obs import format_hotspots, merge_profiles
 
-        merged_profile = merge_profiles(profiles)
+        merged_profile = merge_profiles(sweep.profiles)
         print()
         print(format_hotspots(merged_profile, top=10))
 
@@ -636,10 +613,10 @@ def cmd_experiment(args):
             trace_dir = (os.path.join(ledger_dir, run_id)
                          if ledger_dir is not None else "traces")
         jsonl_path, chrome_path = write_trace_files(
-            trace_dir, args.command, traces
+            trace_dir, args.command, sweep.traces
         )
         trace_files = {"jsonl": jsonl_path, "chrome": chrome_path}
-        print(f"trace: {jsonl_path} ({len(traces)} cell(s)); "
+        print(f"trace: {jsonl_path} ({len(sweep.traces)} cell(s)); "
               f"perfetto: {chrome_path}", file=sys.stderr)
 
     if ledger_dir is not None:
@@ -647,8 +624,6 @@ def cmd_experiment(args):
 
         manifest = build_manifest(
             args.command, config, result,
-            plan=_plan(args.command, kwargs),
-            statuses=getattr(result, "cell_status", None),
             trace_files=trace_files,
             trace_root=os.path.join(ledger_dir, run_id),
             profile=merged_profile,
@@ -658,13 +633,13 @@ def cmd_experiment(args):
                 # Per-phase executor breakdown (schedule / ipc /
                 # compute / cache_lookup / merge) — wall clock, so
                 # volatile like the rest of this section.
-                "phases": dict(phases),
+                "phases": sweep.phases,
                 # Volatile by design (like everything in timing): a
                 # pool run and the serial reference must compare clean,
                 # whichever backend did the work.
                 "backend": "pool" if jobs > 1 else "serial",
                 "cells": {key: round(value, 6) for key, value
-                          in kwargs["timings"].items()},
+                          in sweep.timings.items()},
                 "cell_cache": (
                     {"enabled": True, **cell_cache.stats()}
                     if cell_cache is not None else {"enabled": False}
@@ -672,8 +647,8 @@ def cmd_experiment(args):
                 # Benign-profile and classifier-fit replays (see
                 # execute_plan); a pool run's counts depend on how its
                 # cells spread over the workers.
-                "profile_memo": dict(profile_memo),
-                "fit_memo": dict(fit_memo),
+                "profile_memo": sweep.profile_memo,
+                "fit_memo": sweep.fit_memo,
             },
         )
         manifest_path = write_manifest(ledger_dir, manifest)
@@ -682,7 +657,7 @@ def cmd_experiment(args):
 
     if faults is not None:
         print(f"\n{faults.summary()}")
-    return EXIT_PARTIAL if getattr(result, "partial", False) else EXIT_OK
+    return EXIT_PARTIAL if result.partial else EXIT_OK
 
 
 def cmd_profile(args):
@@ -733,26 +708,19 @@ def cmd_hotspots(args):
     )
 
     if args.experiment:
-        from repro.core.experiments import run_fig4, run_fig5, \
-            run_fig6, run_hardening, run_table1
+        from repro.core.experiments import RUNNERS
+        from repro.exec import RunContext, backend_for
 
-        runner = {
-            "fig4": run_fig4,
-            "fig5": run_fig5,
-            "fig6": run_fig6,
-            "table1": run_table1,
-            "hardening": run_hardening,
-        }[args.experiment]
-        profiles = {}
-        kwargs = {"seed": args.seed, "uarch": args.uarch,
-                  "profile": config, "profiles": profiles}
-        kwargs.update(QUICK_KNOBS[args.experiment])
-        if args.jobs > 1:
-            kwargs["jobs"] = args.jobs
-        result = runner(**kwargs)
+        result = RUNNERS[args.experiment](
+            seed=args.seed, uarch=args.uarch,
+            **QUICK_KNOBS[args.experiment],
+            context=RunContext(backend=backend_for(args.jobs),
+                               profile=config),
+        )
         # The experiment's own summary goes to stderr so stdout stays
         # clean for --collapsed / --json pipelines.
         print(result.format(), file=sys.stderr)
+        profiles = result.sweep.profiles
     else:
         from repro.kernel import System
         from repro.workloads import get_workload
@@ -986,6 +954,7 @@ def cmd_smoke(args):
     from repro.attack.calibrate import calibrate
     from repro.core.experiments import run_fig4
     from repro.core.resilience import FaultInjector
+    from repro.exec import RunContext, backend_for
 
     faults = _build_faults(args)
     if faults is None:
@@ -1007,9 +976,8 @@ def cmd_smoke(args):
     result = run_fig4(
         seed=args.seed, hosts=("basicmath",), classifier="lr",
         benign_per_host=40, attack_per_variant=16, variants=("v1",),
-        faults=faults,
-        jobs=getattr(args, "jobs", 1) or 1,
-        uarch=getattr(args, "uarch", "inorder"),
+        faults=faults, uarch=getattr(args, "uarch", "inorder"),
+        context=RunContext(backend=backend_for(getattr(args, "jobs", 1))),
     )
     print(result.format())
     print(f"\n{faults.summary()}")

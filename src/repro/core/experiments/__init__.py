@@ -28,9 +28,19 @@ from repro.core.experiments.table1 import (
     run_table1,
 )
 
+#: Experiment command name -> runner.
+RUNNERS = {
+    "fig4": run_fig4,
+    "fig5": run_fig5,
+    "fig6": run_fig6,
+    "table1": run_table1,
+    "hardening": run_hardening,
+}
+
 __all__ = [
     "DETECTOR_LEGENDS",
     "DETECTOR_NAMES",
+    "RUNNERS",
     "attempt_dataset",
     "co_run",
     "mean_accuracy",

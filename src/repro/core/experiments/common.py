@@ -1,9 +1,26 @@
 """Shared machinery for the per-figure experiment runners."""
 
+import dataclasses
+
 from repro.attack import PerturbParams
 from repro.hid import DEFAULT_FEATURES, make_detector, samples_to_dataset
 from repro.hid.dataset import Dataset
 from repro.obs.tracer import current_tracer
+
+
+@dataclasses.dataclass
+class SweepResult:
+    """Base of every runner's result: the sweep record it was built from.
+
+    *sweep* is the :class:`~repro.exec.SweepRecord` of the runner's
+    plan; a report ends with its status and metrics sections.
+    """
+
+    sweep: object
+
+    @property
+    def partial(self):
+        return self.sweep.partial
 
 
 def sample_training_records(host, training_benign, training_attack,

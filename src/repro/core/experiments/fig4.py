@@ -16,33 +16,23 @@ single cells into a partial report instead of crashing the sweep.
 
 import dataclasses
 
-from repro.core.reporting import (
-    append_metrics_section,
-    append_status_section,
-    format_table,
-)
-from repro.core.resilience import sweep_partial
+from repro.core.experiments.common import SweepResult
+from repro.core.reporting import format_table
 from repro.core.scenario import Scenario, ScenarioConfig
-from repro.exec import SweepPlan, backend_for, execute_plan
+from repro.exec import SweepPlan, execute_plan
 from repro.hid import feature_set, make_detector, samples_to_dataset
 from repro.hid.features import FEATURE_SIZES
 from repro.workloads import FIG4_HOSTS
 
 
 @dataclasses.dataclass
-class Fig4Result:
+class Fig4Result(SweepResult):
     """accuracies[host][feature_size] = variant-averaged accuracy."""
 
     accuracies: dict
     hosts: tuple
     feature_sizes: tuple
     classifier: str
-    cell_status: dict = dataclasses.field(default_factory=dict)
-    cell_metrics: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def partial(self):
-        return sweep_partial(self.cell_status)
 
     def format(self):
         headers = ["Feature size"] + [
@@ -63,18 +53,7 @@ class Fig4Result:
             title=(f"Fig. 4 — HID ({self.classifier}) accuracy vs feature "
                    f"size (Spectre variants averaged)"),
         )
-        text = append_status_section(
-            text, self._noteworthy_status(), self.partial
-        )
-        return append_metrics_section(text, self.cell_metrics)
-
-    def _noteworthy_status(self):
-        # "cached" is unremarkable: a resumed sweep must render the same
-        # report an uninterrupted one did.
-        if any(cell.get("status") not in ("ok", "cached")
-               for cell in self.cell_status.values()):
-            return self.cell_status
-        return {}
+        return self.sweep.report(text)
 
     def accuracy_at(self, size):
         """Host-averaged accuracy at one feature size (completed hosts)."""
@@ -186,34 +165,22 @@ def fig4_meta(seed, hosts, feature_sizes, classifier, benign_per_host,
 def run_fig4(seed=0, hosts=FIG4_HOSTS, feature_sizes=FEATURE_SIZES,
              classifier="mlp", benign_per_host=150, attack_per_variant=50,
              variants=("v1", "rsb", "sbo"), faults=None,
-             jobs=1, backend=None, progress=None, trace=None,
-             traces=None, timings=None, cell_cache=None, profile=None,
-             profiles=None, phases=None, profile_memo=None,
-             fit_memo=None, uarch="inorder"):
+             uarch="inorder", context=None):
     """Regenerate Figure 4.  Returns a :class:`Fig4Result`."""
     plan = plan_fig4(seed, hosts, feature_sizes, classifier,
                      benign_per_host, attack_per_variant, variants,
                      faults=faults, uarch=uarch)
-    statuses = {}
-    metrics = {}
-    results = execute_plan(plan, statuses=statuses,
-                           backend=backend or backend_for(jobs),
-                           progress=progress,
-                           trace=trace, traces=traces, metrics=metrics,
-                           timings=timings, cell_cache=cell_cache,
-                           profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo,
-                           fit_memo=fit_memo)
+    sweep = execute_plan(plan, context)
+    results = sweep.values
     accuracies = {}
     for host in hosts:
         value = results.get(f"host/{host}")
         if value is not None:
             accuracies[host] = {int(k): v for k, v in value.items()}
     return Fig4Result(
+        sweep=sweep,
         accuracies=accuracies,
         hosts=tuple(hosts),
         feature_sizes=tuple(feature_sizes),
         classifier=classifier,
-        cell_status=statuses,
-        cell_metrics=metrics,
     )

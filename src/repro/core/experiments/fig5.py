@@ -25,6 +25,7 @@ import dataclasses
 from repro.attack import PerturbParams
 from repro.core.experiments.common import (
     DETECTOR_NAMES,
+    SweepResult,
     attempt_dataset,
     sample_training_records,
     search_evading_params,
@@ -32,30 +33,21 @@ from repro.core.experiments.common import (
     train_detectors,
 )
 from repro.core.reporting import (
-    append_metrics_section,
-    append_status_section,
     format_series,
     sparkline,
 )
-from repro.core.resilience import sweep_partial
 from repro.core.scenario import Scenario, ScenarioConfig
-from repro.exec import SweepPlan, backend_for, execute_plan
+from repro.exec import SweepPlan, execute_plan
 from repro.hid.io import samples_from_records, samples_to_records
 
 
 @dataclasses.dataclass
-class Fig5Result:
+class Fig5Result(SweepResult):
     spectre: dict       # detector name -> [accuracy per attempt]
     crspectre: dict     # detector name -> [accuracy per attempt]
     chosen_params: object
     search_history: list
     attempts: int
-    cell_status: dict = dataclasses.field(default_factory=dict)
-    cell_metrics: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def partial(self):
-        return sweep_partial(self.cell_status)
 
     def format(self):
         lines = ["Fig. 5(a) — offline HID vs plain Spectre "
@@ -77,14 +69,7 @@ class Fig5Result:
                 + "  " + sparkline(values, 0, 100)
             )
         text = "\n".join(lines)
-        noteworthy = {
-            key: cell for key, cell in self.cell_status.items()
-            if cell.get("status") not in ("ok", "cached")
-        }
-        text = append_status_section(
-            text, self.cell_status if noteworthy else {}, self.partial
-        )
-        return append_metrics_section(text, self.cell_metrics)
+        return self.sweep.report(text)
 
     def mean_accuracy(self, which="crspectre"):
         series = getattr(self, which)
@@ -281,25 +266,14 @@ def run_fig5(seed=0, host="basicmath", attempts=10,
              detector_names=DETECTOR_NAMES, training_benign=240,
              training_attack=240, attempt_samples=60, attempt_benign=20,
              scenario=None, training=None, faults=None,
-             jobs=1, backend=None, progress=None, trace=None,
-             traces=None, timings=None, cell_cache=None, profile=None,
-             profiles=None, phases=None, profile_memo=None,
-             fit_memo=None, uarch="inorder"):
+             uarch="inorder", context=None):
     """Regenerate Figure 5.  Returns a :class:`Fig5Result`."""
     plan = plan_fig5(seed, host, attempts, detector_names,
                      training_benign, training_attack, attempt_samples,
                      attempt_benign, scenario=scenario, training=training,
                      faults=faults, uarch=uarch)
-    statuses = {}
-    metrics = {}
-    results = execute_plan(plan, statuses=statuses,
-                           backend=backend or backend_for(jobs),
-                           progress=progress,
-                           trace=trace, traces=traces, metrics=metrics,
-                           timings=timings, cell_cache=cell_cache,
-                           profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo,
-                           fit_memo=fit_memo)
+    sweep = execute_plan(plan, context)
+    results = sweep.values
 
     search = results.get("search")
     if search is None:
@@ -311,6 +285,7 @@ def run_fig5(seed=0, host="basicmath", attempts=10,
             for fields, accuracy in search["history"]
         ]
     return Fig5Result(
+        sweep=sweep,
         spectre=_collect_series(results, "spectre", attempts,
                                 detector_names),
         crspectre=_collect_series(results, "crspectre", attempts,
@@ -318,6 +293,4 @@ def run_fig5(seed=0, host="basicmath", attempts=10,
         chosen_params=chosen_params,
         search_history=search_history,
         attempts=attempts,
-        cell_status=statuses,
-        cell_metrics=metrics,
     )

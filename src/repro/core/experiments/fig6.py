@@ -27,20 +27,18 @@ from repro.attack import PerturbParams
 from repro.attack.adaptive import AdaptiveAttacker, AttemptRecord
 from repro.core.experiments.common import (
     DETECTOR_NAMES,
+    SweepResult,
     attempt_dataset,
     sample_training_records,
     split_training,
     train_detectors,
 )
 from repro.core.reporting import (
-    append_metrics_section,
-    append_status_section,
     format_series,
     sparkline,
 )
-from repro.core.resilience import sweep_partial
 from repro.core.scenario import Scenario, ScenarioConfig
-from repro.exec import SweepPlan, backend_for, execute_plan
+from repro.exec import SweepPlan, execute_plan
 from repro.hid.dataset import Dataset
 from repro.hid.io import samples_from_records, samples_to_records
 
@@ -61,17 +59,11 @@ def observe_self_labeled(detector, dataset):
 
 
 @dataclasses.dataclass
-class Fig6Result:
+class Fig6Result(SweepResult):
     spectre: dict
     crspectre: dict
     attacker_history: list  # AttemptRecord per attempt
     attempts: int
-    cell_status: dict = dataclasses.field(default_factory=dict)
-    cell_metrics: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def partial(self):
-        return sweep_partial(self.cell_status)
 
     def format(self):
         lines = ["Fig. 6(a) — online HID vs plain Spectre "
@@ -97,14 +89,7 @@ class Fig6Result:
                 f"[{record.params.describe()}]"
             )
         text = "\n".join(lines)
-        noteworthy = any(
-            cell.get("status") not in ("ok", "cached")
-            for cell in self.cell_status.values()
-        )
-        text = append_status_section(
-            text, self.cell_status if noteworthy else {}, self.partial
-        )
-        return append_metrics_section(text, self.cell_metrics)
+        return self.sweep.report(text)
 
     def min_accuracy(self):
         return min(v for s in self.crspectre.values() for v in s)
@@ -282,10 +267,7 @@ def run_fig6(seed=0, host="basicmath", attempts=10,
              detector_names=DETECTOR_NAMES, training_benign=240,
              training_attack=240, attempt_samples=60, attempt_benign=15,
              audit_every=3, scenario=None, training=None,
-             faults=None, jobs=1, backend=None, progress=None, trace=None,
-             traces=None, timings=None, cell_cache=None, profile=None,
-             profiles=None, phases=None, profile_memo=None,
-             fit_memo=None, uarch="inorder"):
+             faults=None, uarch="inorder", context=None):
     """Regenerate Figure 6.  Returns a :class:`Fig6Result`.
 
     ``audit_every``: every k-th attempt the defender's analysts audit
@@ -297,16 +279,8 @@ def run_fig6(seed=0, host="basicmath", attempts=10,
                      training_benign, training_attack, attempt_samples,
                      attempt_benign, audit_every, scenario=scenario,
                      training=training, faults=faults, uarch=uarch)
-    statuses = {}
-    metrics = {}
-    results = execute_plan(plan, statuses=statuses,
-                           backend=backend or backend_for(jobs),
-                           progress=progress,
-                           trace=trace, traces=traces, metrics=metrics,
-                           timings=timings, cell_cache=cell_cache,
-                           profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo,
-                           fit_memo=fit_memo)
+    sweep = execute_plan(plan, context)
+    results = sweep.values
 
     phase_b_value = results.get("crspectre")
     if phase_b_value is None:
@@ -323,10 +297,9 @@ def run_fig6(seed=0, host="basicmath", attempts=10,
         ]
 
     return Fig6Result(
+        sweep=sweep,
         spectre=results.get("spectre") or {},
         crspectre=crspectre_series,
         attacker_history=attacker_history,
         attempts=attempts,
-        cell_status=statuses,
-        cell_metrics=metrics,
     )

@@ -26,33 +26,22 @@ import dataclasses
 import random
 
 from repro.attack.perturb import random_params
-from repro.core.experiments.common import attempt_dataset
-from repro.core.reporting import (
-    append_metrics_section,
-    append_status_section,
-    format_table,
-)
-from repro.core.resilience import sweep_partial
+from repro.core.experiments.common import SweepResult, attempt_dataset
+from repro.core.reporting import format_table
 from repro.core.scenario import Scenario, ScenarioConfig
-from repro.exec import SweepPlan, backend_for, execute_plan
+from repro.exec import SweepPlan, execute_plan
 from repro.hid import make_detector, samples_to_dataset
 from repro.hid.features import DEFAULT_FEATURES
 from repro.hid.io import samples_from_records, samples_to_records
 
 
 @dataclasses.dataclass
-class HardeningResult:
+class HardeningResult(SweepResult):
     """accuracy_by_k[k] = mean accuracy on held-out variants."""
 
     accuracy_by_k: dict
     holdout_variants: int
     classifier: str
-    cell_status: dict = dataclasses.field(default_factory=dict)
-    cell_metrics: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def partial(self):
-        return sweep_partial(self.cell_status)
 
     def format(self):
         rows = [
@@ -66,14 +55,7 @@ class HardeningResult:
                    f"{self.classifier} vs {self.holdout_variants} "
                    f"held-out CR-Spectre variants"),
         )
-        noteworthy = any(
-            cell.get("status") not in ("ok", "cached")
-            for cell in self.cell_status.values()
-        )
-        text = append_status_section(
-            text, self.cell_status if noteworthy else {}, self.partial
-        )
-        return append_metrics_section(text, self.cell_metrics)
+        return self.sweep.report(text)
 
     def improvement(self):
         ks = sorted(self.accuracy_by_k)
@@ -222,10 +204,7 @@ def run_hardening(seed=0, classifier="mlp", train_variant_counts=(0, 2, 4, 8),
                   holdout_variants=4, samples_per_variant=40,
                   training_benign=200, training_attack=120,
                   attempt_benign=15, scenario=None,
-                  faults=None, jobs=1, backend=None, progress=None,
-                  trace=None, traces=None, timings=None, cell_cache=None,
-                  profile=None, profiles=None, phases=None,
-                  profile_memo=None, fit_memo=None, uarch="inorder"):
+                  faults=None, uarch="inorder", context=None):
     """Run the adversarial-training ablation.
 
     For each K in *train_variant_counts*: train on benign + plain
@@ -236,25 +215,16 @@ def run_hardening(seed=0, classifier="mlp", train_variant_counts=(0, 2, 4, 8),
                           holdout_variants, samples_per_variant,
                           training_benign, training_attack, attempt_benign,
                           scenario=scenario, faults=faults, uarch=uarch)
-    statuses = {}
-    metrics = {}
-    results = execute_plan(plan, statuses=statuses,
-                           backend=backend or backend_for(jobs),
-                           progress=progress,
-                           trace=trace, traces=traces, metrics=metrics,
-                           timings=timings, cell_cache=cell_cache,
-                           profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo,
-                           fit_memo=fit_memo)
+    sweep = execute_plan(plan, context)
+    results = sweep.values
     accuracy_by_k = {}
     for k in train_variant_counts:
         value = results.get(f"k/{k}")
         if value is not None:
             accuracy_by_k[k] = value
     return HardeningResult(
+        sweep=sweep,
         accuracy_by_k=accuracy_by_k,
         holdout_variants=holdout_variants,
         classifier=classifier,
-        cell_status=statuses,
-        cell_metrics=metrics,
     )

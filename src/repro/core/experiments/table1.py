@@ -16,7 +16,7 @@ negligible (<~1 %).
 Each benchmark row is one cell of the declared
 :class:`~repro.exec.SweepPlan` — rows build their own simulated
 :class:`~repro.kernel.system.System` instances, so they are mutually
-independent and fan out cleanly over a process pool (``jobs=N``).
+independent and fan out cleanly over a process pool (``--jobs N``).
 """
 
 import dataclasses
@@ -27,16 +27,12 @@ from repro.attack import (
     build_spectre,
     plan_execve_injection,
 )
-from repro.core.experiments.common import co_run
-from repro.core.reporting import (
-    append_metrics_section,
-    append_status_section,
-    format_table,
-)
-from repro.core.resilience import Watchdog, sweep_partial
+from repro.core.experiments.common import SweepResult, co_run
+from repro.core.reporting import format_table
+from repro.core.resilience import Watchdog
 from repro.core.scenario import PROFILE_REPEATS
 from repro.errors import BudgetExceededError
-from repro.exec import SweepPlan, backend_for, execute_plan
+from repro.exec import SweepPlan, execute_plan
 from repro.kernel.system import System
 from repro.workloads import get_workload
 
@@ -75,14 +71,8 @@ class Table1Row:
 
 
 @dataclasses.dataclass
-class Table1Result:
+class Table1Result(SweepResult):
     rows: list
-    cell_status: dict = dataclasses.field(default_factory=dict)
-    cell_metrics: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def partial(self):
-        return sweep_partial(self.cell_status)
 
     def format(self):
         headers = ["Benchmark", "Original (IPC)",
@@ -101,14 +91,7 @@ class Table1Result:
             headers, body,
             title="Table I — performance overhead in evaluated benchmarks",
         )
-        noteworthy = any(
-            cell.get("status") not in ("ok", "cached")
-            for cell in self.cell_status.values()
-        )
-        text = append_status_section(
-            text, self.cell_status if noteworthy else {}, self.partial
-        )
-        return append_metrics_section(text, self.cell_metrics)
+        return self.sweep.report(text)
 
     def average_overheads(self):
         offline = sum(r.offline_overhead for r in self.rows) / len(self.rows)
@@ -306,11 +289,8 @@ def table1_meta(seed, rows, secret, repetitions, quantum,
 
 def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
                repetitions=3, quantum=10_000,
-               measurement_budget=None, faults=None, jobs=1,
-               backend=None, progress=None, trace=None, traces=None,
-               timings=None, cell_cache=None, profile=None,
-               profiles=None, phases=None, profile_memo=None,
-               fit_memo=None, uarch="inorder"):
+               measurement_budget=None, faults=None, uarch="inorder",
+               context=None):
     """Regenerate Table I.  Returns a :class:`Table1Result`.
 
     ``repetitions`` mirrors the paper's averaging over repeated runs
@@ -324,16 +304,8 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
     plan = plan_table1(seed, rows, secret, repetitions, quantum,
                        measurement_budget=measurement_budget,
                        faults=faults, uarch=uarch)
-    statuses = {}
-    metrics = {}
-    results = execute_plan(plan, statuses=statuses,
-                           backend=backend or backend_for(jobs),
-                           progress=progress,
-                           trace=trace, traces=traces, metrics=metrics,
-                           timings=timings, cell_cache=cell_cache,
-                           profile=profile, profiles=profiles,
-                           phases=phases, profile_memo=profile_memo,
-                           fit_memo=fit_memo)
+    sweep = execute_plan(plan, context)
+    results = sweep.values
     result_rows = []
     for label, _workload, _iterations in rows:
         value = results.get(f"row/{label}")
@@ -344,5 +316,4 @@ def run_table1(seed=0, rows=TABLE1_ROWS, secret=b"TheMagicWords!!!",
                 offline_ipc=value["offline"],
                 online_ipc=value["online"],
             ))
-    return Table1Result(rows=result_rows, cell_status=statuses,
-                        cell_metrics=metrics)
+    return Table1Result(sweep=sweep, rows=result_rows)

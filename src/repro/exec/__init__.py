@@ -6,10 +6,11 @@ derived seed and explicit dependencies), executed by a backend —
 :class:`SerialBackend` in-process or :class:`ProcessPoolBackend` over
 spawn-safe warm workers, picked from ``--jobs`` by :func:`backend_for`
 — with every completed cell memoized in the content-addressed
-:class:`CellCache`, so re-running a killed sweep resumes it.  Parallel
-output is bit-identical to serial output under the same root seed; see
-``docs/PARALLELISM.md`` for the seed-derivation scheme and the
-determinism guarantee.
+:class:`CellCache`, so re-running a killed sweep resumes it.
+:func:`execute_plan` takes the run's :class:`RunContext` and returns
+one :class:`SweepRecord`.  Parallel output is bit-identical to serial
+output under the same root seed; see ``docs/PARALLELISM.md`` for the
+seed-derivation scheme and the determinism guarantee.
 """
 
 from repro.exec.backends import (
@@ -23,6 +24,8 @@ from repro.exec.pool import shutdown_all, shutdown_pools, warmup
 from repro.exec.progress import SweepProgress
 from repro.exec.runner import (
     CellExecutionError,
+    RunContext,
+    SweepRecord,
     describe_plan,
     execute_plan,
 )
@@ -33,9 +36,11 @@ __all__ = [
     "CellCache",
     "CellExecutionError",
     "ProcessPoolBackend",
+    "RunContext",
     "SerialBackend",
     "SweepPlan",
     "SweepProgress",
+    "SweepRecord",
     "derive_seed",
     "describe_plan",
     "execute_plan",

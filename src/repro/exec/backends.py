@@ -119,17 +119,15 @@ class SerialBackend:
             trace = rest[0] if rest else None
             yield key, invoke_cell(fn, kwargs, faults_kw, trace)
 
-    def close(self):
-        pass
-
 
 class ProcessPoolBackend:
     """Fan cells out over ``jobs`` warm, spawn-safe worker processes.
 
     Workers come from the module-shared pool in :mod:`repro.exec.pool`:
     they import ``repro`` once and are reused across waves, plans and
-    experiments — ``close()`` is deliberately a no-op, so back-to-back
-    ``execute_plan`` calls never pay spawn cost twice.  A wave's cells
+    experiments, so back-to-back ``execute_plan`` calls never pay spawn
+    cost twice (``repro.exec.pool.shutdown_pools`` reaps them at
+    interpreter exit, or explicitly in tests).  A wave's cells
     are partitioned into contiguous batches in declaration order (one
     pickle and one IPC round-trip per batch, not per cell); at most
     ``2 * jobs`` batches are in flight at once, so a thousand-cell wave
@@ -162,12 +160,6 @@ class ProcessPoolBackend:
         from repro.exec.pool import discard_pool
 
         discard_pool(self.jobs)
-
-    def close(self):
-        """No-op: the shared pool stays warm for the next plan.
-
-        ``repro.exec.pool.shutdown_pools`` reaps it at interpreter
-        exit (or explicitly, in tests)."""
 
     def _partition(self, jobs):
         """Split a wave into contiguous declaration-order batches.

@@ -1,7 +1,8 @@
 """Live progress/ETA for long sweeps.
 
-A :class:`SweepProgress` is handed to :func:`repro.exec.runner.
-execute_plan`; it prints one line per completed cell (to stderr by
+A :class:`SweepProgress` rides in the run's :class:`~repro.exec.runner.
+RunContext`; :func:`~repro.exec.runner.execute_plan` starts it with the
+plan's size and it prints one line per completed cell (to stderr by
 default, so report artefacts on stdout stay byte-identical across
 backends) with observed throughput (cells/s) and a wall-clock ETA
 extrapolated from it.
@@ -35,18 +36,19 @@ class SweepProgress:
     real sleeps.
     """
 
-    def __init__(self, experiment, total, jobs=1, stream=None,
-                 cell_cache=None, clock=time.monotonic):
-        self.experiment = experiment
-        self.total = total
-        self.jobs = max(1, jobs)
+    def __init__(self, stream=None, cell_cache=None, clock=time.monotonic):
         self.stream = stream if stream is not None else sys.stderr
         self.cell_cache = cell_cache
         self._clock = clock
+        self.start(None, 0)
+
+    def start(self, experiment, total):
+        """Begin a sweep of *total* cells (``execute_plan`` calls this)."""
+        self.experiment = experiment
+        self.total = total
         self.done = 0
-        self.started = clock()
+        self.started = self._clock()
         self._computed = 0
-        self._computed_seconds = 0.0
 
     def cells_per_second(self):
         """Observed computed-cell throughput on the wall clock.
@@ -71,7 +73,6 @@ class SweepProgress:
         self.done += 1
         if status != "cached":
             self._computed += 1
-            self._computed_seconds += elapsed
         cache = None
         if self.cell_cache is not None:
             lookups = self.cell_cache.hits + self.cell_cache.misses

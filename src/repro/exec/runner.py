@@ -16,13 +16,22 @@ statuses/results are emitted in declaration order regardless of the
 order cells actually finished in.
 """
 
-import contextlib
+import dataclasses
 import itertools
 import json
 import time
 
-from repro.core.resilience import CELL_CACHED, CELL_FAILED, CELL_OK
-from repro.core.reporting import format_table
+from repro.core.reporting import (
+    append_metrics_section,
+    append_status_section,
+    format_table,
+)
+from repro.core.resilience import (
+    CELL_CACHED,
+    CELL_FAILED,
+    CELL_OK,
+    sweep_partial,
+)
 from repro.errors import FatalError
 from repro.exec.backends import SerialBackend
 from repro.hid.memo import memo_scope
@@ -80,76 +89,153 @@ def _cell_digest(cell_cache, plan, cell, kwargs, trace):
 _PLAN_SCOPES = itertools.count()
 
 
-def execute_plan(plan, statuses=None, backend=None, progress=None,
-                 trace=None, traces=None, metrics=None, timings=None,
-                 cell_cache=None, profile=None, profiles=None,
-                 phases=None, profile_memo=None, fit_memo=None):
-    """Run every cell of *plan*; returns ``{cell key: value-or-None}``.
+@dataclasses.dataclass(frozen=True)
+class RunContext:
+    """How a sweep runs, as opposed to what it computes.
 
-    *statuses* (dict) receives ``key -> {"status": ..., "error": ...}``
-    in declaration order: ``cached`` (cell-cache hit), ``ok`` or
-    ``failed`` (recoverable error, chain attached).  Cells whose
-    dependency failed are skipped silently — their value is ``None`` and
-    they get no status, matching the historical early-return behaviour
-    of the serial runners.
+    Built once by the caller (the CLI) and passed through the experiment
+    runners unread.  *backend* defaults to the serial reference
+    (:func:`repro.exec.backend_for` picks one from ``--jobs``);
+    *progress* is a :class:`~repro.exec.progress.SweepProgress`;
+    *trace* a :class:`~repro.obs.TraceConfig` and *profile* a
+    :class:`~repro.obs.prof.ProfileConfig` arm per-cell tracing and
+    self-profiling; *cell_cache* a :class:`~repro.exec.cellcache.
+    CellCache` memoizes cell values across runs.
+    """
 
-    *trace* (a :class:`~repro.obs.TraceConfig`) arms per-cell tracing:
-    each cell body runs under its own :class:`~repro.obs.Tracer`, and
-    the caller-supplied *traces* / *metrics* dicts receive
-    ``key -> record list`` / ``key -> metrics snapshot`` in declaration
-    order.  Trace records are virtual-timed and cached alongside the
-    value, so the filled dicts are byte-equal whether the cells ran
-    serially, in a pool, or were replayed from the cell cache.
+    backend: object = None
+    progress: object = None
+    trace: object = None
+    profile: object = None
+    cell_cache: object = None
 
-    *timings* (dict) receives ``key -> wall-clock seconds`` per executed
-    cell (0.0 for cache replays).  Wall clock is *not* part of the
-    determinism contract — the run ledger keeps it in the manifest's
-    volatile section.
+    @property
+    def profiling(self):
+        return self.profile is not None and self.profile.active
 
-    *cell_cache* (a :class:`~repro.exec.cellcache.CellCache`) memoizes
-    cell values across runs: a cell whose content digest is already in
-    the cache is replayed (status ``cached``) instead of computed, and
-    each freshly computed value is stored as it lands — so re-running a
-    killed sweep resumes it.  Replayed and computed cells are
-    indistinguishable downstream — same round-tripped value, same trace
-    records, same fired fault counts folded into ``plan.faults`` — so a
-    warm run compares byte-identical to the cold run that populated the
-    cache.  A cell that takes a derived fault injector is keyed by the
-    injector's spec, so armed and unarmed runs never replay each other.
+    @property
+    def memo_cache(self):
+        """The cell cache the sweep replays from and stores into.
 
-    *profile* (a :class:`~repro.obs.prof.ProfileConfig`) arms per-cell
-    self-profiling: each cell body runs under its own
-    :class:`~repro.obs.prof.Profiler` and the caller-supplied
-    *profiles* dict receives ``key -> snapshot`` in declaration order.
-    Everything but the snapshot's ``wall`` section is deterministic
-    across backends.  Profiled runs bypass the cell cache: a memoized
-    value has no profile to replay.
+        ``None`` for profiled runs: a memoized value has no profile to
+        replay, so they recompute every cell.
+        """
+        return None if self.profiling else self.cell_cache
 
-    *phases* (dict) receives a wall-clock breakdown of where
-    ``execute_plan`` itself spent its time — ``schedule`` (building
-    waves/jobs), ``cache_lookup`` (cell-cache digests + lookups),
-    ``compute`` (summed cell bodies), ``ipc`` (backend round-trip
-    residue; approximate under parallelism, where compute overlaps),
-    ``merge`` (absorbing outcomes, storing, final distribution).
-    Volatile by nature — manifests keep it under ``timing``.
+
+@dataclasses.dataclass
+class SweepRecord:
+    """Everything one :func:`execute_plan` call produced.
+
+    *values* maps cell key -> value (``None`` for a failed or skipped
+    cell).  The per-cell maps are in declaration order: *statuses*
+    (``{"status": ..., "error": ...}``), *traces* and *metrics* (traced
+    runs), *timings* (wall-clock seconds), *profiles* (profiled runs).
+    *phases*, *profile_memo* and *fit_memo* are sweep-wide wall-clock
+    and memo counts.
+    """
+
+    plan: object
+    values: dict
+    statuses: dict
+    traces: dict
+    metrics: dict
+    timings: dict
+    profiles: dict
+    phases: dict
+    profile_memo: dict
+    fit_memo: dict
+
+    @property
+    def partial(self):
+        return sweep_partial(self.statuses)
+
+    def report(self, text):
+        """*text* followed by the sweep's status and metrics sections.
+
+        The status block appears only when a cell failed: ``cached`` is
+        unremarkable, since a resumed sweep must render the report an
+        uninterrupted one did.
+        """
+        noteworthy = any(cell.get("status") not in (CELL_OK, CELL_CACHED)
+                         for cell in self.statuses.values())
+        text = append_status_section(
+            text, self.statuses if noteworthy else {}, self.partial
+        )
+        return append_metrics_section(text, self.metrics)
+
+
+def _in_plan_order(plan, found):
+    return {cell.key: found[cell.key] for cell in plan if cell.key in found}
+
+
+def execute_plan(plan, context=None):
+    """Run every cell of *plan* under *context*; returns a
+    :class:`SweepRecord`.
+
+    Each executed cell gets a status: ``cached`` (cell-cache hit),
+    ``ok`` or ``failed`` (recoverable error, chain attached).  Cells
+    whose dependency failed are skipped silently — their value is
+    ``None`` and they get no status, matching the historical
+    early-return behaviour of the serial runners.
+
+    A *context* (:class:`RunContext`) with a ``trace`` config runs each
+    cell body under its own :class:`~repro.obs.Tracer`; the record's
+    ``traces`` / ``metrics`` hold each cell's records and metrics
+    snapshot.  Trace records are virtual-timed and cached alongside the
+    value, so they are byte-equal whether the cells ran serially, in a
+    pool, or were replayed from the cell cache.
+
+    ``timings`` holds wall-clock seconds per executed cell (0.0 for
+    cache replays).  Wall clock is *not* part of the determinism
+    contract — the run ledger keeps it in the manifest's volatile
+    section.
+
+    A ``cell_cache`` memoizes cell values across runs: a cell whose
+    content digest is already in the cache is replayed (status
+    ``cached``) instead of computed, and each freshly computed value is
+    stored as it lands — so re-running a killed sweep resumes it.
+    Replayed and computed cells are indistinguishable downstream — same
+    round-tripped value, same trace records, same fired fault counts
+    folded into ``plan.faults`` — so a warm run compares byte-identical
+    to the cold run that populated the cache.  A cell that takes a
+    derived fault injector is keyed by the injector's spec, so armed
+    and unarmed runs never replay each other.
+
+    A ``profile`` config arms per-cell self-profiling: each cell body
+    runs under its own :class:`~repro.obs.prof.Profiler` and
+    ``profiles`` holds each cell's snapshot.  Everything but the
+    snapshot's ``wall`` section is deterministic across backends.
+    Profiled runs bypass the cell cache: a memoized value has no
+    profile to replay.
+
+    ``phases`` is a wall-clock breakdown of where ``execute_plan``
+    itself spent its time — ``schedule`` (building waves/jobs),
+    ``cache_lookup`` (cell-cache digests + lookups), ``compute``
+    (summed cell bodies), ``ipc`` (backend round-trip residue;
+    approximate under parallelism, where compute overlaps), ``merge``
+    (absorbing outcomes, storing, final distribution).  Volatile by
+    nature — manifests keep it under ``timing``.
 
     Every call runs its cells under fresh sweep memos (benign
     profiles and classifier fits, :func:`~repro.hid.memo.memo_scope`),
     dropped when it returns: under the serial backend the whole plan
     shares them, under the pool each worker keeps its own for the
-    plan's batches (keyed by a per-call token).  *profile_memo* and
-    *fit_memo* (dicts) receive their summed ``hits`` / ``misses`` /
-    ``stored`` counts — volatile too, since they depend on how the
-    backend spread the cells.
+    plan's batches (keyed by a per-call token).  ``profile_memo`` and
+    ``fit_memo`` hold their summed ``hits`` / ``misses`` / ``stored``
+    counts — volatile too, since they depend on how the backend spread
+    the cells.
     """
-    backend = backend or SerialBackend()
+    context = context or RunContext()
+    progress, trace, profile = (context.progress, context.trace,
+                                context.profile)
+    cell_cache = context.memo_cache
+    backend = context.backend or SerialBackend()
     if plan.has_local_cells and backend.concurrent:
         # Local cells close over live shared state (an injected
         # Scenario); they cannot be shipped to a worker.  Fall back to
         # the reference backend rather than silently running a subset.
         backend = SerialBackend()
-    if statuses is None:
-        statuses = {}
     results = dict(plan.presets)
     recorded = {}
     cell_traces = {}
@@ -158,29 +244,24 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
     cell_profiles = {}
     digests = {}
     tracing = trace is not None
-    profiling = profile is not None and profile.active
-    memoizing = cell_cache is not None and not profiling
+    profiling = context.profiling
     phase_acc = {"schedule": 0.0, "cache_lookup": 0.0, "compute": 0.0,
                  "ipc": 0.0, "merge": 0.0}
     memo_counts = {kind: {"hits": 0, "misses": 0, "stored": 0}
                    for kind in ("profile_memo", "fit_memo")}
     scope = next(_PLAN_SCOPES)
+    if progress is not None:
+        progress.start(plan.experiment, len(plan))
 
     def note(key, status, elapsed, snapshot):
-        if progress is None:
-            return
-        if tracing:
-            # The metrics kwarg is only offered when tracing is on, so
-            # three-positional custom progress objects keep working.
+        if progress is not None:
             progress.update(key, status, elapsed, metrics=snapshot)
-        else:
-            progress.update(key, status, elapsed)
 
     def absorb_fired(fired):
         if plan.faults is not None and fired:
             plan.faults.absorb(fired)
 
-    with memo_scope(), contextlib.closing(backend):
+    with memo_scope():
         for wave in plan.waves():
             build0 = time.monotonic()
             cache0 = phase_acc["cache_lookup"]
@@ -193,7 +274,7 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
                     results[cell.key] = None
                     continue
                 kwargs = _cell_kwargs(cell, results)
-                if memoizing:
+                if cell_cache is not None:
                     lookup0 = time.monotonic()
                     digest = _cell_digest(cell_cache, plan, cell, kwargs,
                                           trace)
@@ -281,35 +362,24 @@ def execute_plan(plan, statuses=None, backend=None, progress=None,
             phase_acc["compute"] += compute_wave
 
     merge0 = time.monotonic()
-    for cell in plan:
-        if cell.key in recorded:
-            statuses[cell.key] = recorded[cell.key]
-        if traces is not None and cell.key in cell_traces:
-            traces[cell.key] = cell_traces[cell.key]
-        if metrics is not None and cell.key in cell_metrics:
-            metrics[cell.key] = cell_metrics[cell.key]
-        if timings is not None and cell.key in cell_elapsed:
-            timings[cell.key] = cell_elapsed[cell.key]
-        if profiles is not None and cell.key in cell_profiles:
-            profiles[cell.key] = cell_profiles[cell.key]
+    statuses, traces, metrics, timings, profiles = (
+        _in_plan_order(plan, found)
+        for found in (recorded, cell_traces, cell_metrics, cell_elapsed,
+                      cell_profiles)
+    )
     phase_acc["merge"] += time.monotonic() - merge0
-    if profile_memo is not None:
-        profile_memo.update(memo_counts["profile_memo"])
-    if fit_memo is not None:
-        fit_memo.update(memo_counts["fit_memo"])
-    if phases is not None:
-        phases.update(
-            {name: round(seconds, 6)
-             for name, seconds in phase_acc.items()}
-        )
     if progress is not None:
-        phases_cb = getattr(progress, "phases", None)
-        if phases_cb is not None:
-            phases_cb(phase_acc)
-    return results
+        progress.phases(phase_acc)
+    return SweepRecord(
+        plan=plan, values=results, statuses=statuses, traces=traces,
+        metrics=metrics, timings=timings, profiles=profiles,
+        phases={name: round(seconds, 6)
+                for name, seconds in phase_acc.items()},
+        **memo_counts,
+    )
 
 
-def describe_plan(plan, cell_cache=None, trace=None):
+def describe_plan(plan, context=None):
     """Render the cell grid without executing it (``--list-cells``).
 
     One row per cell: key, derived seed, dependencies, and whether the
@@ -318,6 +388,8 @@ def describe_plan(plan, cell_cache=None, trace=None):
     digest, over its dependencies' cached values, resolves to a verified
     entry; a cell with a pending dependency is itself pending.
     """
+    context = context or RunContext()
+    cell_cache = context.memo_cache
     known = dict(plan.presets)
     if cell_cache is not None:
         for wave in plan.waves():
@@ -326,7 +398,7 @@ def describe_plan(plan, cell_cache=None, trace=None):
                     continue
                 memo = cell_cache.lookup(_cell_digest(
                     cell_cache, plan, cell, _cell_kwargs(cell, known),
-                    trace,
+                    context.trace,
                 ))
                 if memo is not None:
                     known[cell.key] = memo["value"]

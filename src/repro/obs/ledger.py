@@ -125,19 +125,20 @@ def _result_section(result, method):
         return {}
 
 
-def build_manifest(experiment, config, result, plan=None, statuses=None,
-                   trace_files=None, trace_root=None, timing=None,
-                   repo_root=".", profile=None):
+def build_manifest(experiment, config, result, trace_files=None,
+                   trace_root=None, timing=None, repo_root=".",
+                   profile=None):
     """Assemble one run's manifest dict (see the module docstring).
 
     *config* is the resolved knob dict (``<experiment>_meta``),
-    *plan* the :class:`~repro.exec.SweepPlan` that was executed,
-    *statuses* the cell-status dict :func:`~repro.exec.execute_plan`
-    filled, *trace_files* an optional ``{label: path}`` of written
-    sinks, *timing* an optional dict of wall-clock fields (kept in the
-    volatile section).  Sink paths under *trace_root* (normally the
-    run's ledger directory) are recorded relative to it, so manifests
-    do not depend on where the ledger lives on disk.
+    *result* a runner's result: its ``sweep``
+    (:class:`~repro.exec.SweepRecord`) gives the executed plan, the
+    cell statuses and the per-cell metrics.  *trace_files* is an
+    optional ``{label: path}`` of written sinks, *timing* an optional
+    dict of wall-clock fields (kept in the volatile section).  Sink
+    paths under *trace_root* (normally the run's ledger directory) are
+    recorded relative to it, so manifests do not depend on where the
+    ledger lives on disk.
 
     *profile* is a merged self-profiler snapshot
     (:func:`repro.obs.prof.merge_profiles`); only its deterministic
@@ -145,22 +146,15 @@ def build_manifest(experiment, config, result, plan=None, statuses=None,
     so a profiled manifest still compares byte-identical across
     backends.
     """
-    statuses = statuses if statuses is not None else getattr(
-        result, "cell_status", {}
-    )
+    sweep = result.sweep
     cells = []
-    if plan is not None:
-        for cell in plan:
-            entry = {"key": cell.key, "seed": f"{cell.seed:#018x}",
-                     "deps": sorted(set(cell.deps.values()))}
-            recorded = statuses.get(cell.key)
-            entry.update(_normalise_status(recorded) if recorded
-                         else {"status": "skipped"})
-            cells.append(entry)
-    else:
-        for key in sorted(statuses):
-            cells.append({"key": key, "seed": None, "deps": [],
-                          **_normalise_status(statuses[key])})
+    for cell in sweep.plan:
+        entry = {"key": cell.key, "seed": f"{cell.seed:#018x}",
+                 "deps": sorted(set(cell.deps.values()))}
+        recorded = sweep.statuses.get(cell.key)
+        entry.update(_normalise_status(recorded) if recorded
+                     else {"status": "skipped"})
+        cells.append(entry)
 
     traces = None
     if trace_files:
@@ -183,9 +177,9 @@ def build_manifest(experiment, config, result, plan=None, statuses=None,
         "config": config,
         "config_hash": stable_hash(config),
         "git_sha": git_sha(repo_root),
-        "partial": bool(getattr(result, "partial", False)),
+        "partial": bool(result.partial),
         "cells": cells,
-        "metrics": getattr(result, "cell_metrics", None) or {},
+        "metrics": sweep.metrics,
         "headlines": _result_section(result, "headlines"),
         "series": _result_section(result, "series"),
         "traces": traces,

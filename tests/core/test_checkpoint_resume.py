@@ -8,12 +8,16 @@ only computes the rest.
 import pytest
 
 from repro.core.experiments import fig6, run_fig4, run_fig6
-from repro.exec import CellCache
+from repro.exec import CellCache, RunContext
 
 FIG6_KNOBS = dict(
     seed=8, attempts=2, detector_names=("lr",), training_benign=40,
     training_attack=40, attempt_samples=12, attempt_benign=6,
 )
+
+
+def _cached(cache_root):
+    return RunContext(cell_cache=CellCache(cache_root))
 
 
 def _killed_in_spectre_phase(monkeypatch, cache_root, **knobs):
@@ -26,7 +30,7 @@ def _killed_in_spectre_phase(monkeypatch, cache_root, **knobs):
     monkeypatch.setattr(fig6, "train_detectors", killed)
     cache = CellCache(cache_root)
     with pytest.raises(KeyboardInterrupt):
-        run_fig6(cell_cache=cache, **knobs)
+        run_fig6(**knobs, context=RunContext(cell_cache=cache))
     monkeypatch.setattr(fig6, "train_detectors", real_train_detectors)
     return cache
 
@@ -40,19 +44,19 @@ class TestFig6KillAndResume:
         assert killed.puts == 1
 
         # ---- second invocation: resumes from the cell cache.
-        result = run_fig6(cell_cache=CellCache(tmp_path), **FIG6_KNOBS)
-        assert result.cell_status["training"]["status"] == "cached"
-        assert result.cell_status["spectre"]["status"] == "ok"
-        assert result.cell_status["crspectre"]["status"] == "ok"
+        result = run_fig6(**FIG6_KNOBS, context=_cached(tmp_path))
+        assert result.sweep.statuses["training"]["status"] == "cached"
+        assert result.sweep.statuses["spectre"]["status"] == "ok"
+        assert result.sweep.statuses["crspectre"]["status"] == "ok"
         assert not result.partial
         assert len(result.crspectre["lr"]) == FIG6_KNOBS["attempts"]
         assert len(result.attacker_history) == FIG6_KNOBS["attempts"]
         assert result.format() == run_fig6(**FIG6_KNOBS).format()
 
         # ---- third invocation: everything is served from the cache.
-        rerun = run_fig6(cell_cache=CellCache(tmp_path), **FIG6_KNOBS)
+        rerun = run_fig6(**FIG6_KNOBS, context=_cached(tmp_path))
         assert all(cell["status"] == "cached"
-                   for cell in rerun.cell_status.values())
+                   for cell in rerun.sweep.statuses.values())
         assert rerun.crspectre == result.crspectre
         assert [r.params for r in rerun.attacker_history] == \
             [r.params for r in result.attacker_history]
@@ -64,10 +68,10 @@ class TestFig6KillAndResume:
         # old seed must not be replayed into the new sweep.
         knobs = dict(FIG6_KNOBS, seed=9)
         cache = CellCache(tmp_path)
-        result = run_fig6(cell_cache=cache, **knobs)
+        result = run_fig6(**knobs, context=RunContext(cell_cache=cache))
         assert cache.hits == 0
         assert all(cell["status"] == "ok"
-                   for cell in result.cell_status.values())
+                   for cell in result.sweep.statuses.values())
 
 
 class TestFig4Resume:
@@ -77,8 +81,9 @@ class TestFig4Resume:
             classifier="lr", benign_per_host=30, attack_per_variant=10,
             variants=("v1",),
         )
-        first = run_fig4(cell_cache=CellCache(tmp_path), **knobs)
-        assert first.cell_status["host/basicmath"]["status"] == "ok"
-        resumed = run_fig4(cell_cache=CellCache(tmp_path), **knobs)
-        assert resumed.cell_status["host/basicmath"]["status"] == "cached"
+        first = run_fig4(**knobs, context=_cached(tmp_path))
+        assert first.sweep.statuses["host/basicmath"]["status"] == "ok"
+        resumed = run_fig4(**knobs, context=_cached(tmp_path))
+        assert resumed.sweep.statuses["host/basicmath"]["status"] == \
+            "cached"
         assert resumed.accuracies == first.accuracies

@@ -9,7 +9,7 @@ import pytest
 from repro.core.experiments.fig4 import _host_cell
 from repro.core.resilience import FaultInjector
 from repro.core.scenario import Scenario, ScenarioConfig
-from repro.exec import SerialBackend, SweepPlan, execute_plan
+from repro.exec import RunContext, SerialBackend, SweepPlan, execute_plan
 from repro.exec.pool import invoke_batch
 from repro.hid.memo import memo_scope
 from repro.hid.profiler import Profiler, active_profile_memo
@@ -180,11 +180,9 @@ def test_each_execute_plan_starts_with_an_empty_memo():
     plan.add("a", _memo_probe, kwargs={"tag": "a"}, seed_kw="cell_seed")
     plan.add("b", _memo_probe, kwargs={"tag": "b"}, seed_kw="cell_seed")
     for _ in range(2):
-        counts = {}
-        results = execute_plan(plan, backend=SerialBackend(),
-                               profile_memo=counts)
-        assert results == {"a": [], "b": ["a"]}
-        assert counts == {"hits": 0, "misses": 0, "stored": 0}
+        sweep = execute_plan(plan, RunContext(backend=SerialBackend()))
+        assert sweep.values == {"a": [], "b": ["a"]}
+        assert sweep.profile_memo == {"hits": 0, "misses": 0, "stored": 0}
         assert active_profile_memo() is None
     # A pool worker batch of a new plan token starts empty the same way.
     batch = [(key, _memo_probe, {"tag": key}, None, None)

@@ -239,7 +239,7 @@ class TestFaultMatrix:
         )
         assert result.partial
         assert result.accuracies == {}
-        status = result.cell_status["host/basicmath"]
+        status = result.sweep.statuses["host/basicmath"]
         assert status["status"] == "failed"
         assert "ClassifierConvergenceError" in status["error"]
         assert "WARNING: partial results" in result.format()

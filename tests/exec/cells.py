@@ -78,15 +78,15 @@ def kill_fig5_attempt_wave(knobs, cell_cache):
     import pytest
 
     from repro.core.experiments.fig5 import plan_fig5
-    from repro.exec import ProcessPoolBackend, execute_plan
+    from repro.exec import ProcessPoolBackend, RunContext, execute_plan
 
     plan = plan_fig5(**knobs)
     for cell in plan:
         if cell.key.startswith("spectre/"):
             cell.fn = interrupt
     with pytest.raises(KeyboardInterrupt):
-        execute_plan(plan, backend=ProcessPoolBackend(2),
-                     cell_cache=cell_cache)
+        execute_plan(plan, RunContext(backend=ProcessPoolBackend(2),
+                                      cell_cache=cell_cache))
 
 
 def fig5_manifest(knobs, seed, backend):
@@ -97,17 +97,17 @@ def fig5_manifest(knobs, seed, backend):
     backends produce the same artefact byte for byte.
     """
     from repro.core.experiments.fig5 import run_fig5
+    from repro.exec import RunContext
 
-    result = run_fig5(seed=seed, backend=backend, **knobs)
+    result = run_fig5(seed=seed, **knobs,
+                      context=RunContext(backend=backend))
     return result_manifest(result, dict(knobs, seed=seed))
 
 
 def result_manifest(result, knobs):
     """The ledger manifest of a finished fig5 run of ``run_fig5(**knobs)``."""
-    from repro.core.experiments.fig5 import fig5_meta, plan_fig5
+    from repro.core.experiments.fig5 import fig5_meta
     from repro.obs.ledger import build_manifest
 
     knobs = {"host": "basicmath", **knobs}
-    return build_manifest("fig5", fig5_meta(**knobs), result,
-                          plan=plan_fig5(**knobs),
-                          statuses=getattr(result, "cell_status", None))
+    return build_manifest("fig5", fig5_meta(**knobs), result)

@@ -12,6 +12,7 @@ from repro.core.resilience import FaultInjector
 from repro.exec import (
     CellExecutionError,
     ProcessPoolBackend,
+    RunContext,
     SerialBackend,
     SweepPlan,
     backend_for,
@@ -74,6 +75,10 @@ def _toy_plan(faults=None):
     return plan
 
 
+def _run(plan, backend):
+    return execute_plan(plan, RunContext(backend=backend))
+
+
 class TestBackendFor:
     def test_serial_reference(self):
         assert isinstance(backend_for(None), SerialBackend)
@@ -91,16 +96,12 @@ class TestBackendFor:
 
 class TestParity:
     def test_parallel_results_identical_to_serial(self):
-        serial = execute_plan(_toy_plan(), backend=SerialBackend())
-        parallel = execute_plan(
-            _toy_plan(), backend=ProcessPoolBackend(2)
-        )
-        assert parallel == serial
+        serial = _run(_toy_plan(), SerialBackend())
+        parallel = _run(_toy_plan(), ProcessPoolBackend(2))
+        assert parallel.values == serial.values
 
     def test_statuses_in_declaration_order(self):
-        statuses = {}
-        execute_plan(_toy_plan(), statuses=statuses,
-                     backend=ProcessPoolBackend(2))
+        statuses = _run(_toy_plan(), ProcessPoolBackend(2)).statuses
         assert list(statuses) == ["a", "b", "c", "d", "total"]
 
     def test_fired_faults_absorbed_into_root_injector(self):
@@ -109,7 +110,7 @@ class TestParity:
         for tag in ("a", "b"):
             plan.add(tag, fault_probe, kwargs={"kind": "hpc_drop"},
                      seed_kw="cell_seed", faults_kw="faults")
-        execute_plan(plan, backend=ProcessPoolBackend(2))
+        _run(plan, ProcessPoolBackend(2))
         assert faults.summary() == {"hpc_drop": 2}
 
 
@@ -178,9 +179,8 @@ class TestFailureAbsorption:
     def test_raising_worker_becomes_failed_cell(self):
         plan = _toy_plan()
         plan.add("boom", transient_boom, seed_kw="cell_seed")
-        statuses = {}
-        results = execute_plan(plan, statuses=statuses,
-                               backend=ProcessPoolBackend(2))
+        sweep = _run(plan, ProcessPoolBackend(2))
+        statuses, results = sweep.statuses, sweep.values
         assert statuses["boom"]["status"] == "failed"
         assert "TransientError" in statuses["boom"]["error"]
         assert results["boom"] is None
@@ -192,14 +192,13 @@ class TestFailureAbsorption:
         plan = _toy_plan()
         plan.add("boom", fatal_boom, seed_kw="cell_seed")
         with pytest.raises(CellExecutionError, match="boom"):
-            execute_plan(plan, backend=ProcessPoolBackend(2))
+            _run(plan, ProcessPoolBackend(2))
 
     def test_crashed_worker_absorbed_without_deadlock(self):
         plan = _toy_plan()
         plan.add("crash", hard_crash, seed_kw="cell_seed")
-        statuses = {}
-        backend = ProcessPoolBackend(2, crash_retries=1)
-        results = execute_plan(plan, statuses=statuses, backend=backend)
+        sweep = _run(plan, ProcessPoolBackend(2, crash_retries=1))
+        statuses, results = sweep.statuses, sweep.values
         assert statuses["crash"]["status"] == "failed"
         assert "WorkerCrashError" in statuses["crash"]["error"]
         assert results["crash"] is None
@@ -212,8 +211,7 @@ class TestFailureAbsorption:
             plan.add("boom", transient_boom, seed_kw="cell_seed")
             plan.add("after", summed, kwargs={"factor": 2},
                      deps={"values": "boom"}, seed_kw="cell_seed")
-            statuses = {}
-            results = execute_plan(plan, statuses=statuses,
-                                   backend=backend)
+            sweep = _run(plan, backend)
+            statuses, results = sweep.statuses, sweep.values
             assert results["after"] is None
             assert "after" not in statuses  # historical early-return

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.core.resilience import FaultInjector
-from repro.exec import CellCache, SweepPlan, execute_plan
+from repro.exec import CellCache, RunContext, SweepPlan, execute_plan
 
 from tests.exec.cells import fault_probe, seeded_value, summed
 
@@ -99,15 +99,15 @@ class TestRoundTrip:
 class TestExecutePlanMemoization:
     def test_second_run_is_all_hits_with_identical_results(self, tmp_path):
         cache = CellCache(tmp_path / "cc")
-        cold_status = {}
-        cold = execute_plan(_plan(), statuses=cold_status, cell_cache=cache)
+        cold_sweep = execute_plan(_plan(), RunContext(cell_cache=cache))
+        cold, cold_status = cold_sweep.values, cold_sweep.statuses
         assert cache.stats() == {"hits": 0, "misses": 2, "puts": 2,
                                  "poisoned": 0}
 
         warm_cache = CellCache(tmp_path / "cc")
-        warm_status = {}
-        warm = execute_plan(_plan(), statuses=warm_status,
-                            cell_cache=warm_cache)
+        warm_sweep = execute_plan(_plan(),
+                                  RunContext(cell_cache=warm_cache))
+        warm, warm_status = warm_sweep.values, warm_sweep.statuses
         assert warm == cold
         assert warm_cache.stats() == {"hits": 2, "misses": 0, "puts": 0,
                                       "poisoned": 0}
@@ -118,7 +118,7 @@ class TestExecutePlanMemoization:
 
     def test_poisoned_cell_recomputed_end_to_end(self, tmp_path):
         cache = CellCache(tmp_path / "cc")
-        cold = execute_plan(_plan(), cell_cache=cache)
+        cold = _run(_plan(), cache)
 
         # Poison every stored entry the way bit rot / tampering would:
         # valid JSON, wrong payload for the recorded value digest.
@@ -129,7 +129,7 @@ class TestExecutePlanMemoization:
                 json.dump(entry, handle)
 
         warm_cache = CellCache(tmp_path / "cc")
-        warm = execute_plan(_plan(), cell_cache=warm_cache)
+        warm = _run(_plan(), warm_cache)
         assert warm == cold  # recomputed, not trusted
         assert warm_cache.poisoned == 2
         assert warm_cache.hits == 0
@@ -137,7 +137,7 @@ class TestExecutePlanMemoization:
 
         # And the heal sticks: the next run is clean hits.
         healed = CellCache(tmp_path / "cc")
-        assert execute_plan(_plan(), cell_cache=healed) == cold
+        assert _run(_plan(), healed) == cold
         assert healed.stats() == {"hits": 2, "misses": 0, "puts": 0,
                                   "poisoned": 0}
 
@@ -195,33 +195,37 @@ class TestExecutePlanMemoization:
         """An unarmed entry is never a hit for an armed cell; two armed
         runs with the same spec are."""
         root = tmp_path / "cc"
-        execute_plan(_armed_plan(None), cell_cache=CellCache(root))
+        _run(_armed_plan(None), CellCache(root))
 
         first = CellCache(root)
-        cold = execute_plan(_armed_plan(_injector()), cell_cache=first)
+        cold = _run(_armed_plan(_injector()), first)
         assert first.hits == 0  # the unarmed entry was not replayed
         assert first.puts == 1
 
         second = CellCache(root)
-        warm = execute_plan(_armed_plan(_injector()), cell_cache=second)
+        warm = _run(_armed_plan(_injector()), second)
         assert second.stats() == {"hits": 1, "misses": 0, "puts": 0,
                                   "poisoned": 0}
         assert warm == cold
 
         other = CellCache(root)
-        execute_plan(_armed_plan(_injector(max_fires=0)), cell_cache=other)
+        _run(_armed_plan(_injector(max_fires=0)), other)
         assert other.hits == 0  # a different cap is a different spec
 
     def test_fired_counts_replay_into_the_root_injector(self, tmp_path):
         cold = _injector()
-        execute_plan(_armed_plan(cold), cell_cache=CellCache(tmp_path))
+        _run(_armed_plan(cold), CellCache(tmp_path))
         assert cold.summary() == {"hpc_garble": 1}
 
         warm = _injector()
         cache = CellCache(tmp_path)
-        execute_plan(_armed_plan(warm), cell_cache=cache)
+        _run(_armed_plan(warm), cache)
         assert cache.hits == 1
         assert warm.summary() == cold.summary()
+
+
+def _run(plan, cache):
+    return execute_plan(plan, RunContext(cell_cache=cache)).values
 
 
 def _injector(max_fires=None):

@@ -72,24 +72,29 @@ class TestListCells:
 
     def test_pending_dependency_keeps_dependents_pending(self, tmp_path):
         from repro.core.experiments.fig5 import plan_fig5
-        from repro.exec import CellCache, describe_plan, execute_plan
+        from repro.exec import (
+            CellCache,
+            RunContext,
+            describe_plan,
+            execute_plan,
+        )
 
         knobs = dict(seed=8, attempts=1, detector_names=("lr",),
                      training_benign=40, training_attack=40,
                      attempt_samples=12, attempt_benign=6)
-        cache = CellCache(tmp_path)
+        context = RunContext(cell_cache=CellCache(tmp_path))
         assert "(0 cached, 4 pending)" in describe_plan(
-            plan_fig5(**knobs), cache)
-        execute_plan(plan_fig5(**knobs), cell_cache=cache)
+            plan_fig5(**knobs), context)
+        execute_plan(plan_fig5(**knobs), context)
         assert "(4 cached, 0 pending)" in describe_plan(
-            plan_fig5(**knobs), cache)
+            plan_fig5(**knobs), context)
         # Drop the training entry: every cell downstream of it is
         # pending, though their own entries are still on disk.
         [training] = [path for path in tmp_path.rglob("*.json")
                       if json.loads(path.read_text())["key"] == "training"]
         training.unlink()
         assert "(0 cached, 4 pending)" in describe_plan(
-            plan_fig5(**knobs), cache)
+            plan_fig5(**knobs), context)
 
     def test_respects_quick_and_seed(self, capsys):
         assert main(["fig5", "--quick", "--seed", "3",

@@ -12,7 +12,7 @@ import json
 
 from repro.cli import EXIT_OK, main
 from repro.core.experiments import run_fig5
-from repro.exec import CellCache, ProcessPoolBackend
+from repro.exec import CellCache, ProcessPoolBackend, RunContext
 from repro.obs.ledger import manifest_bytes
 
 from tests.exec.cells import (
@@ -40,7 +40,8 @@ def _killed_then_resumed(knobs, cache_root):
     """Kill a pool run of *knobs* in the attempt wave, then resume it."""
     kill_fig5_attempt_wave(knobs, CellCache(cache_root))
     resumed_cache = CellCache(cache_root)
-    resumed = run_fig5(jobs=2, cell_cache=resumed_cache, **knobs)
+    resumed = run_fig5(**knobs, context=RunContext(
+        backend=ProcessPoolBackend(2), cell_cache=resumed_cache))
     assert resumed_cache.hits > 0
     return resumed
 

@@ -9,7 +9,7 @@ mid-sweep and resumed from the cell cache.
 import pytest
 
 from repro.core.experiments import run_fig4, run_fig5
-from repro.exec import CellCache, SweepProgress
+from repro.exec import CellCache, RunContext, SweepProgress, backend_for
 from repro.obs.ledger import manifest_bytes
 
 from tests.exec.cells import kill_fig5_attempt_wave, result_manifest
@@ -21,6 +21,9 @@ FIG5_KNOBS = dict(
     training_attack=40, attempt_samples=12, attempt_benign=6,
 )
 
+#: The warm pool at --jobs 2.
+POOL = RunContext(backend=backend_for(2))
+
 
 def _manifest_bytes(result):
     return manifest_bytes(result_manifest(result, FIG5_KNOBS))
@@ -29,10 +32,10 @@ def _manifest_bytes(result):
 class TestSerialParallelParity:
     def test_fig5_report_and_manifest_byte_identical(self):
         serial = run_fig5(**FIG5_KNOBS)
-        parallel = run_fig5(jobs=2, **FIG5_KNOBS)
+        parallel = run_fig5(**FIG5_KNOBS, context=POOL)
 
         assert parallel.format() == serial.format()
-        assert parallel.cell_status == serial.cell_status
+        assert parallel.sweep.statuses == serial.sweep.statuses
         assert _manifest_bytes(parallel) == _manifest_bytes(serial)
 
     def test_fig4_accuracies_identical(self):
@@ -40,7 +43,7 @@ class TestSerialParallelParity:
                      feature_sizes=(4,), classifier="lr",
                      benign_per_host=30, attack_per_variant=10,
                      variants=("v1",))
-        assert run_fig4(**knobs, jobs=2).accuracies == \
+        assert run_fig4(**knobs, context=POOL).accuracies == \
             run_fig4(**knobs).accuracies
 
 
@@ -60,9 +63,9 @@ class TestKillMidSweepResume:
         assert killed_cache.puts >= 1
 
         # Run 2: resume in parallel; must match the uninterrupted run.
-        resumed = run_fig5(jobs=2, cell_cache=CellCache(cache_root),
-                           **FIG5_KNOBS)
-        assert resumed.cell_status["training"]["status"] == "cached"
+        resumed = run_fig5(**FIG5_KNOBS, context=RunContext(
+            backend=backend_for(2), cell_cache=CellCache(cache_root)))
+        assert resumed.sweep.statuses["training"]["status"] == "cached"
         assert resumed.format() == reference.format()
         assert _manifest_bytes(resumed) == _manifest_bytes(reference)
 
@@ -83,8 +86,8 @@ class TestProgress:
 
         stream = io.StringIO()
         clock = _FakeClock()
-        progress = SweepProgress("toy", total=3, jobs=1, stream=stream,
-                                 clock=clock)
+        progress = SweepProgress(stream=stream, clock=clock)
+        progress.start("toy", 3)
         clock.now = 2.0
         progress.update("a", "ok", 2.0)
         clock.now = 2.1
@@ -103,7 +106,8 @@ class TestProgress:
         # the one remaining cell is ~2s out -- not 8s as a serial
         # mean-cell-time model would claim.
         clock = _FakeClock()
-        progress = SweepProgress("toy", total=5, jobs=4, clock=clock)
+        progress = SweepProgress(clock=clock)
+        progress.start("toy", 5)
         clock.now = 8.0
         for key in ("a", "b", "c", "d"):
             progress.update(key, "ok", 8.0)
@@ -112,7 +116,8 @@ class TestProgress:
 
     def test_cached_cells_excluded_from_estimate(self):
         clock = _FakeClock()
-        progress = SweepProgress("toy", total=4, jobs=1, clock=clock)
+        progress = SweepProgress(clock=clock)
+        progress.start("toy", 4)
         progress.update("a", "cached", 0.0)
         assert progress.eta_seconds() is None
         clock.now = 6.0
@@ -128,8 +133,9 @@ class TestProgress:
         clock = _FakeClock()
         cache = CellCache("unused")
         cache.hits, cache.misses = 3, 1
-        progress = SweepProgress("toy", total=2, jobs=1, stream=stream,
-                                 cell_cache=cache, clock=clock)
+        progress = SweepProgress(stream=stream, cell_cache=cache,
+                                 clock=clock)
+        progress.start("toy", 2)
         clock.now = 1.0
         progress.update("a", "ok", 1.0)
         assert "cache 3/4" in stream.getvalue()

@@ -15,7 +15,7 @@ import pytest
 from repro.cli import EXIT_OK, main
 from repro.core.experiments import run_fig5
 from repro.cpu import engine_override
-from repro.exec import CellCache
+from repro.exec import CellCache, ProcessPoolBackend, RunContext
 from repro.obs.ledger import manifest_bytes
 
 from tests.exec.cells import kill_fig5_attempt_wave, result_manifest
@@ -92,8 +92,8 @@ class TestSuperblockKillResume:
             # Run 2 (sb): resume on the pool; cached cells + rerun
             # cells fuse into the reference artefact, byte for byte.
             resumed_cache = CellCache(cache_root)
-            resumed = run_fig5(jobs=2, cell_cache=resumed_cache,
-                               **FIG5_KNOBS)
+            resumed = run_fig5(**FIG5_KNOBS, context=RunContext(
+                backend=ProcessPoolBackend(2), cell_cache=resumed_cache))
         assert resumed_cache.hits > 0
         assert resumed.format() == reference.format()
         assert manifest_bytes(result_manifest(resumed, FIG5_KNOBS)) == \

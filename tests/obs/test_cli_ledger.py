@@ -49,6 +49,25 @@ class TestRecording:
         assert manifest["traces"]["jsonl"]["path"] == "fig4.trace.jsonl"
         assert manifest["timing"]["wall_s"] > 0
 
+    def test_timing_section_fields(self, ledger):
+        """``repro compare`` ignores ``timing``, so its fields are
+        pinned here: a field the CLI stops recording fails this test."""
+        root, run_id = ledger
+        manifest = load_manifest(run_id, ledger_dir=root)
+        timing = manifest["timing"]
+        assert set(timing) == {"wall_s", "started_at", "phases", "backend",
+                               "cells", "cell_cache", "profile_memo",
+                               "fit_memo"}
+        assert set(timing["phases"]) == {"schedule", "cache_lookup",
+                                         "compute", "ipc", "merge"}
+        assert set(timing["cells"]) == {cell["key"]
+                                        for cell in manifest["cells"]}
+        assert timing["backend"] == "serial"
+        assert timing["cell_cache"]["enabled"] is True
+        for memo in ("profile_memo", "fit_memo"):
+            assert set(timing[memo]) == {"hits", "misses", "stored"}
+        assert timing["fit_memo"]["misses"] > 0
+
     def test_no_ledger_opt_out(self, tmp_path, capsys):
         assert main(ARGS + ["--no-ledger"]) == EXIT_OK
         assert "ledger:" not in capsys.readouterr().err

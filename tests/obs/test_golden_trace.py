@@ -12,6 +12,7 @@ from pathlib import Path
 from repro.exec import (
     CellCache,
     ProcessPoolBackend,
+    RunContext,
     SerialBackend,
     SweepPlan,
     execute_plan,
@@ -36,12 +37,9 @@ def _plan(keys=("attack", "cpu")):
 
 
 def _run(backend=None, cell_cache=None, keys=("attack", "cpu")):
-    traces = {}
-    metrics = {}
-    results = execute_plan(_plan(keys), backend=backend, trace=CFG,
-                           traces=traces, metrics=metrics,
-                           cell_cache=cell_cache)
-    return results, traces, metrics
+    sweep = execute_plan(_plan(keys), RunContext(
+        backend=backend, trace=CFG, cell_cache=cell_cache))
+    return sweep.values, sweep.traces, sweep.metrics
 
 
 def _entries(cache):
@@ -80,12 +78,11 @@ class TestGoldenTrace:
         _run(backend=SerialBackend(), cell_cache=CellCache(tmp_path),
              keys=("attack",))
         # ...then the full sweep resumes: attack replays, cpu runs fresh.
-        statuses = {}
-        traces = {}
-        metrics = {}
-        execute_plan(_plan(), statuses=statuses, backend=SerialBackend(),
-                     trace=CFG, traces=traces, metrics=metrics,
-                     cell_cache=CellCache(tmp_path))
+        sweep = execute_plan(_plan(), RunContext(
+            backend=SerialBackend(), trace=CFG,
+            cell_cache=CellCache(tmp_path)))
+        statuses, traces, metrics = (sweep.statuses, sweep.traces,
+                                     sweep.metrics)
         assert statuses["attack"]["status"] == "cached"
         assert statuses["cpu"]["status"] == "ok"
         assert (trace_jsonl("golden", traces)
@@ -103,8 +100,8 @@ class TestGoldenTrace:
     def test_untraced_cache_entry_carries_no_trace(self, tmp_path):
         """Tracing off stores the bare value: no trace, no metrics."""
         cache = CellCache(tmp_path)
-        execute_plan(_plan(keys=("cpu",)), backend=SerialBackend(),
-                     cell_cache=cache)
+        execute_plan(_plan(keys=("cpu",)),
+                     RunContext(backend=SerialBackend(), cell_cache=cache))
         [entry] = _entries(cache)
         assert set(entry["payload"]) == {"value"}
         assert set(entry["payload"]["value"]) == {"cycles"}

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import EXIT_OK, main
 from repro.core.experiments import run_fig4
-from repro.exec import CellCache
+from repro.exec import CellCache, RunContext, SweepPlan
 from repro.obs.ledger import (
     LEDGER_FORMAT,
     build_manifest,
@@ -32,9 +32,22 @@ TINY_CONFIG = {"experiment": "fig4", **{k: list(v) if isinstance(v, tuple)
 
 
 @dataclasses.dataclass
+class FakeSweep:
+    plan: SweepPlan
+    statuses: dict
+    metrics: dict
+
+
+def _fake_sweep(statuses, metrics):
+    plan = SweepPlan("fig4", 5)
+    for key in statuses:
+        plan.add(key, dict)
+    return FakeSweep(plan, statuses, metrics)
+
+
+@dataclasses.dataclass
 class FakeResult:
-    cell_status: dict
-    cell_metrics: dict
+    sweep: FakeSweep
     partial: bool = False
 
     def headlines(self):
@@ -45,11 +58,11 @@ class FakeResult:
 
 
 def _fake_result():
-    return FakeResult(
-        cell_status={"host/a": {"status": "ok"},
-                     "host/b": {"status": "cached"}},
-        cell_metrics={"host/a": {"counters": {"cache.miss": 3}}},
-    )
+    return FakeResult(sweep=_fake_sweep(
+        statuses={"host/a": {"status": "ok"},
+                  "host/b": {"status": "cached"}},
+        metrics={"host/a": {"counters": {"cache.miss": 3}}},
+    ))
 
 
 class TestHashing:
@@ -133,7 +146,7 @@ class TestBuildManifest:
 
         manifest = build_manifest(
             "fig4", {"seed": 5},
-            Broken(cell_status={}, cell_metrics={}, partial=True),
+            Broken(sweep=_fake_sweep({}, {}), partial=True),
         )
         assert manifest["headlines"] == {}
         assert manifest["partial"] is True
@@ -243,12 +256,10 @@ class TestResumeParity:
         fresh run produce the same manifest minus wall-clock."""
         manifests = []
         for attempt in range(2):
-            statuses = {}
-            result = run_fig4(cell_cache=CellCache(tmp_path / "cc"),
-                              **TINY)
+            result = run_fig4(**TINY, context=RunContext(
+                cell_cache=CellCache(tmp_path / "cc")))
             manifests.append(build_manifest(
                 "fig4", TINY_CONFIG, result,
-                statuses=result.cell_status,
                 timing={"wall_s": float(attempt)},
             ))
         statuses = [
@@ -258,7 +269,7 @@ class TestResumeParity:
         # Second run was served from the cell cache (and the manifest
         # normalises "cached" to "ok")...
         assert all(cell["status"] == "cached"
-                   for cell in result.cell_status.values())
+                   for cell in result.sweep.statuses.values())
         assert all(s == "ok" for s in statuses[1].values())
         # ...and the manifests agree byte-for-byte minus timing.
         assert manifest_bytes(manifests[0]) == manifest_bytes(manifests[1])

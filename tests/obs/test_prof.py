@@ -19,6 +19,7 @@ import pytest
 
 from repro.exec import (
     ProcessPoolBackend,
+    RunContext,
     SerialBackend,
     SweepPlan,
     execute_plan,
@@ -204,19 +205,17 @@ def _plan():
 
 
 def _profiles(backend=None):
-    profiles = {}
-    execute_plan(_plan(), backend=backend, profile=ProfileConfig(),
-                 profiles=profiles)
+    sweep = execute_plan(_plan(), RunContext(backend=backend,
+                                             profile=ProfileConfig()))
     return {key: profile_bytes(snapshot)
-            for key, snapshot in profiles.items()}
+            for key, snapshot in sweep.profiles.items()}
 
 
 class TestBackendParity:
     def test_serial_fills_profiles_in_declaration_order(self):
-        profiles = {}
-        execute_plan(_plan(), backend=SerialBackend(),
-                     profile=ProfileConfig(), profiles=profiles)
-        assert list(profiles) == ["attack", "cpu"]
+        sweep = execute_plan(_plan(), RunContext(backend=SerialBackend(),
+                                                 profile=ProfileConfig()))
+        assert list(sweep.profiles) == ["attack", "cpu"]
 
     def test_serial_equals_pool(self):
         assert _profiles(SerialBackend()) == \
@@ -225,8 +224,8 @@ class TestBackendParity:
 
 class TestExecutorPhases:
     def test_phase_breakdown_filled(self):
-        phases = {}
-        execute_plan(_plan(), backend=SerialBackend(), phases=phases)
+        phases = execute_plan(
+            _plan(), RunContext(backend=SerialBackend())).phases
         assert set(phases) == {"schedule", "cache_lookup", "compute",
                                "ipc", "merge"}
         assert all(seconds >= 0.0 for seconds in phases.values())
@@ -236,7 +235,8 @@ class TestExecutorPhases:
         from repro.exec import SweepProgress
 
         stream = io.StringIO()
-        progress = SweepProgress("fig5", total=4, stream=stream)
+        progress = SweepProgress(stream=stream)
+        progress.start("fig5", 4)
         progress.phases({"schedule": 0.0001, "compute": 1.25,
                          "ipc": 0.5, "merge": 0.02,
                          "cache_lookup": 0.0})
