@@ -22,49 +22,40 @@ Quickstart::
     from repro import Scenario, ScenarioConfig
     scenario = Scenario(ScenarioConfig(host="basicmath"))
     recovered, correct = scenario.verify_secret_recovery()
+
+This ``__init__`` resolves its re-exports lazily (PEP 562), like
+:mod:`repro.core` and :mod:`repro.hid`: importing one subpackage does
+not import the others, and only code that builds a detector loads
+numpy.
 """
 
-from repro.attack import (
-    AdaptiveAttacker,
-    PerturbParams,
-    SpectreConfig,
-    build_spectre,
-    plan_execve_injection,
-)
-from repro.core import Scenario, ScenarioConfig
-from repro.core.experiments import (
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_table1,
-)
-from repro.errors import ReproError
-from repro.hid import HidDetector, OnlineHidDetector, Profiler, make_detector
-from repro.kernel import System, build_binary
-from repro.workloads import get_workload, workload_names
+from repro._lazy import lazy_exports
+
+_LAZY_EXPORTS = {
+    "AdaptiveAttacker": "repro.attack",
+    "PerturbParams": "repro.attack",
+    "SpectreConfig": "repro.attack",
+    "build_spectre": "repro.attack",
+    "plan_execve_injection": "repro.attack",
+    "Scenario": "repro.core.scenario",
+    "ScenarioConfig": "repro.core.scenario",
+    "run_fig4": "repro.core.experiments",
+    "run_fig5": "repro.core.experiments",
+    "run_fig6": "repro.core.experiments",
+    "run_table1": "repro.core.experiments",
+    "ReproError": "repro.errors",
+    "HidDetector": "repro.hid.detector",
+    "OnlineHidDetector": "repro.hid.detector",
+    "Profiler": "repro.hid.profiler",
+    "make_detector": "repro.hid.detector",
+    "System": "repro.kernel",
+    "build_binary": "repro.kernel",
+    "get_workload": "repro.workloads",
+    "workload_names": "repro.workloads",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveAttacker",
-    "PerturbParams",
-    "SpectreConfig",
-    "build_spectre",
-    "plan_execve_injection",
-    "Scenario",
-    "ScenarioConfig",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_table1",
-    "ReproError",
-    "HidDetector",
-    "OnlineHidDetector",
-    "Profiler",
-    "make_detector",
-    "System",
-    "build_binary",
-    "get_workload",
-    "workload_names",
-    "__version__",
-]
+__all__ = sorted(_LAZY_EXPORTS) + ["__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY_EXPORTS)

@@ -509,6 +509,20 @@ def cmd_workloads(_args):
     return 0
 
 
+def _peak_rss_mb():
+    """This process's peak resident memory in MB, or ``None`` where the
+    ``resource`` module is missing.  ``ru_maxrss`` is in KiB on Linux
+    and in bytes on macOS.
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10),
+                 1)
+
+
 def cmd_experiment(args):
     from repro.core.experiments import RUNNERS
     from repro.exec import RunContext, backend_for
@@ -622,34 +636,37 @@ def cmd_experiment(args):
     if ledger_dir is not None:
         from repro.obs import build_manifest, write_manifest
 
+        timing = {
+            "wall_s": round(wall_s, 3),
+            "started_at": round(started_at, 3),
+            # Per-phase executor breakdown (schedule / ipc /
+            # compute / cache_lookup / merge) — wall clock, so
+            # volatile like the rest of this section.
+            "phases": sweep.phases,
+            # Volatile by design (like everything in timing): a
+            # pool run and the serial reference must compare clean,
+            # whichever backend did the work.
+            "backend": "pool" if jobs > 1 else "serial",
+            "cells": {key: round(value, 6) for key, value
+                      in sweep.timings.items()},
+            "cell_cache": (
+                {"enabled": True, **cell_cache.stats()}
+                if cell_cache is not None else {"enabled": False}
+            ),
+            # Benign-profile and classifier-fit replays (see
+            # execute_plan); a pool run's counts depend on how its
+            # cells spread over the workers.
+            "profile_memo": sweep.profile_memo,
+            "fit_memo": sweep.fit_memo,
+        }
+        peak_rss_mb = _peak_rss_mb()
+        if peak_rss_mb is not None:
+            timing["peak_rss_mb"] = peak_rss_mb
         manifest = build_manifest(
             args.command, config, result,
             trace_files=trace_files,
             trace_root=os.path.join(ledger_dir, run_id),
-            profile=merged_profile,
-            timing={
-                "wall_s": round(wall_s, 3),
-                "started_at": round(started_at, 3),
-                # Per-phase executor breakdown (schedule / ipc /
-                # compute / cache_lookup / merge) — wall clock, so
-                # volatile like the rest of this section.
-                "phases": sweep.phases,
-                # Volatile by design (like everything in timing): a
-                # pool run and the serial reference must compare clean,
-                # whichever backend did the work.
-                "backend": "pool" if jobs > 1 else "serial",
-                "cells": {key: round(value, 6) for key, value
-                          in sweep.timings.items()},
-                "cell_cache": (
-                    {"enabled": True, **cell_cache.stats()}
-                    if cell_cache is not None else {"enabled": False}
-                ),
-                # Benign-profile and classifier-fit replays (see
-                # execute_plan); a pool run's counts depend on how its
-                # cells spread over the workers.
-                "profile_memo": sweep.profile_memo,
-                "fit_memo": sweep.fit_memo,
-            },
+            profile=merged_profile, timing=timing,
         )
         manifest_path = write_manifest(ledger_dir, manifest)
         print(f"ledger: {manifest_path} (run {manifest['run_id']})",

@@ -8,6 +8,8 @@ of :mod:`repro.core.scenario` here would close an import cycle
 the heavy imports only when actually needed.
 """
 
+from repro._lazy import lazy_exports
+
 _LAZY_EXPORTS = {
     "format_percent": "repro.core.reporting",
     "format_series": "repro.core.reporting",
@@ -30,19 +32,4 @@ _LAZY_EXPORTS = {
 
 __all__ = sorted(_LAZY_EXPORTS)
 
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY_EXPORTS)

@@ -3,8 +3,7 @@
 import dataclasses
 
 from repro.attack import PerturbParams
-from repro.hid import DEFAULT_FEATURES, make_detector, samples_to_dataset
-from repro.hid.dataset import Dataset
+from repro.hid.features import DEFAULT_FEATURES
 from repro.obs.tracer import current_tracer
 
 
@@ -71,6 +70,8 @@ def train_detectors(train_dataset, names=DETECTOR_NAMES, seed=0,
     :class:`~repro.errors.ClassifierConvergenceError`, which sweep cells
     absorb into a partial report.
     """
+    from repro.hid.detector import make_detector
+
     tracer = current_tracer()
     detectors = {}
     for name in names:
@@ -89,6 +90,8 @@ def train_detectors(train_dataset, names=DETECTOR_NAMES, seed=0,
 def attempt_dataset(benign_samples, attack_samples,
                     features=DEFAULT_FEATURES):
     """The evaluation set for one attack attempt (paper Figs. 5/6)."""
+    from repro.hid.dataset import samples_to_dataset
+
     return samples_to_dataset(benign_samples, attack_samples, features)
 
 
@@ -191,11 +194,15 @@ def co_run(processes, quantum=10_000, context_switch_flush=True,
 def split_training(benign_samples, attack_samples,
                    features=DEFAULT_FEATURES, train_fraction=0.7, seed=0):
     """Build the 70/30 split the paper uses; returns (train, test)."""
+    from repro.hid.dataset import samples_to_dataset
+
     dataset = samples_to_dataset(benign_samples, attack_samples, features)
     return dataset.split(train_fraction, seed=seed)
 
 
 def benign_eval_pool(dataset):
     """Benign-only rows of a dataset, as a Dataset (for attempt mixes)."""
+    from repro.hid.dataset import Dataset
+
     mask = dataset.y == 0
     return Dataset(dataset.X[mask], dataset.y[mask], dataset.feature_names)

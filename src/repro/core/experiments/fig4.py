@@ -20,8 +20,7 @@ from repro.core.experiments.common import SweepResult
 from repro.core.reporting import format_table
 from repro.core.scenario import Scenario, ScenarioConfig
 from repro.exec import SweepPlan, execute_plan
-from repro.hid import feature_set, make_detector, samples_to_dataset
-from repro.hid.features import FEATURE_SIZES
+from repro.hid.features import FEATURE_SIZES, feature_set
 from repro.workloads import FIG4_HOSTS
 
 
@@ -92,6 +91,9 @@ def _host_cell(host, feature_sizes, classifier, benign_per_host,
                attack_per_variant, variants, cell_seed=0, faults=None,
                uarch="inorder"):
     """One host's accuracy-by-size dict (JSON-serialisable)."""
+    from repro.hid.dataset import samples_to_dataset
+    from repro.hid.detector import make_detector
+
     scenario = Scenario(ScenarioConfig(
         host=host, seed=cell_seed, spectre_variants=tuple(variants),
         uarch=uarch,

@@ -39,7 +39,6 @@ from repro.core.reporting import (
 )
 from repro.core.scenario import Scenario, ScenarioConfig
 from repro.exec import SweepPlan, execute_plan
-from repro.hid.dataset import Dataset
 from repro.hid.io import samples_from_records, samples_to_records
 
 
@@ -52,6 +51,8 @@ def observe_self_labeled(detector, dataset):
     *poison* the corpus — the self-training weakness the dynamic
     CR-Spectre exploits to keep the online HID degraded (paper Fig 6b).
     """
+    from repro.hid.dataset import Dataset
+
     predictions = detector.predict(dataset)
     detector.observe(
         Dataset(dataset.X, predictions, dataset.feature_names)

@@ -30,7 +30,6 @@ from repro.core.experiments.common import SweepResult, attempt_dataset
 from repro.core.reporting import format_table
 from repro.core.scenario import Scenario, ScenarioConfig
 from repro.exec import SweepPlan, execute_plan
-from repro.hid import make_detector, samples_to_dataset
 from repro.hid.features import DEFAULT_FEATURES
 from repro.hid.io import samples_from_records, samples_to_records
 
@@ -129,6 +128,9 @@ def _corpus_cell(root_seed, max_k, holdout_variants, samples_per_variant,
 def _k_cell(corpus, k, root_seed, classifier, attempt_benign,
             cell_seed=0, faults=None):
     """One ablation point: hardened on K variants, scored on holdouts."""
+    from repro.hid.dataset import samples_to_dataset
+    from repro.hid.detector import make_detector
+
     benign = samples_from_records(corpus["benign"])
     attack_pool = list(samples_from_records(corpus["plain_attack"]))
     for records in corpus["train_variants"][:k]:

@@ -21,7 +21,7 @@ from repro.attack import (
 )
 from repro.cpu.engine import engine_mode
 from repro.errors import AttackError
-from repro.hid.dataset import ATTACK, BENIGN
+from repro.hid.samples import ATTACK, BENIGN
 from repro.hid.profiler import Profiler
 from repro.kernel.process import ProcessState
 from repro.kernel.system import System

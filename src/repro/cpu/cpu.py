@@ -38,7 +38,7 @@ import dataclasses
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.engine import engine_mode
-from repro.cpu.pmu import Pmu
+from repro.cpu.pmu import Pmu, direct_counters
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState, to_signed
 from repro.errors import (
@@ -212,7 +212,7 @@ def speculate(core, start_pc, budget, wide=False):
     """
     regs = core.state.copy_regs()
     store_buffer = {}
-    counters = core.pmu.counters
+    counters = core.counters
     memory = core.memory
     dcache = core._decode_cache
     decode_miss = core._decode_entry
@@ -533,7 +533,7 @@ class Cpu:
         self.state = CpuState()
         self.dtlb = Tlb()
         self.itlb = Tlb()
-        self.pmu = Pmu(self)
+        self.counters = direct_counters()
         self.cycles = 0.0
         self.shadow_stack = ShadowStack() if self.config.shadow_stack else None
         self.kernel_mode = False
@@ -591,6 +591,11 @@ class Cpu:
         profiler = current_profiler()
         self._prof = (profiler if profiler.enabled
                       and profiler.config.active else None)
+
+    @property
+    def pmu(self):
+        """A :class:`~repro.cpu.pmu.Pmu` reading view of ``counters``."""
+        return Pmu(self)
 
     def _cycles_now(self):
         """This CPU's virtual clock, as read by its trace channels."""
@@ -670,7 +675,7 @@ class Cpu:
                      - self._l1_latency)
             if extra > 0:
                 self.cycles += extra
-                self.pmu.counters["memory_stall_cycles"] += extra
+                self.counters["memory_stall_cycles"] += extra
         page = pc >> 12
         if page != self._last_ipage:
             self._last_ipage = page
@@ -683,7 +688,7 @@ class Cpu:
                  - self._l1_latency)
         if extra > 0:
             self.cycles += extra
-            self.pmu.counters["memory_stall_cycles"] += extra
+            self.counters["memory_stall_cycles"] += extra
 
     def _push_word(self, value):
         state = self.state
@@ -706,7 +711,7 @@ class Cpu:
         ts0 = trace.now() if trace is not None else 0
         penalty = self.config.mispredict_penalty
         self.cycles += penalty
-        self.pmu.counters["mispredict_penalty_cycles"] += int(penalty)
+        self.counters["mispredict_penalty_cycles"] += int(penalty)
         if wrong_path_pc is not None:
             executed = speculate(self, wrong_path_pc,
                                  self.config.spec_window)
@@ -738,7 +743,7 @@ class Cpu:
         if state.halted:
             return False
         config = self.config
-        counters = self.pmu.counters
+        counters = self.counters
         predictor = self.predictor
         pc = state.pc
         op, rd, rs1, rs2, imm = self._fetch(pc)
@@ -947,7 +952,7 @@ class Cpu:
         """
         prof = self._prof
         state = self.state
-        counters = self.pmu.counters
+        counters = self.counters
         dcache = self._decode_cache
         tracer = self._tracer
         size = INSTRUCTION_SIZE
@@ -962,7 +967,7 @@ class Cpu:
         if self._engine == "sb":
             sb = self._sb
             if sb is None:
-                sb = self._sb = SuperblockEngine(self)
+                sb = self._sb = SuperblockEngine()
             sb_blocks = sb.blocks
             sb_heat = sb.heat
             sb_threshold = sb.HOT_THRESHOLD
@@ -983,7 +988,7 @@ class Cpu:
                     heat = sb_heat.get(pc, 0) + 1
                     if heat >= sb_threshold:
                         wall0 = perf_counter()
-                        sb.translate(pc)
+                        sb.translate(self, pc)
                         prof.translation(perf_counter() - wall0)
                     else:
                         sb_heat[pc] = heat
@@ -1053,7 +1058,7 @@ class Cpu:
             return self._run_traced(max_instructions)
         sb = self._sb
         if sb is None:
-            sb = self._sb = SuperblockEngine(self)
+            sb = self._sb = SuperblockEngine()
         # Live references: flush() clears these dicts in place, so an
         # invalidation fired from inside a closure (SMC) or a step()
         # (execve, clflush of code) is visible to this loop at once.
@@ -1063,7 +1068,7 @@ class Cpu:
         sb_threshold = sb.HOT_THRESHOLD
         sb_wp = sb.wp
         state = self.state
-        counters = self.pmu.counters
+        counters = self.counters
         step = self.step
         watchdog = self.watchdog
         stride = self.WATCHDOG_STRIDE
@@ -1078,7 +1083,7 @@ class Cpu:
             if block is None:
                 heat = sb_heat.get(pc, 0) + 1
                 if heat >= sb_threshold:
-                    block = sb_translate(pc)
+                    block = sb_translate(self, pc)
                 else:
                     sb_heat[pc] = heat
             # Blocks never straddle a charge stride or a chunked run()'s

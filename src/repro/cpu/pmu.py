@@ -122,12 +122,24 @@ _DIRECT_EVENTS = (
 )
 
 
+def direct_counters():
+    """A fresh, zeroed dict of the events a core counts directly."""
+    return {name: 0 for name in _DIRECT_EVENTS}
+
+
 class Pmu:
-    """Composes the 56-event reading for one CPU."""
+    """Composes the 56-event reading for one CPU.
+
+    The core owns its ``counters`` dict (:func:`direct_counters`) and
+    builds a ``Pmu`` on each ``core.pmu`` access.  The view holds the
+    core, not the other way round, so a reading keeps what it reads
+    alive and the core has no back-edge to free through the cyclic
+    collector.
+    """
 
     def __init__(self, cpu):
         self._cpu = cpu
-        self.counters = {name: 0 for name in _DIRECT_EVENTS}
+        self.counters = cpu.counters
 
     def read(self):
         """Return the current cumulative value of all 56 events."""

@@ -77,6 +77,8 @@ executable segments), and ``clflush`` of a line inside an executable
 segment.
 """
 
+import weakref
+
 from repro.branch.bht import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
 from repro.errors import CpuFault, EncodingError, MemoryFault
 from repro.isa.encoding import INSTRUCTION_SIZE, decode
@@ -183,14 +185,15 @@ def _signed_lines(dst, src, indent):
 _COND = _COUNTER_NAMES.index("cond_branch_instructions")
 
 
-def _flush_exit(cpu, counters, regs, row, it, cycles, last_iline,
+def _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
                 last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit):
     """Out-of-line side-exit commit shared by every compiled block.
 
     Flushes the exit's retired-so-far counter deltas (each conditional
     branch among them is also one BHT prediction), the batched memory
     tallies (``n_*``: the D-TLB, L1D and L1I hit paths), and the
-    registers written so far, then returns the dispatcher tuple.  Side
+    registers written so far, then returns the dispatcher tuple.  *hw*
+    is the core's ``(predictor, dtlb, l1d stats, l1i stats)``.  Side
     exits are off the hot path (the branch went the non-traced way, a
     mispredict, or an SMC deopt), so a function call here is cheap —
     and keeping the flush out of the generated source keeps
@@ -214,14 +217,14 @@ def _flush_exit(cpu, counters, regs, row, it, cycles, last_iline,
     for value, name in zip(counts, _COUNTER_NAMES):
         if value:
             counters[name] += value
+    predictor, dtlb, l1stats, i1stats = hw
     if counts[_COND]:
-        cpu.predictor.conditional_predictions += counts[_COND]
+        predictor.conditional_predictions += counts[_COND]
     if n_stall:
         counters["memory_stall_cycles"] += n_stall
     if n_tlb:
-        cpu.dtlb.hits += n_tlb
+        dtlb.hits += n_tlb
     if n_l1r or n_l1w:
-        l1stats = cpu.caches.l1d.stats
         hits = n_l1r + n_l1w
         l1stats.accesses += hits
         l1stats.hits += hits
@@ -230,7 +233,6 @@ def _flush_exit(cpu, counters, regs, row, it, cycles, last_iline,
         if n_l1w:
             l1stats.write_accesses += n_l1w
     if n_ihit:
-        i1stats = cpu.caches.l1i.stats
         i1stats.accesses += n_ihit
         i1stats.read_accesses += n_ihit
         i1stats.hits += n_ihit
@@ -239,7 +241,7 @@ def _flush_exit(cpu, counters, regs, row, it, cycles, last_iline,
     return next_pc, k, cycles, last_iline, last_ipage
 
 
-def _fault_exit(cpu, counters, regs, row, it, pc, cycles, last_iline,
+def _fault_exit(cpu, hw, counters, regs, row, it, pc, cycles, last_iline,
                 last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit):
     """Out-of-line fault path shared by every block with a memory op.
 
@@ -252,7 +254,7 @@ def _fault_exit(cpu, counters, regs, row, it, pc, cycles, last_iline,
     the step loop leaves.  The run() dispatcher keeps no copies of that
     state, so the synced object is final.
     """
-    _flush_exit(cpu, counters, regs, row, it, cycles, last_iline,
+    _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
                 last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit)
     cpu.state.pc = pc
     cpu.cycles = cycles
@@ -561,7 +563,7 @@ class _Codegen:
             self.copy_counts, len(self.entries),
         ))
         it_expr = "_it" if self.loop_mode else "0"
-        return (f"return _fx(_cpu, counters, regs, _exits[{j}], {it_expr}, "
+        return (f"return _fx(_hw, counters, regs, _exits[{j}], {it_expr}, "
                 f"cycles, last_iline, last_ipage, {self._vals(widx)}, "
                 f"{self._tally_args()})")
 
@@ -578,7 +580,7 @@ class _Codegen:
             next_pc = self.entry_pc
         else:
             next_pc = self.entries[index + 1][0]
-        self.emit(f"if _eng.gen != {self.engine.gen}:")
+        self.emit(f"if _gen[0] != {self.engine.gen[0]}:")
         self.emit("    " + self._exit_call(self.counts, next_pc, index + 1))
 
     # -- conditional branches (side exits) ----------------------------
@@ -882,9 +884,14 @@ class _Codegen:
     def _bindings(self):
         """Name -> object defaults the closure binds at definition."""
         cpu = self.cpu
+        # The closure is stored in the engine, which the core owns, so
+        # it binds the core's parts and never the core or the engine:
+        # ``_hw`` for the side exits, the generation cell for the SMC
+        # check, and a weak reference for the fault path's sync.
         bound = {
-            "_cpu": cpu,
-            "_eng": self.engine,
+            "_hw": (cpu.predictor, cpu.dtlb, cpu.caches.l1d.stats,
+                    cpu.caches.l1i.stats),
+            "_gen": self.engine.gen,
         }
         if self.has_mem:
             memory = cpu.memory
@@ -911,6 +918,7 @@ class _Codegen:
             # unused: the fault path syncs the object and re-raises).
             widx = tuple(sorted(self.writes))
             bound["_fe"] = _fault_exit
+            bound["_core"] = weakref.ref(cpu)
             bound["_frows"] = tuple(
                 (counts, None, 0, widx, self.copy_counts, 0)
                 for counts in self.partial_list
@@ -974,8 +982,9 @@ class _Codegen:
             src.append("    try:")
             src += [f"        {line}" for line in self.lines]
             src.append("    except BaseException:")
-            src.append(f"        _fe(_cpu, counters, regs, _frows[_pi], "
-                       f"{it_expr}, pc, cycles, last_iline, last_ipage, "
+            src.append(f"        _fe(_core(), _hw, counters, regs, "
+                       f"_frows[_pi], {it_expr}, pc, cycles, last_iline, "
+                       f"last_ipage, "
                        f"{self._vals(sorted(self.writes))}, "
                        f"{self._tally_args()})")
             src.append("        raise")
@@ -1015,17 +1024,17 @@ class SuperblockEngine:
     #: always fits inside one charge window.
     MAX_LENGTH = 64
 
-    def __init__(self, cpu):
-        self.cpu = cpu
+    def __init__(self):
         self.blocks = {}
         self.heat = {}
         #: mispredict hand-off: a closure's side exit parks the
         #: wrong-path pc here and the dispatcher calls
         #: ``Cpu._mispredict`` after the block commits.
         self.wp = [None]
-        #: bumped by every flush; closures bake the value they were
-        #: compiled under and compare after each store (SMC deopt).
-        self.gen = 0
+        #: generation cell, bumped by every flush; closures bind the
+        #: cell, bake the value they were compiled under and compare
+        #: after each store (SMC deopt).
+        self.gen = [0]
         self.stats = {
             "translated": 0,
             "rejected": 0,
@@ -1039,7 +1048,7 @@ class SuperblockEngine:
         """Drop every block (in place — the dispatcher holds live refs)."""
         self.blocks.clear()
         self.heat.clear()
-        self.gen += 1
+        self.gen[0] += 1
         self.stats["invalidations"] += 1
 
     def on_code_write(self, address, size):
@@ -1048,7 +1057,7 @@ class SuperblockEngine:
         self.flush()
 
     # -- translation ---------------------------------------------------
-    def _collect(self, pc):
+    def _collect(self, cpu, pc):
         """The translatable superblock at *pc*: body, unroll, exit pc.
 
         Returns ``(entries, copies, exit_pc)`` where entries are
@@ -1065,8 +1074,8 @@ class SuperblockEngine:
         Decode-cache misses are decoded fresh but *not* cached:
         translation observes the code, step() owns the cache.
         """
-        dcache = self.cpu._decode_cache
-        memory = self.cpu.memory
+        dcache = cpu._decode_cache
+        memory = cpu.memory
         entries = []
         p = pc
         while len(entries) < self.MAX_LENGTH:
@@ -1104,9 +1113,14 @@ class SuperblockEngine:
             p = nxt
         return entries, 1, p
 
-    def translate(self, pc):
-        """Translate the run at *pc*; returns the new ``blocks`` value."""
-        entries, copies, exit_pc = self._collect(pc)
+    def translate(self, cpu, pc):
+        """Translate *cpu*'s run at *pc*; returns the new ``blocks`` value.
+
+        *cpu* is the core that owns this engine: passed in, not stored,
+        so the core, its engine and the compiled blocks free by
+        reference counting.
+        """
+        entries, copies, exit_pc = self._collect(cpu, pc)
         length = len(entries) * copies
         if length < self.MIN_LENGTH:
             self.heat.pop(pc, None)
@@ -1114,7 +1128,7 @@ class SuperblockEngine:
             self.stats["rejected"] += 1
             return 0
         source, bound, exit_pc = _Codegen(
-            self.cpu, self, pc, entries, copies, exit_pc
+            cpu, self, pc, entries, copies, exit_pc
         ).build()
         namespace = dict(bound)
         code = _CODE_CACHE.get(source)
@@ -1124,7 +1138,8 @@ class SuperblockEngine:
             code = compile(source, f"<superblock {pc:#x}>", "exec")
             _CODE_CACHE[source] = code
         exec(code, namespace)
-        block = (namespace["_blk"], length, exit_pc)
+        # Popped, so the closure's globals do not hold the closure.
+        block = (namespace.pop("_blk"), length, exit_pc)
         self.blocks[pc] = block
         # Interior pcs are no longer dispatched on the fall-through
         # path; drop their warmup heat so only real (branch-target)

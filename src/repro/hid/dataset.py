@@ -1,34 +1,15 @@
-"""Sample and dataset containers for HID training.
+"""Dataset container for HID training.
 
-A *sample* is one profiler window: the per-quantum deltas of all 56
-events for one process, labelled benign (0) or attack (1).  A *dataset*
-is the numpy view over a chosen feature subset, with the paper's 70/30
-train/test split.
+A *dataset* is the numpy view over a chosen feature subset of profiler
+samples (:mod:`repro.hid.samples`), with the paper's 70/30 train/test
+split.
 """
-
-import dataclasses
 
 import numpy as np
 
 from repro.cpu.pmu import EVENT_NAMES
 from repro.errors import HidError
-
-BENIGN = 0
-ATTACK = 1
-
-
-@dataclasses.dataclass(frozen=True)
-class Sample:
-    """One profiling window."""
-
-    process_name: str
-    label: int
-    events: dict  # all 56 event deltas
-
-    def vector(self, feature_names):
-        return np.array(
-            [float(self.events[name]) for name in feature_names]
-        )
+from repro.hid.samples import ATTACK, BENIGN, Sample
 
 
 class Dataset:

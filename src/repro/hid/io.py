@@ -11,7 +11,7 @@ import io
 from repro.atomicio import atomic_write_text
 from repro.cpu.pmu import EVENT_NAMES
 from repro.errors import HidError
-from repro.hid.dataset import Dataset, Sample
+from repro.hid.samples import Sample
 
 _META_COLUMNS = ("process_name", "label")
 
@@ -103,6 +103,8 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """Read a Dataset written by :func:`save_dataset`."""
+    from repro.hid.dataset import Dataset
+
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:

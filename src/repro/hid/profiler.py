@@ -12,7 +12,7 @@ them again (see docs/PARALLELISM.md, "Sweep memos").
 
 import random
 
-from repro.hid.dataset import ATTACK, BENIGN, Sample
+from repro.hid.samples import ATTACK, BENIGN, Sample
 from repro.hid.memo import active_memos
 from repro.obs.tracer import current_tracer
 

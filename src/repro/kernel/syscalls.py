@@ -7,6 +7,8 @@ the PID (and therefore the profiler's attribution to the white-listed
 host).
 """
 
+import weakref
+
 from repro.errors import KernelError
 from repro.isa.registers import A1, A2, A3, RV
 
@@ -26,11 +28,18 @@ SYSCALL_NAMES = {
 
 
 class SyscallInterface:
-    """Dispatches syscalls for one process on behalf of the system."""
+    """Dispatches syscalls for one process on behalf of the system.
+
+    The system owns the process, the process owns its core and the
+    core owns this interface, so both back-edges (to the process and
+    to the system) are weak references, dereferenced once per
+    syscall.  Dropping the :class:`~repro.kernel.system.System` frees
+    the whole machine by reference counting.
+    """
 
     def __init__(self, system, process):
-        self._system = system
-        self._process = process
+        self._system = weakref.ref(system)
+        self._process = weakref.ref(process)
         self.log = []  # (name, args) tuples, for tests and auditing
 
     def __call__(self, cpu):
@@ -39,43 +48,49 @@ class SyscallInterface:
         args = (regs[A1], regs[A2], regs[A3])
         name = SYSCALL_NAMES.get(number)
         self.log.append((name or f"unknown({number})", args))
+        process = self._process()
         if cpu._tr_kernel is not None:
             cpu._tr_kernel.event("kernel.syscall",
                                  syscall=name or f"unknown({number})",
-                                 pid=self._process.pid)
+                                 pid=process.pid)
         if name is None:
             raise KernelError(f"unknown syscall number {number}")
         handler = getattr(self, "_sys_" + name)
-        result = handler(cpu, *args)
+        result = handler(process, cpu, *args)
         if result is not None:
             cpu.state.write_reg(RV, result)
 
     # ------------------------------------------------------------------
-    def _sys_exit(self, cpu, code, _a2, _a3):
+    def _sys_exit(self, process, cpu, code, _a2, _a3):
         cpu.state.exit_code = code
         cpu.state.halted = True
         return None
 
-    def _sys_write(self, cpu, fd, buf, length):
+    def _sys_write(self, process, cpu, fd, buf, length):
         if length > 1 << 20:
             raise KernelError(f"write length too large: {length}")
-        data = self._process.memory.read_bytes(buf, length)
+        data = process.memory.read_bytes(buf, length)
         if fd in (1, 2):
-            self._process.stdout += data
+            process.stdout += data
         return length
 
-    def _sys_execve(self, cpu, path_ptr, arg_ptr, _a3):
-        path = self._process.memory.read_cstring(path_ptr).decode("latin-1")
+    def _sys_execve(self, process, cpu, path_ptr, arg_ptr, _a3):
+        path = process.memory.read_cstring(path_ptr).decode("latin-1")
         argument = None
         if arg_ptr:
-            argument = self._process.memory.read_cstring(arg_ptr)
-        self._system.do_execve(self._process, path, argument)
+            argument = process.memory.read_cstring(arg_ptr)
+        system = self._system()
+        if system is None:
+            raise KernelError(
+                f"execve of {path!r} after its System was dropped"
+            )
+        system.do_execve(process, path, argument)
         return 0
 
-    def _sys_getpid(self, cpu, _a1, _a2, _a3):
-        return self._process.pid
+    def _sys_getpid(self, process, cpu, _a1, _a2, _a3):
+        return process.pid
 
-    def _sys_yield(self, cpu, _a1, _a2, _a3):
+    def _sys_yield(self, process, cpu, _a1, _a2, _a3):
         # Cooperative yield: the scheduler slices by instruction quantum,
         # so this is accounting-only.
         return 0

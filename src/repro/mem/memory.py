@@ -9,6 +9,8 @@ the paper argues.
 """
 
 import struct
+import types
+import weakref
 
 from repro.errors import (
     AlignmentFault,
@@ -62,6 +64,18 @@ class Segment:
         )
 
 
+def _weak_listener(method):
+    """A code listener that calls *method* while its object lives."""
+    ref = weakref.WeakMethod(method)
+
+    def listener(address, size):
+        bound = ref()
+        if bound is not None:
+            bound(address, size)
+
+    return listener
+
+
 class Memory:
     """A process address space: a small set of non-overlapping segments.
 
@@ -87,7 +101,15 @@ class Memory:
         self._code_listeners = []
 
     def add_code_listener(self, callback):
-        """Register ``callback(address, size)`` for executable writes."""
+        """Register ``callback(address, size)`` for executable writes.
+
+        A bound method is held through a weak reference: the cores
+        register their own ``_on_code_write``, and a core owns the
+        memory it listens to, so a strong reference would make the two
+        a cycle that only the cyclic collector could free.
+        """
+        if isinstance(callback, types.MethodType):
+            callback = _weak_listener(callback)
         self._code_listeners.append(callback)
 
     # ---- mapping ------------------------------------------------------

@@ -12,7 +12,8 @@ concrete cores as virtual subclasses so ``isinstance`` works):
 Attributes
     ``memory``, ``caches``, ``predictor``, ``config`` (a
     :class:`~repro.cpu.cpu.CpuConfig`), ``state`` (a
-    :class:`~repro.cpu.state.CpuState`), ``dtlb``/``itlb``, ``pmu``,
+    :class:`~repro.cpu.state.CpuState`), ``dtlb``/``itlb``, ``counters``
+    (the directly counted events) and ``pmu`` (a reading view of them),
     ``cycles`` (float virtual clock), ``shadow_stack`` (or ``None``),
     ``kernel_mode``, ``syscall_handler``, ``watchdog`` (duck-typed
     ``.charge(n)`` budget guard, or ``None``), plus the tracer bindings

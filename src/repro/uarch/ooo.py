@@ -95,7 +95,7 @@ from repro.cpu.cpu import (
     _SYSCALL,
     speculate,
 )
-from repro.cpu.pmu import Pmu
+from repro.cpu.pmu import Pmu, direct_counters
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
 from repro.errors import (
@@ -193,7 +193,7 @@ class OooCore:
         self.state = CpuState()
         self.dtlb = Tlb()
         self.itlb = Tlb()
-        self.pmu = Pmu(self)
+        self.counters = direct_counters()
         self.cycles = 0.0
         self.shadow_stack = (ShadowStack() if self.config.shadow_stack
                              else None)
@@ -276,6 +276,11 @@ class OooCore:
         self._prof = (profiler if profiler.enabled
                       and profiler.config.active else None)
 
+    @property
+    def pmu(self):
+        """A :class:`~repro.cpu.pmu.Pmu` reading view of ``counters``."""
+        return Pmu(self)
+
     def _cycles_now(self):
         return int(self.cycles)
 
@@ -338,7 +343,7 @@ class OooCore:
         Conditional branches (*cond*) are tallied apart from the other
         branches, and each one is also a BHT prediction.
         """
-        counters = self.pmu.counters
+        counters = self.counters
         counters["instructions"] = instructions
         for name, count in zip(_MIX, (alu, mul, load, store,
                                       branch + cond, cond, taken)):
@@ -423,7 +428,7 @@ class OooCore:
         latency = self.caches.data_access_fast(address, is_write)[0]
         extra = latency - self._l1_latency
         if extra > 0:
-            self.pmu.counters["memory_stall_cycles"] += extra
+            self.counters["memory_stall_cycles"] += extra
         return latency
 
     # ------------------------------------------------------------------
@@ -440,7 +445,7 @@ class OooCore:
         squash_trace = self._tr_squash
         sq_ts0 = squash_trace.now() if squash_trace is not None else 0
         penalty = self.config.mispredict_penalty
-        self.pmu.counters["mispredict_penalty_cycles"] += int(penalty)
+        self.counters["mispredict_penalty_cycles"] += int(penalty)
         if fclock < resolve_time:
             fclock = resolve_time
         fclock += penalty
@@ -501,7 +506,7 @@ class OooCore:
         if state.halted:
             return 0
         config = self.config
-        counters = self.pmu.counters
+        counters = self.counters
         predictor = self.predictor
         memory = self.memory
         caches = self.caches

@@ -159,7 +159,8 @@ class TestDecodeCacheAcrossExecve:
         return system
 
     def test_hit_flush_refill(self):
-        process = self._system().spawn("/bin/caller")
+        system = self._system()
+        process = system.spawn("/bin/caller")
         process.run_to_completion()
         assert process.exit_code == 42
         assert process.image_name == "other"
@@ -173,8 +174,9 @@ class TestDecodeCacheAcrossExecve:
         )
 
     def test_execve_state_matches_stepwise_reference(self):
-        fast = self._system().spawn("/bin/caller")
-        reference = self._system().spawn("/bin/caller")
+        systems = self._system(), self._system()
+        fast, reference = (system.spawn("/bin/caller")
+                           for system in systems)
         fast.cpu.run()
         _run_stepwise(reference.cpu)
         assert _snapshot(fast) == _snapshot(reference)

@@ -57,7 +57,8 @@ class TestRecording:
         timing = manifest["timing"]
         assert set(timing) == {"wall_s", "started_at", "phases", "backend",
                                "cells", "cell_cache", "profile_memo",
-                               "fit_memo"}
+                               "fit_memo", "peak_rss_mb"}
+        assert timing["peak_rss_mb"] > 0
         assert set(timing["phases"]) == {"schedule", "cache_lookup",
                                          "compute", "ipc", "merge"}
         assert set(timing["cells"]) == {cell["key"]
