@@ -21,9 +21,13 @@ what the covert channel's flush+reload timer reads.
 
 Interpreter layout
 ------------------
-The decode cache stores flat ``(op, rd, rs1, rs2, imm)`` tuples with
-*op* a plain int, so dispatch compares ints and operand access is
-index-based — no dataclass or enum traffic per retired instruction.
+The decode cache stores the flat six-field entries of
+:func:`repro.isa.semantics.decode_entry`, ``(op, rd, rs1, rs2, imm,
+next_pc)``, with *op* a plain int and *next_pc* the fall-through pc,
+so dispatch compares ints and operand access is index-based — no
+dataclass or enum traffic per retired instruction.  The out-of-order
+core caches the same entries.  ALU results and branch directions come
+from the shared ``ALU``/``TAKEN`` tables of :mod:`repro.isa.semantics`.
 :meth:`Cpu.step` is the one interpreter of the committed path.
 :meth:`Cpu.run` dispatches hot straight-line code to compiled
 superblocks (:mod:`repro.cpu.superblock`) and everything else to
@@ -40,44 +44,24 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.engine import engine_mode
 from repro.cpu.pmu import Pmu, direct_counters
 from repro.cpu.shadow_stack import ShadowStack
-from repro.cpu.state import CpuState, to_signed
+from repro.cpu.state import CpuState
 from repro.errors import (
     CpuFault,
-    EncodingError,
     MemoryFault,
     PrivilegeFault,
     ShadowStackViolation,
 )
 from repro.cpu.superblock import SuperblockEngine
-from repro.isa.encoding import INSTRUCTION_SIZE, decode
-from repro.isa.opcodes import Opcode
+from repro.isa.encoding import INSTRUCTION_SIZE
+from repro.isa.semantics import (
+    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT, JMP, JMPR, LB,
+    LW, MASK32, MFENCE, MOD, MOV, MUL, MULI, NOP, POP, PUSH, RDCYCLE,
+    RDINSTRET, RET, SB, SLTU, SW, SYSCALL, TAKEN, decode_entry,
+)
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
 from repro.obs.tracer import current_tracer
 from time import perf_counter
-
-MASK32 = 0xFFFFFFFF
-
-# Dispatch constants: plain ints.  ``Opcode`` members are IntEnum (int
-# comparisons work), but int literals keep the hot dispatch free of any
-# enum attribute traffic.  The assertion below pins every constant to
-# the ISA definition, so they cannot drift silently.
-_NOP, _HALT = 0x00, 0x01
-_ADD, _SUB, _MUL, _DIV, _MOD = 0x10, 0x11, 0x12, 0x13, 0x14
-_AND, _OR, _XOR, _SHL, _SHR, _SRA, _SLT, _SLTU = (
-    0x15, 0x16, 0x17, 0x18, 0x19, 0x1A, 0x1B, 0x1C)
-_ADDI, _MULI, _ANDI, _ORI, _XORI = 0x20, 0x21, 0x22, 0x23, 0x24
-_SHLI, _SHRI, _SRAI, _SLTI, _LI, _MOV = 0x25, 0x26, 0x27, 0x28, 0x29, 0x2A
-_LW, _LB, _SW, _SB, _PUSH, _POP = 0x30, 0x31, 0x32, 0x33, 0x34, 0x35
-_BEQ, _BNE, _BLT, _BGE, _BLTU, _BGEU = 0x40, 0x41, 0x42, 0x43, 0x44, 0x45
-_JMP, _JMPR, _CALL, _CALLR, _RET = 0x48, 0x49, 0x4A, 0x4B, 0x4C
-_SYSCALL, _CLFLUSH, _MFENCE, _RDCYCLE, _RDINSTRET = (
-    0x50, 0x51, 0x52, 0x53, 0x54)
-
-assert all(
-    globals()[f"_{member.name}"] == member.value for member in Opcode
-), "dispatch constants drifted from the ISA definition"
-
 
 @dataclasses.dataclass(frozen=True)
 class CpuConfig:
@@ -105,100 +89,19 @@ class CpuConfig:
     invisible_speculation: bool = False
 
 
-def _truncdiv(numerator, denominator):
-    """C-style truncating integer division (rounds toward zero)."""
-    quotient = abs(numerator) // abs(denominator)
-    if (numerator < 0) != (denominator < 0):
-        quotient = -quotient
-    return quotient
-
-
-def _alu_rrr(op, a, b):
-    """32-bit register-register ALU semantics."""
-    if op == _ADD:
-        return (a + b) & MASK32
-    if op == _SUB:
-        return (a - b) & MASK32
-    if op == _MUL:
-        return (a * b) & MASK32
-    if op == _DIV:
-        if b == 0:
-            return MASK32
-        return _truncdiv(to_signed(a), to_signed(b)) & MASK32
-    if op == _MOD:
-        if b == 0:
-            return a
-        sa, sb = to_signed(a), to_signed(b)
-        return (sa - sb * _truncdiv(sa, sb)) & MASK32
-    if op == _AND:
-        return a & b
-    if op == _OR:
-        return a | b
-    if op == _XOR:
-        return a ^ b
-    if op == _SHL:
-        return (a << (b & 31)) & MASK32
-    if op == _SHR:
-        return a >> (b & 31)
-    if op == _SRA:
-        return (to_signed(a) >> (b & 31)) & MASK32
-    if op == _SLT:
-        return 1 if to_signed(a) < to_signed(b) else 0
-    if op == _SLTU:
-        return 1 if a < b else 0
-    raise AssertionError(f"not an RRR opcode: {op}")
-
-
-def _alu_rri(op, a, imm):
-    """32-bit register-immediate ALU semantics."""
-    if op == _ADDI:
-        return (a + imm) & MASK32
-    if op == _MULI:
-        return (a * imm) & MASK32
-    if op == _ANDI:
-        return a & (imm & MASK32)
-    if op == _ORI:
-        return a | (imm & MASK32)
-    if op == _XORI:
-        return a ^ (imm & MASK32)
-    if op == _SHLI:
-        return (a << (imm & 31)) & MASK32
-    if op == _SHRI:
-        return a >> (imm & 31)
-    if op == _SRAI:
-        return (to_signed(a) >> (imm & 31)) & MASK32
-    if op == _SLTI:
-        return 1 if to_signed(a) < imm else 0
-    raise AssertionError(f"not an RRI opcode: {op}")
-
-
-def _branch_taken(op, a, b):
-    if op == _BEQ:
-        return a == b
-    if op == _BNE:
-        return a != b
-    if op == _BLT:
-        return to_signed(a) < to_signed(b)
-    if op == _BGE:
-        return to_signed(a) >= to_signed(b)
-    if op == _BLTU:
-        return a < b
-    if op == _BGEU:
-        return a >= b
-    raise AssertionError(f"not a branch opcode: {op}")
-
-
-def speculate(core, start_pc, budget, wide=False):
+def speculate(core, start_pc, budget):
     """Execute up to *budget* wrong-path instructions of *core* from
     *start_pc*; only cache/TLB fills persist.  Returns the count.
 
     The one wrong-path walk of both cores.  The in-order
     :class:`Cpu` passes its ``spec_window``; the out-of-order core
-    passes its ROB's free slots and sets *wide*: its decode entries
-    carry two more fields (station pool, fall-through pc).  A decode
-    miss goes through ``core._decode_entry``; an undecodable or
-    unmapped pc ends the walk.  The walk runs on a copy of the
-    registers, so the squash has nothing to restore.
+    passes its ROB's free slots.  Both cores cache the same
+    :func:`~repro.isa.semantics.decode_entry` entries, and a decode
+    miss fills the core's cache as a committed fetch would; an
+    undecodable or unmapped pc ends the walk.  Values come from the
+    same ``ALU``/``TAKEN`` tables the committed path uses.  The walk
+    runs on a copy of the registers, so the squash has nothing to
+    restore.
 
     This walk dominates wall time on mispredict-heavy workloads, so
     — like the superblock closures — it inlines the L1I/L1D LRU hit
@@ -215,7 +118,6 @@ def speculate(core, start_pc, budget, wide=False):
     counters = core.counters
     memory = core.memory
     dcache = core._decode_cache
-    decode_miss = core._decode_entry
     caches = core.caches
     data_fast = caches.data_access_fast
     icache_fast = caches.instruction_access_fast
@@ -259,7 +161,7 @@ def speculate(core, start_pc, budget, wide=False):
         entry = dcache.get(pc)
         if entry is None:
             try:
-                entry = decode_miss(pc)
+                entry = dcache[pc] = decode_entry(memory, pc)
             except (MemoryFault, CpuFault):
                 break
         # Wrong-path fetch fills the I-cache / ITLB too.
@@ -295,48 +197,16 @@ def speculate(core, start_pc, budget, wide=False):
             itlb_last = page
 
         executed += 1
-        # One slice (entry[:5]) would fit both shapes, but it costs
-        # the in-order walk more than this branch does (quick table1).
-        if wide:
-            op, rd, rs1, rs2, imm, _, next_pc = entry
-        else:
-            op, rd, rs1, rs2, imm = entry
-            next_pc = (pc + INSTRUCTION_SIZE) & MASK32
+        op, rd, rs1, rs2, imm, next_pc = entry
 
-        # ALU ranges lead the dispatch (they dominate wrong-path
-        # mixes), with the hottest opcodes decoded inline instead
-        # of through the _alu_* helpers.
-        if _ADD <= op <= _SLTU:
+        # ALU ranges lead the dispatch (they dominate wrong-path mixes).
+        if ADD <= op <= SLTU:
             if rd != 0:
-                if op == _ADD:
-                    regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
-                elif op == _SUB:
-                    regs[rd] = (regs[rs1] - regs[rs2]) & MASK32
-                elif op == _AND:
-                    regs[rd] = regs[rs1] & regs[rs2]
-                elif op == _OR:
-                    regs[rd] = regs[rs1] | regs[rs2]
-                elif op == _XOR:
-                    regs[rd] = regs[rs1] ^ regs[rs2]
-                else:
-                    regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-        elif _ADDI <= op <= _SLTI:
+                regs[rd] = ALU[op](regs[rs1], regs[rs2])
+        elif ADDI <= op <= MOV:
             if rd != 0:
-                if op == _ADDI:
-                    regs[rd] = (regs[rs1] + imm) & MASK32
-                elif op == _SHLI:
-                    regs[rd] = (regs[rs1] << (imm & 31)) & MASK32
-                elif op == _SHRI:
-                    regs[rd] = regs[rs1] >> (imm & 31)
-                else:
-                    regs[rd] = _alu_rri(op, regs[rs1], imm)
-        elif op == _LI:
-            if rd != 0:
-                regs[rd] = imm & MASK32
-        elif op == _MOV:
-            if rd != 0:
-                regs[rd] = regs[rs1]
-        elif op == _LW or op == _LB:
+                regs[rd] = ALU[op](regs[rs1], imm)
+        elif op == LW or op == LB:
             address = (regs[rs1] + imm) & MASK32
             n_loads += 1
             if invisible:
@@ -363,12 +233,12 @@ def speculate(core, start_pc, budget, wide=False):
                         hit = True
                 if not hit and data_fast(address, False)[1] == 3:
                     n_fills += 1
-            key = (address, 4 if op == _LW else 1)
+            key = (address, 4 if op == LW else 1)
             if key in store_buffer:
                 value = store_buffer[key]
             else:
                 try:
-                    if op == _LW:
+                    if op == LW:
                         value = memory.load_word(address)
                     else:
                         value = memory.load_byte(address)
@@ -379,9 +249,9 @@ def speculate(core, start_pc, budget, wide=False):
                     break
             if rd != 0:
                 regs[rd] = value & MASK32
-        elif op == _SW or op == _SB:
+        elif op == SW or op == SB:
             address = (regs[rs1] + imm) & MASK32
-            size = 4 if op == _SW else 1
+            size = 4 if op == SW else 1
             store_buffer[(address, size)] = regs[rs2] & (
                 MASK32 if size == 4 else 0xFF
             )
@@ -405,24 +275,24 @@ def speculate(core, start_pc, budget, wide=False):
                     hit = True
             if not hit:
                 data_fast(address, True)
-        elif _BEQ <= op <= _BGEU:
+        elif BEQ <= op <= BGEU:
             # Nested branches resolve immediately on the wrong path.
-            if _branch_taken(op, regs[rs1], regs[rs2]):
+            if TAKEN[op](regs[rs1], regs[rs2]):
                 next_pc = (pc + imm) & MASK32
-        elif op == _JMP:
+        elif op == JMP:
             next_pc = (pc + imm) & MASK32
-        elif op == _JMPR:
+        elif op == JMPR:
             next_pc = (regs[rs1] + imm) & MASK32
-        elif op == _CALL or op == _CALLR:
+        elif op == CALL or op == CALLR:
             return_address = next_pc
             sp = (regs[13] - 4) & MASK32
             regs[13] = sp
             store_buffer[(sp, 4)] = return_address
-            if op == _CALL:
+            if op == CALL:
                 next_pc = (pc + imm) & MASK32
             else:
                 next_pc = (regs[rs1] + imm) & MASK32
-        elif op == _RET:
+        elif op == RET:
             sp = regs[13]
             key = (sp, 4)
             if key in store_buffer:
@@ -434,7 +304,7 @@ def speculate(core, start_pc, budget, wide=False):
                     break
             regs[13] = (sp + 4) & MASK32
             next_pc = target & MASK32
-        elif op == _PUSH:
+        elif op == PUSH:
             sp = (regs[13] - 4) & MASK32
             regs[13] = sp
             store_buffer[(sp, 4)] = regs[rs1]
@@ -452,7 +322,7 @@ def speculate(core, start_pc, budget, wide=False):
                     hit = True
             if not hit:
                 data_fast(sp, True)
-        elif op == _POP:
+        elif op == POP:
             sp = regs[13]
             key = (sp, 4)
             if key in store_buffer:
@@ -478,13 +348,13 @@ def speculate(core, start_pc, budget, wide=False):
             regs[13] = (sp + 4) & MASK32
             if rd != 0:
                 regs[rd] = value
-        elif op == _RDCYCLE:
+        elif op == RDCYCLE:
             if rd != 0:
                 regs[rd] = int(core.cycles) & MASK32
-        elif op == _RDINSTRET:
+        elif op == RDINSTRET:
             if rd != 0:
                 regs[rd] = counters["instructions"] & MASK32
-        elif op == _NOP:
+        elif op == NOP:
             pass
         else:
             # HALT, SYSCALL, MFENCE, CLFLUSH: serialising — wrong-path
@@ -525,6 +395,9 @@ def speculate(core, start_pc, budget, wide=False):
 class Cpu:
     """One simulated hardware thread."""
 
+    #: The tracer this core's clock is registered with; ``None`` untraced.
+    _tracer = None
+
     def __init__(self, memory, caches=None, predictor=None, config=None):
         self.memory = memory
         self.caches = caches or CacheHierarchy()
@@ -562,8 +435,8 @@ class Cpu:
         # adds nothing to the hot step loop.
         tracer = current_tracer()
         if tracer.enabled:
-            self._tracer = tracer
             self.trace_clk = tracer.register_clock(self._cycles_now)
+            self._tracer = tracer
             self._tr_cpu = tracer.channel("cpu", self.trace_clk)
             self._tr_kernel = tracer.channel("kernel", self.trace_clk)
             cache_channel = tracer.channel("cache", self.trace_clk)
@@ -579,7 +452,6 @@ class Cpu:
                                 or self._tr_kernel is not None
                                 or cache_channel is not None)
         else:
-            self._tracer = None
             self.trace_clk = 0
             self._tr_cpu = None
             self._tr_kernel = None
@@ -600,6 +472,12 @@ class Cpu:
     def _cycles_now(self):
         """This CPU's virtual clock, as read by its trace channels."""
         return int(self.cycles)
+
+    def __del__(self):
+        # The tracer holds the clock weakly: hand it the final reading,
+        # which its ``cpu.cycles`` gauge still sums.
+        if self._tracer is not None:
+            self._tracer.retire_clock(self.trace_clk, int(self.cycles))
 
     # ------------------------------------------------------------------
     # helpers
@@ -647,27 +525,10 @@ class Cpu:
         if self._sb is not None:
             self._sb.flush()
 
-    def _decode_entry(self, pc):
-        """Decode the instruction at *pc* into a flat dispatch tuple.
-
-        The decode cache stores ``(op, rd, rs1, rs2, imm)`` — *op* as a
-        plain int — so the interpreter never touches the Instruction
-        dataclass or the Opcode enum on the hot path.
-        """
-        blob = self.memory.fetch(pc, INSTRUCTION_SIZE)
-        try:
-            instruction = decode(blob)
-        except EncodingError as exc:
-            raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
-        entry = (int(instruction.opcode), instruction.rd,
-                 instruction.rs1, instruction.rs2, instruction.imm)
-        self._decode_cache[pc] = entry
-        return entry
-
     def _fetch(self, pc):
         entry = self._decode_cache.get(pc)
         if entry is None:
-            entry = self._decode_entry(pc)
+            entry = self._decode_cache[pc] = decode_entry(self.memory, pc)
         line = pc >> 6
         if line != self._last_iline:
             self._last_iline = line
@@ -746,64 +607,57 @@ class Cpu:
         counters = self.counters
         predictor = self.predictor
         pc = state.pc
-        op, rd, rs1, rs2, imm = self._fetch(pc)
+        op, rd, rs1, rs2, imm, next_pc = self._fetch(pc)
         regs = state.regs
-        next_pc = (pc + INSTRUCTION_SIZE) & MASK32
         self.cycles += self._base_cost
         counters["instructions"] += 1
 
-        if _ADD <= op <= _SLTU:
+        if ADD <= op <= SLTU:
             counters["alu_instructions"] += 1
-            if _MUL <= op <= _MOD:
+            if MUL <= op <= MOD:
                 counters["mul_div_instructions"] += 1
                 self.cycles += (
-                    config.div_extra if op != _MUL else config.mul_extra
+                    config.div_extra if op != MUL else config.mul_extra
                 )
-            state.write_reg(rd, _alu_rrr(op, regs[rs1], regs[rs2]))
-        elif _ADDI <= op <= _SLTI:
+            state.write_reg(rd, ALU[op](regs[rs1], regs[rs2]))
+        elif ADDI <= op <= MOV:
             counters["alu_instructions"] += 1
-            if op == _MULI:
+            if op == MULI:
                 counters["mul_div_instructions"] += 1
                 self.cycles += config.mul_extra
-            state.write_reg(rd, _alu_rri(op, regs[rs1], imm))
-        elif op == _LI:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, imm & MASK32)
-        elif op == _MOV:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, regs[rs1])
-        elif op == _LW:
+            state.write_reg(rd, ALU[op](regs[rs1], imm))
+        elif op == LW:
             counters["load_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             value = self.memory.load_word(address)
             self._charge_data_access(address, False)
             state.write_reg(rd, value)
-        elif op == _LB:
+        elif op == LB:
             counters["load_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             value = self.memory.load_byte(address)
             self._charge_data_access(address, False)
             state.write_reg(rd, value)
-        elif op == _SW:
+        elif op == SW:
             counters["store_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             self.memory.store_word(address, regs[rs2])
             self._charge_data_access(address, True)
-        elif op == _SB:
+        elif op == SB:
             counters["store_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             self.memory.store_byte(address, regs[rs2])
             self._charge_data_access(address, True)
-        elif op == _PUSH:
+        elif op == PUSH:
             counters["stack_instructions"] += 1
             self._push_word(regs[rs1])
-        elif op == _POP:
+        elif op == POP:
             counters["stack_instructions"] += 1
             state.write_reg(rd, self._pop_word())
-        elif _BEQ <= op <= _BGEU:
+        elif BEQ <= op <= BGEU:
             counters["branch_instructions"] += 1
             counters["cond_branch_instructions"] += 1
-            taken = _branch_taken(op, regs[rs1], regs[rs2])
+            taken = TAKEN[op](regs[rs1], regs[rs2])
             predicted = predictor.predict_conditional(pc)
             mispredicted = predictor.resolve_conditional(pc, predicted, taken)
             if taken:
@@ -815,10 +669,10 @@ class Cpu:
                     else (pc + INSTRUCTION_SIZE) & MASK32
                 )
                 self._mispredict(wrong_path)
-        elif op == _JMP:
+        elif op == JMP:
             counters["branch_instructions"] += 1
             next_pc = (pc + imm) & MASK32
-        elif op == _JMPR:
+        elif op == JMPR:
             counters["branch_instructions"] += 1
             counters["indirect_jump_instructions"] += 1
             target = (regs[rs1] + imm) & MASK32
@@ -829,7 +683,7 @@ class Cpu:
             elif mispredicted:
                 self._mispredict(predicted)
             next_pc = target
-        elif op == _CALL:
+        elif op == CALL:
             counters["branch_instructions"] += 1
             counters["call_instructions"] += 1
             return_address = next_pc
@@ -838,7 +692,7 @@ class Cpu:
             if self.shadow_stack is not None:
                 self.shadow_stack.on_call(return_address)
             next_pc = (pc + imm) & MASK32
-        elif op == _CALLR:
+        elif op == CALLR:
             counters["branch_instructions"] += 1
             counters["call_instructions"] += 1
             counters["indirect_jump_instructions"] += 1
@@ -855,7 +709,7 @@ class Cpu:
             elif mispredicted:
                 self._mispredict(predicted)
             next_pc = target
-        elif op == _RET:
+        elif op == RET:
             counters["branch_instructions"] += 1
             counters["ret_instructions"] += 1
             target = self._pop_word()
@@ -872,7 +726,7 @@ class Cpu:
             if mispredicted:
                 self._mispredict(predicted)
             next_pc = target
-        elif op == _CLFLUSH:
+        elif op == CLFLUSH:
             counters["clflush_instructions"] += 1
             if self.config.clflush_privileged and not self.kernel_mode:
                 raise PrivilegeFault(
@@ -884,17 +738,17 @@ class Cpu:
             if self.memory.executable_at(address):
                 self._flush_code_line(address)
             self.cycles += config.clflush_latency
-        elif op == _MFENCE:
+        elif op == MFENCE:
             counters["mfence_instructions"] += 1
             self.cycles += config.fence_latency
             counters["fence_stall_cycles"] += int(config.fence_latency)
-        elif op == _RDCYCLE:
+        elif op == RDCYCLE:
             counters["alu_instructions"] += 1
             state.write_reg(rd, int(self.cycles) & MASK32)
-        elif op == _RDINSTRET:
+        elif op == RDINSTRET:
             counters["alu_instructions"] += 1
             state.write_reg(rd, counters["instructions"] & MASK32)
-        elif op == _SYSCALL:
+        elif op == SYSCALL:
             counters["syscall_instructions"] += 1
             self.cycles += config.syscall_latency
             if self.syscall_handler is None:
@@ -902,9 +756,9 @@ class Cpu:
             state.pc = next_pc  # handlers (execve) may overwrite this
             self.syscall_handler(self)
             return not state.halted
-        elif op == _NOP:
+        elif op == NOP:
             pass
-        elif op == _HALT:
+        elif op == HALT:
             state.halted = True
             return False
         else:  # pragma: no cover - every opcode is handled above

@@ -80,50 +80,12 @@ segment.
 import weakref
 
 from repro.branch.bht import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
-from repro.errors import CpuFault, EncodingError, MemoryFault
-from repro.isa.encoding import INSTRUCTION_SIZE, decode
-from repro.isa.opcodes import Opcode
-
-MASK32 = 0xFFFFFFFF
-
-_NOP = int(Opcode.NOP)
-_ADD = int(Opcode.ADD)
-_SUB = int(Opcode.SUB)
-_MUL = int(Opcode.MUL)
-_DIV = int(Opcode.DIV)
-_MOD = int(Opcode.MOD)
-_AND = int(Opcode.AND)
-_OR = int(Opcode.OR)
-_XOR = int(Opcode.XOR)
-_SHL = int(Opcode.SHL)
-_SHR = int(Opcode.SHR)
-_SRA = int(Opcode.SRA)
-_SLT = int(Opcode.SLT)
-_SLTU = int(Opcode.SLTU)
-_ADDI = int(Opcode.ADDI)
-_MULI = int(Opcode.MULI)
-_ANDI = int(Opcode.ANDI)
-_ORI = int(Opcode.ORI)
-_XORI = int(Opcode.XORI)
-_SHLI = int(Opcode.SHLI)
-_SHRI = int(Opcode.SHRI)
-_SRAI = int(Opcode.SRAI)
-_SLTI = int(Opcode.SLTI)
-_LI = int(Opcode.LI)
-_MOV = int(Opcode.MOV)
-_LW = int(Opcode.LW)
-_LB = int(Opcode.LB)
-_SW = int(Opcode.SW)
-_SB = int(Opcode.SB)
-_PUSH = int(Opcode.PUSH)
-_POP = int(Opcode.POP)
-_JMP = int(Opcode.JMP)
-_BEQ = int(Opcode.BEQ)
-_BNE = int(Opcode.BNE)
-_BLT = int(Opcode.BLT)
-_BGE = int(Opcode.BGE)
-_BLTU = int(Opcode.BLTU)
-_BGEU = int(Opcode.BGEU)
+from repro.errors import CpuFault, MemoryFault
+from repro.isa.encoding import INSTRUCTION_SIZE
+from repro.isa.semantics import (
+    ADD, ADDI, BEQ, BGEU, COND, DIV, JMP, LB, LW, MASK32, MOD, MOV, MUL,
+    MULI, NOP, POP, PUSH, SB, SLTU, SW, VALUE, decode_entry, truncdiv,
+)
 
 #: Source-text -> code-object translation cache, shared process-wide.
 #: A block's generated source fully determines its code object (every
@@ -159,10 +121,10 @@ def _trace_taken(imm):
 def _translatable(op):
     """Ops a block body may contain; anything else terminates it."""
     return (
-        _ADD <= op <= _SLTU
-        or _ADDI <= op <= _MOV
-        or _LW <= op <= _POP
-        or op == _NOP
+        ADD <= op <= SLTU
+        or ADDI <= op <= MOV
+        or LW <= op <= POP
+        or op == NOP
     )
 
 
@@ -170,14 +132,6 @@ def _dyadic(value):
     """Exactly representable on the 2^-20 grid (so float + is exact)."""
     scaled = value * 1048576.0
     return scaled == int(scaled) and abs(value) < 1e6
-
-
-def _signed_lines(dst, src, indent):
-    """Statements computing ``dst`` = *src* reinterpreted as signed."""
-    return [
-        f"{indent}{dst} = {src} - 4294967296 "
-        f"if {src} > 2147483647 else {src}"
-    ]
 
 
 #: Index of ``cond_branch_instructions`` in :data:`_COUNTER_NAMES`: every
@@ -325,6 +279,8 @@ class _Codegen:
         #: BHT counter list, the predictor and the mispredict hand-off
         #: cell).
         self.has_branch = False
+        #: set when a DIV or MOD was emitted (binds ``truncdiv``).
+        self.has_div = False
         self.bht = cpu.predictor.bht
         #: fetch-locality state known at compile time: after the entry
         #: instruction's runtime check, ``last_iline``/``last_ipage``
@@ -332,7 +288,7 @@ class _Codegen:
         self.cur_line = None
         self.cur_page = None
         self.has_mem = any(
-            _LW <= entry[0] <= _POP for _, entry in entries
+            LW <= entry[0] <= POP for _, entry in entries
         )
 
     # -- small emission helpers --------------------------------------
@@ -604,22 +560,7 @@ class _Codegen:
         self.counts[6] += 1
         self.counts[7] += 1
         self.has_branch = True
-        a = self.reg(rs1)
-        b = self.reg(rs2)
-        if op == _BEQ:
-            cond = f"{a} == {b}"
-        elif op == _BNE:
-            cond = f"{a} != {b}"
-        elif op == _BLTU:
-            cond = f"{a} < {b}"
-        elif op == _BGEU:
-            cond = f"{a} >= {b}"
-        else:
-            for line in _signed_lines("_sa", a, ""):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, ""):
-                self.emit(line)
-            cond = "_sa < _sb" if op == _BLT else "_sa >= _sb"
+        cond = COND[op].format(a=self.reg(rs1), b=self.reg(rs2))
         taken_pc = (pc + imm) & MASK32
         fall_pc = (pc + INSTRUCTION_SIZE) & MASK32
         k = index + 1
@@ -679,112 +620,29 @@ class _Codegen:
     # -- per-opcode bodies -------------------------------------------
     def _emit_alu(self, op, rd, rs1, rs2, imm):
         self.counts[1] += 1
-        if op == _MUL or op == _MULI:
+        if op == MUL or op == MULI:
             self.counts[2] += 1
             self.add_cycles(self.mul_extra)
-        elif op == _DIV or op == _MOD:
+        elif op == DIV or op == MOD:
             self.counts[2] += 1
             self.add_cycles(self.div_extra)
+            self.has_div = True
         if rd == 0:
             return  # writes to r0 are discarded; nothing to compute
-        if op == _LI:
-            self.emit(f"{self.wreg(rd)} = {imm & MASK32}")
-            return
         # Sources are recorded (``reg``) before the destination
         # (``wreg``) so the read-before-write analysis sees an
         # instruction like ``add r4, r4, r5`` as needing r4 loaded.
-        a = self.reg(rs1)
-        if op == _MOV:
-            self.emit(f"{self.wreg(rd)} = {a}")
-            return
-        if _ADDI <= op <= _SLTI:
-            dst = self.wreg(rd)
-            if op == _ADDI:
-                self.emit(f"{dst} = ({a} + {imm}) & 4294967295")
-            elif op == _MULI:
-                self.emit(f"{dst} = ({a} * {imm}) & 4294967295")
-            elif op == _ANDI:
-                self.emit(f"{dst} = {a} & {imm & MASK32}")
-            elif op == _ORI:
-                self.emit(f"{dst} = {a} | {imm & MASK32}")
-            elif op == _XORI:
-                self.emit(f"{dst} = {a} ^ {imm & MASK32}")
-            elif op == _SHLI:
-                self.emit(f"{dst} = ({a} << {imm & 31}) & 4294967295")
-            elif op == _SHRI:
-                self.emit(f"{dst} = {a} >> {imm & 31}")
-            elif op == _SRAI:
-                for line in _signed_lines("_sa", a, ""):
-                    self.emit(line)
-                self.emit(f"{dst} = (_sa >> {imm & 31}) & 4294967295")
-            else:  # SLTI compares against the raw (signed) immediate
-                for line in _signed_lines("_sa", a, ""):
-                    self.emit(line)
-                self.emit(f"{dst} = 1 if _sa < {imm} else 0")
-            return
-        b = self.reg(rs2)
-        dst = self.wreg(rd)
-        if op == _ADD:
-            self.emit(f"{dst} = ({a} + {b}) & 4294967295")
-        elif op == _SUB:
-            self.emit(f"{dst} = ({a} - {b}) & 4294967295")
-        elif op == _MUL:
-            self.emit(f"{dst} = ({a} * {b}) & 4294967295")
-        elif op == _AND:
-            self.emit(f"{dst} = {a} & {b}")
-        elif op == _OR:
-            self.emit(f"{dst} = {a} | {b}")
-        elif op == _XOR:
-            self.emit(f"{dst} = {a} ^ {b}")
-        elif op == _SHL:
-            self.emit(f"{dst} = ({a} << ({b} & 31)) & 4294967295")
-        elif op == _SHR:
-            self.emit(f"{dst} = {a} >> ({b} & 31)")
-        elif op == _SRA:
-            for line in _signed_lines("_sa", a, ""):
-                self.emit(line)
-            self.emit(f"{dst} = (_sa >> ({b} & 31)) & 4294967295")
-        elif op == _SLT:
-            for line in _signed_lines("_sa", a, ""):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, ""):
-                self.emit(line)
-            self.emit(f"{dst} = 1 if _sa < _sb else 0")
-        elif op == _SLTU:
-            self.emit(f"{dst} = 1 if {a} < {b} else 0")
-        elif op == _DIV:
-            self.emit(f"if {b} == 0:")
-            self.emit(f"    {dst} = 4294967295")
-            self.emit("else:")
-            for line in _signed_lines("_sa", a, "    "):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, "    "):
-                self.emit(line)
-            self.emit("    _q = abs(_sa) // abs(_sb)")
-            self.emit("    if (_sa < 0) != (_sb < 0):")
-            self.emit("        _q = -_q")
-            self.emit(f"    {dst} = _q & 4294967295")
-        elif op == _MOD:
-            self.emit(f"if {b} == 0:")
-            self.emit(f"    {dst} = {a}")
-            self.emit("else:")
-            for line in _signed_lines("_sa", a, "    "):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, "    "):
-                self.emit(line)
-            self.emit("    _q = abs(_sa) // abs(_sb)")
-            self.emit("    if (_sa < 0) != (_sb < 0):")
-            self.emit("        _q = -_q")
-            self.emit(f"    {dst} = (_sa - _sb * _q) & 4294967295")
-        else:  # pragma: no cover - every RRR opcode is handled above
-            raise AssertionError(f"unhandled ALU opcode {op:#04x}")
+        template = VALUE[op]
+        a = self.reg(rs1) if "{a}" in template else None  # li reads none
+        b = self.reg(rs2) if op <= SLTU else imm  # rrr: rs2, else imm
+        self.emit(f"{self.wreg(rd)} = {template.format(a=a, b=b)}")
 
     def _emit_load(self, op, rd, rs1, imm, pc):
         self.counts[3] += 1
         self._emit_mem_sync(pc)
         a = self.reg(rs1)
         self.emit(f"_a = ({a} + {imm}) & 4294967295")
-        self.emit("_v = _lw(_a)" if op == _LW else "_v = _lb(_a)")
+        self.emit("_v = _lw(_a)" if op == LW else "_v = _lb(_a)")
         self._emit_dtlb("_a")
         self._emit_l1d("_a", False)
         if rd:
@@ -796,7 +654,7 @@ class _Codegen:
         a = self.reg(rs1)
         value = self.reg(rs2)
         self.emit(f"_a = ({a} + {imm}) & 4294967295")
-        self.emit(f"_sw(_a, {value})" if op == _SW
+        self.emit(f"_sw(_a, {value})" if op == SW
                   else f"_sbyte(_a, {value})")
         self._emit_dtlb("_a")
         self._emit_l1d("_a", True)
@@ -832,26 +690,26 @@ class _Codegen:
     def _emit_body(self):
         """Emit one copy of the body (the peel, or the loop's body)."""
         for index, (pc, entry) in enumerate(self.entries):
-            op, rd, rs1, rs2, imm = entry
+            op, rd, rs1, rs2, imm, _ = entry
             self._emit_fetch(index, pc)
             self.counts[0] += 1
             self.add_cycles(self.base_cost)
-            if op == _NOP:
+            if op == NOP:
                 continue
-            if op == _JMP:
+            if op == JMP:
                 # Followed at translation time; the runtime cost is the
                 # counter bump (the next instruction's fetch emission
                 # handles the target's line/page locality).
                 self.counts[6] += 1
-            elif _BEQ <= op <= _BGEU:
+            elif BEQ <= op <= BGEU:
                 self._emit_branch(op, rs1, rs2, imm, index, pc)
-            elif op == _LW or op == _LB:
+            elif op == LW or op == LB:
                 self._emit_load(op, rd, rs1, imm, pc)
-            elif op == _SW or op == _SB:
+            elif op == SW or op == SB:
                 self._emit_store(op, rs1, rs2, imm, index, pc)
-            elif op == _PUSH:
+            elif op == PUSH:
                 self._emit_push(rs1, index, pc)
-            elif op == _POP:
+            elif op == POP:
                 self._emit_pop(rd, index, pc)
             else:
                 self._emit_alu(op, rd, rs1, rs2, imm)
@@ -923,6 +781,8 @@ class _Codegen:
                 (counts, None, 0, widx, self.copy_counts, 0)
                 for counts in self.partial_list
             )
+        if self.has_div:
+            bound["truncdiv"] = truncdiv
         if self.exits:
             bound["_fx"] = _flush_exit
             bound["_exits"] = tuple(self.exits)
@@ -1085,23 +945,18 @@ class SuperblockEngine:
             entry = dcache.get(p)
             if entry is None:
                 try:
-                    instruction = decode(memory.fetch(p, INSTRUCTION_SIZE))
-                except (MemoryFault, CpuFault, EncodingError):
+                    entry = decode_entry(memory, p)
+                except (MemoryFault, CpuFault):
                     break
-                entry = (int(instruction.opcode), instruction.rd,
-                         instruction.rs1, instruction.rs2,
-                         instruction.imm)
             op = entry[0]
-            if op == _JMP:
+            if op == JMP:
                 entries.append((p, entry))
                 p = (p + entry[4]) & MASK32
                 continue
-            if _BEQ <= op <= _BGEU:
+            if BEQ <= op <= BGEU:
                 entries.append((p, entry))
-                if _trace_taken(entry[4]):
-                    p = (p + entry[4]) & MASK32
-                else:
-                    p = (p + INSTRUCTION_SIZE) & MASK32
+                p = ((p + entry[4]) & MASK32 if _trace_taken(entry[4])
+                     else entry[5])
                 continue
             if not _translatable(op):
                 break

@@ -1,0 +1,135 @@
+"""The ISA's value semantics, defined once.
+
+Every executor of the ISA — the in-order core's ``step()``, the shared
+wrong-path walk, the superblock code generator and the out-of-order
+core — reads its opcodes, ALU results, branch conditions and decoded
+instructions from this module, so the wrong path computes exactly the
+values the committed path would and only the effects differ.
+
+* The plain-int opcode constants (``ADD``, ``LW``, ...) are derived
+  from :class:`~repro.isa.opcodes.Opcode`, so dispatch compares ints
+  and never touches the enum.
+* :data:`VALUE` holds one Python expression template per value-producing
+  op (the 13 register-register ops, the 9 register-immediate ops, ``LI``
+  and ``MOV``) over ``{a}`` — rs1's value — and ``{b}`` — rs2's value
+  or the raw signed immediate.  :data:`COND` holds one template per
+  conditional branch over rs1's and rs2's values.  The superblock
+  code generator fills them with register names.
+* :data:`ALU` and :data:`TAKEN` are the same templates compiled once, at
+  import, into functions indexed by opcode: ``ALU[op](a, b)`` and
+  ``TAKEN[op](a, b)``.
+* :func:`decode_entry` turns the instruction word at a pc into the one
+  dispatch entry both cores cache.
+"""
+
+from repro.errors import CpuFault, EncodingError
+from repro.isa.encoding import INSTRUCTION_SIZE, decode
+from repro.isa.opcodes import Opcode
+
+MASK32 = 0xFFFFFFFF
+
+(NOP, HALT,
+ ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SRA, SLT, SLTU,
+ ADDI, MULI, ANDI, ORI, XORI, SHLI, SHRI, SRAI, SLTI, LI, MOV,
+ LW, LB, SW, SB, PUSH, POP,
+ BEQ, BNE, BLT, BGE, BLTU, BGEU, JMP, JMPR, CALL, CALLR, RET,
+ SYSCALL, CLFLUSH, MFENCE, RDCYCLE, RDINSTRET) = map(int, Opcode)
+
+assert all(globals()[op.name] == op for op in Opcode), (
+    "dispatch constants out of step with the Opcode definition")
+
+
+def truncdiv(a, b):
+    """C-style division of two nonzero-divisor 32-bit words.
+
+    Both are read as signed; returns the quotient rounded toward zero
+    and the remainder with the dividend's sign, each as a 32-bit word.
+    """
+    sa = a - 4294967296 if a > 2147483647 else a
+    sb = b - 4294967296 if b > 2147483647 else b
+    quotient = abs(sa) // abs(sb)
+    if (sa < 0) != (sb < 0):
+        quotient = -quotient
+    return quotient & MASK32, (sa - sb * quotient) & MASK32
+
+
+def _signed(operand):
+    return f"({operand} - 4294967296 if {operand} > 2147483647 else {operand})"
+
+
+_SA = _signed("{a}")
+_SB = _signed("{b}")
+
+#: Result of each value-producing op, over ``{a}`` (rs1's value) and
+#: ``{b}`` (rs2's value for the register-register ops, the raw signed
+#: immediate otherwise).  Shift amounts use the low 5 bits; ``DIV`` by
+#: zero yields all ones and ``MOD`` by zero the dividend.
+VALUE = {
+    ADD: "({a} + {b}) & 4294967295",
+    SUB: "({a} - {b}) & 4294967295",
+    MUL: "({a} * {b}) & 4294967295",
+    DIV: "4294967295 if {b} == 0 else truncdiv({a}, {b})[0]",
+    MOD: "{a} if {b} == 0 else truncdiv({a}, {b})[1]",
+    AND: "{a} & {b}",
+    OR: "{a} | {b}",
+    XOR: "{a} ^ {b}",
+    SHL: "({a} << ({b} & 31)) & 4294967295",
+    SHR: "{a} >> ({b} & 31)",
+    SRA: f"({_SA} >> ({{b}} & 31)) & 4294967295",
+    SLT: f"1 if {_SA} < {_SB} else 0",
+    SLTU: "1 if {a} < {b} else 0",
+    ADDI: "({a} + {b}) & 4294967295",
+    MULI: "({a} * {b}) & 4294967295",
+    ANDI: "{a} & ({b} & 4294967295)",
+    ORI: "{a} | ({b} & 4294967295)",
+    XORI: "{a} ^ ({b} & 4294967295)",
+    SHLI: "({a} << ({b} & 31)) & 4294967295",
+    SHRI: "{a} >> ({b} & 31)",
+    SRAI: f"({_SA} >> ({{b}} & 31)) & 4294967295",
+    SLTI: f"1 if {_SA} < {{b}} else 0",
+    LI: "{b} & 4294967295",
+    MOV: "{a}",
+}
+
+#: Whether each conditional branch is taken, over rs1's and rs2's values.
+COND = {
+    BEQ: "{a} == {b}",
+    BNE: "{a} != {b}",
+    BLT: f"{_SA} < {_SB}",
+    BGE: f"{_SA} >= {_SB}",
+    BLTU: "{a} < {b}",
+    BGEU: "{a} >= {b}",
+}
+
+
+def _compile(templates):
+    table = [None] * 256
+    for op, template in templates.items():
+        table[op] = eval(  # noqa: S307 - fixed templates, no input
+            "lambda a, b: " + template.format(a="a", b="b"),
+            {"truncdiv": truncdiv},
+        )
+    return tuple(table)
+
+
+#: ``ALU[op](a, b)``: the 32-bit result of a :data:`VALUE` op.
+ALU = _compile(VALUE)
+#: ``TAKEN[op](a, b)``: whether a :data:`COND` branch is taken.
+TAKEN = _compile(COND)
+
+
+def decode_entry(memory, pc):
+    """The dispatch entry of the instruction at *pc*.
+
+    ``(op, rd, rs1, rs2, imm, next_pc)``: *op* a plain int, *imm* the
+    raw signed immediate and *next_pc* the fall-through pc.  A fetch
+    fault propagates; an illegal encoding is a :class:`CpuFault`.
+    """
+    blob = memory.fetch(pc, INSTRUCTION_SIZE)
+    try:
+        instruction = decode(blob)
+    except EncodingError as exc:
+        raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
+    return (int(instruction.opcode), instruction.rd, instruction.rs1,
+            instruction.rs2, instruction.imm,
+            (pc + INSTRUCTION_SIZE) & MASK32)

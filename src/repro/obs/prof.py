@@ -34,6 +34,10 @@ import json
 
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.opcodes import Opcode
+from repro.isa.semantics import (
+    BEQ, BGE, BGEU, BLT, BLTU, BNE, CALL, CALLR, CLFLUSH, JMP, JMPR,
+    MFENCE, RDCYCLE, RDINSTRET, RET, SYSCALL,
+)
 
 #: Attribution buckets.  ``decode`` counts decode-cache misses (decode
 #: costs no *virtual* cycles — its price is wall clock); ``tracer``
@@ -51,14 +55,10 @@ PROFILE_FORMAT = "repro-prof/1"
 #: every block; only the export is ranked and truncated).
 DEFAULT_TOP_BLOCKS = 32
 
-_BRANCH_OPS = frozenset(int(op) for op in (
-    Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BLTU,
-    Opcode.BGEU, Opcode.JMP, Opcode.JMPR, Opcode.CALL, Opcode.CALLR,
-    Opcode.RET,
-))
-_CACHE_OPS = frozenset((int(Opcode.CLFLUSH), int(Opcode.MFENCE)))
-_PMU_OPS = frozenset((int(Opcode.RDCYCLE), int(Opcode.RDINSTRET)))
-_SYSCALL_OP = int(Opcode.SYSCALL)
+_BRANCH_OPS = frozenset((BEQ, BNE, BLT, BGE, BLTU, BGEU, JMP, JMPR, CALL,
+                         CALLR, RET))
+_CACHE_OPS = frozenset((CLFLUSH, MFENCE))
+_PMU_OPS = frozenset((RDCYCLE, RDINSTRET))
 
 _OP_NAMES = {int(op): op.name for op in Opcode}
 
@@ -110,7 +110,7 @@ def _classify(op):
     """The subsystem that absorbs an instruction's residual cycles."""
     if op in _BRANCH_OPS:
         return "branch"
-    if op == _SYSCALL_OP:
+    if op == SYSCALL:
         return "syscall"
     if op in _PMU_OPS:
         return "pmu"

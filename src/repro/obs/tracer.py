@@ -30,6 +30,8 @@ stream totally ordered even across clocks.
 
 import contextlib
 import dataclasses
+import types
+import weakref
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -88,19 +90,18 @@ class TraceChannel:
     sites pay a single ``is not None`` check and nothing else.
     """
 
-    __slots__ = ("_tracer", "_cat", "_clk", "_fn")
+    __slots__ = ("_tracer", "_cat", "_clk")
 
-    def __init__(self, tracer, category, clk, fn):
+    def __init__(self, tracer, category, clk):
         self._tracer = tracer
         self._cat = category
         self._clk = clk
-        self._fn = fn
 
     def now(self):
         """Current virtual time on this channel's clock."""
-        if self._fn is None:
+        if not self._clk:
             return self._tracer._seq
-        return int(self._fn())
+        return self._tracer.read_clock(self._clk)
 
     def event(self, name, **args):
         """Point event (``ph="i"``) at the current virtual time."""
@@ -125,21 +126,48 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self.dropped = 0
         self._seq = 0
-        self._clock_fns = []
+        #: ``clk - 1`` -> a function returning the clock callable, or
+        #: ``None`` once the callable's owner has been freed.
+        self._clocks = []
+        #: ``clk`` -> final reading of a clock whose owner was freed.
+        self._retired = {}
 
     # -- clock + channel registry ------------------------------------
 
     def register_clock(self, fn):
-        """Register a virtual clock callable; returns its ``clk`` id."""
-        self._clock_fns.append(fn)
-        return len(self._clock_fns)
+        """Register a virtual clock callable; returns its ``clk`` id.
+
+        A bound method is held through a weak reference, as Memory's
+        code listeners are: a core registers its own ``_cycles_now``
+        and holds the tracer, so a strong reference would make the two
+        a cycle.  The owner hands over its final reading through
+        :meth:`retire_clock` as it is freed.  Plain callables are held
+        strongly.
+        """
+        if isinstance(fn, types.MethodType):
+            ref = weakref.WeakMethod(fn)
+        else:
+            def ref():
+                return fn
+        self._clocks.append(ref)
+        return len(self._clocks)
+
+    def retire_clock(self, clk, reading):
+        """Keep *reading* as clock *clk*'s value after its owner is gone."""
+        self._retired[clk] = reading
+
+    def read_clock(self, clk):
+        """Current reading of registered clock *clk*."""
+        fn = self._clocks[clk - 1]()
+        if fn is None:
+            return self._retired[clk]
+        return int(fn())
 
     def channel(self, category, clk=0):
         """A :class:`TraceChannel`, or ``None`` if *category* is off."""
         if not self.config.wants(category):
             return None
-        fn = self._clock_fns[clk - 1] if clk else None
-        return TraceChannel(self, category, clk, fn)
+        return TraceChannel(self, category, clk)
 
     # -- record emission ---------------------------------------------
 
@@ -189,13 +217,13 @@ class Tracer:
 
         Called once per cell after the workload ran: the summed final
         clock readings become the ``cpu.cycles`` gauge (total virtual
-        time burned across every simulated CPU the cell built).
+        time burned across every simulated CPU the cell built, freed
+        ones included).
         """
-        cycles = 0
-        for fn in self._clock_fns:
-            cycles += int(fn())
-        if self._clock_fns:
-            self.metrics.set_gauge("cpu.cycles", cycles)
+        if self._clocks:
+            self.metrics.set_gauge("cpu.cycles", sum(
+                self.read_clock(clk)
+                for clk in range(1, len(self._clocks) + 1)))
         self.metrics.set_gauge("trace.records", len(self.records))
         self.metrics.set_gauge("trace.dropped", self.dropped)
         return self

@@ -23,11 +23,13 @@ and appended to the ROB's list of commit times (see
 :mod:`repro.uarch.structures`), so no loop retires entries: a full ROB
 or LSQ is one comparison, and occupancy and the committed clock
 (``self.cycles``) are read by bisect only where something reads them.
-The dispatch loop calls nothing on its common paths: the 2-bit BHT,
-the hottest ALU ops, the D-TLB MRU page and the L1 hit arms (bound
-through :meth:`~repro.cache.cache.Cache.inline_state`, as the
-superblock engine does) are inline, with their tallies batched in
-locals; anything else goes through the hierarchy.
+On its common paths the dispatch loop calls only the memory accessors
+and the ``ALU``/``TAKEN`` functions of :mod:`repro.isa.semantics`,
+which every executor shares: the 2-bit BHT, the D-TLB MRU page and
+the L1 hit arms (bound through
+:meth:`~repro.cache.cache.Cache.inline_state`, as the superblock
+engine does) are inline, with their tallies batched in locals;
+anything else goes through the hierarchy.
 
 Speculation
 -----------
@@ -55,56 +57,16 @@ from heapq import heappushpop
 
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cpu.cpu import (
-    MASK32,
-    CpuConfig,
-    _alu_rri,
-    _alu_rrr,
-    _branch_taken,
-    _ADD,
-    _ADDI,
-    _ANDI,
-    _BEQ,
-    _BGEU,
-    _CALL,
-    _CALLR,
-    _CLFLUSH,
-    _HALT,
-    _JMP,
-    _JMPR,
-    _LB,
-    _LI,
-    _LW,
-    _MFENCE,
-    _MOD,
-    _MOV,
-    _MUL,
-    _MULI,
-    _NOP,
-    _POP,
-    _PUSH,
-    _RDCYCLE,
-    _RDINSTRET,
-    _RET,
-    _SB,
-    _SHLI,
-    _SHRI,
-    _SLTI,
-    _SLTU,
-    _SW,
-    _SYSCALL,
-    speculate,
-)
+from repro.cpu.cpu import CpuConfig, speculate
 from repro.cpu.pmu import Pmu, direct_counters
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
-from repro.errors import (
-    CpuFault,
-    EncodingError,
-    PrivilegeFault,
-    ShadowStackViolation,
+from repro.errors import CpuFault, PrivilegeFault, ShadowStackViolation
+from repro.isa.semantics import (
+    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT, JMP, JMPR, LB,
+    LI, LW, MASK32, MFENCE, MOD, MOV, MUL, MULI, NOP, POP, PUSH, RDCYCLE,
+    RDINSTRET, RET, SB, SLTU, SW, SYSCALL, TAKEN, decode_entry,
 )
-from repro.isa.encoding import INSTRUCTION_SIZE, decode
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
 from repro.obs.tracer import current_tracer
@@ -182,6 +144,8 @@ class OooCore:
 
     #: Same watchdog-charging contract as the in-order core.
     WATCHDOG_STRIDE = 1024
+    #: The tracer this core's clock is registered with; ``None`` untraced.
+    _tracer = None
 
     def __init__(self, memory, caches=None, predictor=None, config=None,
                  params=None):
@@ -220,14 +184,13 @@ class OooCore:
         self._rs_pools = (station(p.rs_alu), station(p.rs_mem),
                           station(p.rs_branch))
         alu, mem, br = self._rs_pools
-        self._rs_of = [None] * 256
-        for op in range(256):
-            if _ADD <= op < _LW or op == _RDINSTRET:
-                self._rs_of[op] = alu
-            elif _LW <= op < _BEQ:
-                self._rs_of[op] = mem
-            elif _BEQ <= op < _SYSCALL:
-                self._rs_of[op] = br
+        self._rs_of = tuple(
+            alu if ADD <= op <= MOV or op == RDINSTRET
+            else mem if LW <= op <= POP
+            else br if BEQ <= op <= RET
+            else None
+            for op in range(256)
+        )
         #: Per-register result-ready times (values live in
         #: ``state.regs``).
         self._ready = [0.0] * len(self.state.regs)
@@ -245,6 +208,7 @@ class OooCore:
                            for name in _HISTOGRAMS}
             self._counts = dict.fromkeys(_COUNTERS, 0)
             self.trace_clk = tracer.register_clock(self._cycles_now)
+            self._tracer = tracer
             self._tr_cpu = tracer.channel("cpu", self.trace_clk)
             self._tr_kernel = tracer.channel("kernel", self.trace_clk)
             self._tr_dispatch = tracer.channel("ooo.dispatch",
@@ -284,6 +248,11 @@ class OooCore:
     def _cycles_now(self):
         return int(self.cycles)
 
+    def __del__(self):
+        # As Cpu.__del__: the tracer keeps the final clock reading.
+        if self._tracer is not None:
+            self._tracer.retire_clock(self.trace_clk, int(self.cycles))
+
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
@@ -305,21 +274,6 @@ class OooCore:
     def _on_code_write(self, address, size):
         """A store reached an executable segment: decode cache is stale."""
         self._decode_cache.clear()
-
-    def _decode_entry(self, pc):
-        """Decode *pc* into its dispatch entry: the operands, then the
-        station pool, then the fall-through pc."""
-        blob = self.memory.fetch(pc, INSTRUCTION_SIZE)
-        try:
-            instruction = decode(blob)
-        except EncodingError as exc:
-            raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
-        op = int(instruction.opcode)
-        entry = (op, instruction.rd, instruction.rs1, instruction.rs2,
-                 instruction.imm, self._rs_of[op],
-                 (pc + INSTRUCTION_SIZE) & MASK32)
-        self._decode_cache[pc] = entry
-        return entry
 
     def _flush_metrics(self):
         """Fold the quantum's telemetry tallies into the registry."""
@@ -451,7 +405,7 @@ class OooCore:
         fclock += penalty
         if wrong_path_pc is not None:
             window = self.rob.free_slots()
-            executed = (speculate(self, wrong_path_pc, window, wide=True)
+            executed = (speculate(self, wrong_path_pc, window)
                         if window > 0 else 0)
             seq += executed
             if self._metrics is not None:
@@ -520,7 +474,9 @@ class OooCore:
         inv_commit = self._inv_commit
         log = self.commit_log
         mem_pool = self._rs_pools[1]
-        dcache_get = self._decode_cache.get
+        dcache = self._decode_cache
+        dcache_get = dcache.get
+        rs_of = self._rs_of
         load_word = memory.load_word
         load_byte = memory.load_byte
         store_word = memory.store_word
@@ -590,7 +546,7 @@ class OooCore:
 
                 entry = dcache_get(pc)
                 if entry is None:
-                    entry = self._decode_entry(pc)
+                    entry = dcache[pc] = decode_entry(memory, pc)
                     if cursor is not None:
                         cursor.decode_miss()
                 line = pc >> 6
@@ -618,7 +574,8 @@ class OooCore:
                         last_ipage = page
                         itlb_access(pc)
 
-                op, rd, rs1, rs2, imm, pool, next_pc = entry
+                op, rd, rs1, rs2, imm, next_pc = entry
+                pool = rs_of[op]
                 executed += 1
                 if cursor is not None:
                     # Finalises the *previous* instruction with this
@@ -638,18 +595,18 @@ class OooCore:
                 retire = dispatch
                 if pool is None:
                     fclock = dispatch + base_cost
-                    if op == _RDCYCLE:
+                    if op == RDCYCLE:
                         n_alu += 1
                         fclock = last = self._serialize(fclock, retire)
                         if rd:
                             regs[rd] = int(fclock) & MASK32
                             ready[rd] = fclock
-                    elif op == _MFENCE:
+                    elif op == MFENCE:
                         counters["mfence_instructions"] += 1
                         fclock = last = self._serialize(fclock, retire,
                                                         fence_latency)
                         counters["fence_stall_cycles"] += fence_stall
-                    elif op == _CLFLUSH:
+                    elif op == CLFLUSH:
                         counters["clflush_instructions"] += 1
                         if clflush_privileged and not self.kernel_mode:
                             raise PrivilegeFault(
@@ -661,7 +618,7 @@ class OooCore:
                         caches.flush_line((regs[rs1] + imm) & MASK32)
                         fclock = last = self._serialize(fclock, retire,
                                                         clflush_latency)
-                    elif op == _SYSCALL:
+                    elif op == SYSCALL:
                         counters["syscall_instructions"] += 1
                         fclock = last = self._serialize(fclock, retire,
                                                         syscall_latency)
@@ -698,12 +655,12 @@ class OooCore:
                         if watchdog is not None and executed % stride == 0:
                             watchdog.charge(stride)
                         continue
-                    elif op == _NOP:
+                    elif op == NOP:
                         last = max(last + inv_commit, dispatch)
                         times_append(last)
                         if log is not None:
                             log.append((seq + executed, pc))
-                    elif op == _HALT:
+                    elif op == HALT:
                         state.halted = True
                         next_pc = pc
                     else:  # pragma: no cover - every opcode handled
@@ -724,31 +681,23 @@ class OooCore:
                         lsq_append(len(times))
                     fclock = dispatch + base_cost
 
-                    if _ADDI <= op <= _SLTI:
+                    if ADDI <= op <= MOV:
                         n_alu += 1
+                        # li reads no register; the others wait for rs1.
                         start = dispatch
-                        t = ready[rs1]
-                        if t > start:
-                            start = t
-                        done = start + 1.0
-                        if op == _ADDI:
-                            value = (regs[rs1] + imm) & MASK32
-                        elif op == _MULI:
+                        if op != LI:
+                            t = ready[rs1]
+                            if t > start:
+                                start = t
+                        if op == MULI:
                             n_mul += 1
                             done = start + mul_latency
-                            value = (regs[rs1] * imm) & MASK32
-                        elif op == _ANDI:
-                            value = regs[rs1] & (imm & MASK32)
-                        elif op == _SHRI:
-                            value = regs[rs1] >> (imm & 31)
-                        elif op == _SHLI:
-                            value = (regs[rs1] << (imm & 31)) & MASK32
                         else:
-                            value = _alu_rri(op, regs[rs1], imm)
+                            done = start + 1.0
                         if rd:
-                            regs[rd] = value
+                            regs[rd] = ALU[op](regs[rs1], imm)
                             ready[rd] = done
-                    elif _BEQ <= op <= _BGEU:
+                    elif BEQ <= op <= BGEU:
                         n_cond += 1
                         a = regs[rs1]
                         b = regs[rs2]
@@ -766,8 +715,7 @@ class OooCore:
                         # and 3.
                         index = (pc >> 3) & bht_mask
                         counter = bht[index]
-                        if (a == b if op == _BEQ
-                                else _branch_taken(op, a, b)):
+                        if TAKEN[op](a, b):
                             n_taken += 1
                             if counter < 3:
                                 bht[index] = counter + 1
@@ -783,11 +731,11 @@ class OooCore:
                                 n_miss += 1
                                 mispredict = True
                                 wrong_path = (pc + imm) & MASK32
-                    elif op == _JMP:
+                    elif op == JMP:
                         n_branch += 1
                         done = dispatch
                         next_pc = (pc + imm) & MASK32
-                    elif _ADD <= op <= _SLTU:
+                    elif ADD <= op <= SLTU:
                         n_alu += 1
                         start = dispatch
                         t = ready[rs1]
@@ -796,24 +744,19 @@ class OooCore:
                         t = ready[rs2]
                         if t > start:
                             start = t
-                        if op == _ADD:
-                            done = start + 1.0
-                            value = (regs[rs1] + regs[rs2]) & MASK32
+                        if MUL <= op <= MOD:
+                            n_mul += 1
+                            done = start + (div_latency if op != MUL
+                                            else mul_latency)
                         else:
-                            if _MUL <= op <= _MOD:
-                                n_mul += 1
-                                done = start + (div_latency if op != _MUL
-                                                else mul_latency)
-                            else:
-                                done = start + 1.0
-                            value = _alu_rrr(op, regs[rs1], regs[rs2])
+                            done = start + 1.0
                         if rd:
-                            regs[rd] = value
+                            regs[rd] = ALU[op](regs[rs1], regs[rs2])
                             ready[rd] = done
-                    elif op == _LW or op == _LB:
+                    elif op == LW or op == LB:
                         n_load += 1
                         address = (regs[rs1] + imm) & MASK32
-                        value = (load_word(address) if op == _LW
+                        value = (load_word(address) if op == LW
                                  else load_byte(address))
                         if address >> 12 == dtlb._last_page:
                             dtlb_hits += 1
@@ -839,16 +782,10 @@ class OooCore:
                         if rd:
                             regs[rd] = value & MASK32
                             ready[rd] = done
-                    elif op == _LI:
-                        n_alu += 1
-                        done = dispatch + 1.0
-                        if rd:
-                            regs[rd] = imm & MASK32
-                            ready[rd] = done
-                    elif op == _SW or op == _SB:
+                    elif op == SW or op == SB:
                         n_store += 1
                         address = (regs[rs1] + imm) & MASK32
-                        if op == _SW:
+                        if op == SW:
                             store_word(address, regs[rs2])
                         else:
                             store_byte(address, regs[rs2])
@@ -878,17 +815,7 @@ class OooCore:
                         # critical path: the miss latency is not
                         # serialised into the dependency chain.
                         done = start + 1.0
-                    elif op == _MOV:
-                        n_alu += 1
-                        start = dispatch
-                        t = ready[rs1]
-                        if t > start:
-                            start = t
-                        done = start + 1.0
-                        if rd:
-                            regs[rd] = regs[rs1]
-                            ready[rd] = done
-                    elif op == _PUSH:
+                    elif op == PUSH:
                         counters["stack_instructions"] += 1
                         sp = (regs[13] - 4) & MASK32
                         regs[13] = sp
@@ -904,7 +831,7 @@ class OooCore:
                             start = t
                         done = start + 1.0
                         ready[13] = done
-                    elif op == _POP:
+                    elif op == POP:
                         counters["stack_instructions"] += 1
                         sp = regs[13]
                         value = load_word(sp)
@@ -920,14 +847,14 @@ class OooCore:
                         if rd:
                             regs[rd] = value & MASK32
                             ready[rd] = done
-                    elif op == _CALL or op == _CALLR:
+                    elif op == CALL or op == CALLR:
                         n_branch += 1
                         counters["call_instructions"] += 1
                         start = dispatch
                         t = ready[13]
                         if t > start:
                             start = t
-                        if op == _CALL:
+                        if op == CALL:
                             target = (pc + imm) & MASK32
                         else:
                             counters["indirect_jump_instructions"] += 1
@@ -948,13 +875,13 @@ class OooCore:
                             shadow.on_call(next_pc)
                         done = start + 1.0
                         ready[13] = done
-                        if op == _CALLR and wrong_path is None:
+                        if op == CALLR and wrong_path is None:
                             mispredict = False
                             if fclock < done:
                                 fclock = done
                             fclock += btb_miss_penalty
                         next_pc = target
-                    elif op == _RET:
+                    elif op == RET:
                         n_branch += 1
                         counters["ret_instructions"] += 1
                         sp = regs[13]
@@ -983,7 +910,7 @@ class OooCore:
                         done = start + latency
                         ready[13] = done
                         next_pc = target
-                    elif op == _JMPR:
+                    elif op == JMPR:
                         n_branch += 1
                         counters["indirect_jump_instructions"] += 1
                         target = (regs[rs1] + imm) & MASK32
@@ -1001,7 +928,7 @@ class OooCore:
                                 fclock = done
                             fclock += btb_miss_penalty
                         next_pc = target
-                    elif op == _RDINSTRET:
+                    elif op == RDINSTRET:
                         n_alu += 1
                         done = dispatch + 1.0
                         if rd:

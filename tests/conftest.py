@@ -6,12 +6,18 @@ re-derive, so sharing them keeps the suite fast without coupling tests.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.attack import SpectreConfig, build_spectre
 from repro.kernel import System, build_binary
 from repro.workloads import get_workload
 
 SECRET = b"TheMagicWords!!!"
+
+#: ``--hypothesis-profile=ci``: the larger example budget CI gives the
+#: differential suite (tests/cpu/test_differential.py); tier-1 runs keep
+#: hypothesis's default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture()

@@ -164,13 +164,15 @@ class TestDecodeCacheAcrossExecve:
         process.run_to_completion()
         assert process.exit_code == 42
         assert process.image_name == "other"
-        # The refilled cache holds the new image's flat dispatch tuples.
+        # The refilled cache holds the new image's flat dispatch tuples:
+        # (op, rd, rs1, rs2, imm, next_pc), next_pc the fall-through.
         cache = process.cpu._decode_cache
         assert cache
         assert all(
-            isinstance(entry, tuple) and len(entry) == 5
+            isinstance(entry, tuple) and len(entry) == 6
             and isinstance(entry[0], int)
-            for entry in cache.values()
+            and entry[5] == (pc + 8) & 0xFFFFFFFF
+            for pc, entry in cache.items()
         )
 
     def test_execve_state_matches_stepwise_reference(self):

@@ -4,7 +4,9 @@ The system owns its processes, a process its core, and a core its
 memory, caches, PMU, superblock engine and syscall interface.  Every
 back-edge is an argument or a weak reference, so dropping the
 ``System`` frees the whole machine at once: no object of it waits in
-a reference cycle for the cyclic collector.
+a reference cycle for the cyclic collector.  That holds for traced
+runs too: the tracer holds each core's clock weakly, and a freed core
+hands it its final reading.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from repro.cpu.engine import engine_override
 from repro.errors import KernelError
 from repro.kernel import System, build_binary
 from repro.mem.memory import PERM_W
+from repro.obs.tracer import Tracer, activate
 
 #: A hot loop patched by a store into its own code (the code-write
 #: listener), a ``write`` syscall, then ``execve`` of a second image.
@@ -87,9 +90,10 @@ def _spawn(uarch):
     return system, process
 
 
-def _run_machine(uarch):
-    """Weak references to every part of a machine that ran to exit,
-    and a PMU reading view of its core."""
+def _run_machine(uarch, traced=False):
+    """Weak references to every part of a machine that ran to exit, a
+    PMU reading view of its core and its final clock.  A traced
+    in-order core runs step() throughout, so it builds no engine."""
     system, process = _spawn(uarch)
     process.run_to_completion()
     assert process.exit_code == 42
@@ -104,11 +108,11 @@ def _run_machine(uarch):
         "caches": core.caches,
         "syscalls": core.syscall_handler,
     }
-    if uarch == "inorder":
+    if uarch == "inorder" and not traced:
         assert core._sb is not None and core._sb.stats["code_writes"]
         parts["engine"] = core._sb
     return ({name: weakref.ref(obj) for name, obj in parts.items()},
-            core.pmu)
+            core.pmu, int(core.cycles))
 
 
 def _alive(refs):
@@ -118,7 +122,7 @@ def _alive(refs):
 @pytest.mark.parametrize("uarch", ["inorder", "ooo"])
 def test_dropped_system_frees_every_part(uarch):
     with _gc_disabled(), engine_override("sb"):
-        refs, pmu = _run_machine(uarch)
+        refs, pmu, _ = _run_machine(uarch)
         # A PMU view keeps the core it reads alive, not its System.
         held = _alive(refs)
         assert pmu.read()["instructions"] > 0
@@ -127,6 +131,22 @@ def test_dropped_system_frees_every_part(uarch):
     assert "system" not in held and "process" not in held
     assert "core" in held
     assert freed == []
+
+
+@pytest.mark.parametrize("uarch", ["inorder", "ooo"])
+def test_traced_machine_is_freed_and_its_clock_kept(uarch):
+    """Under a tracer a dropped machine is freed all the same, and the
+    tracer's ``cpu.cycles`` gauge still counts the freed core."""
+    tracer = Tracer()
+    with _gc_disabled(), activate(tracer):
+        refs, pmu, cycles = _run_machine(uarch, traced=True)
+        del pmu
+        alive = _alive(refs)
+    assert alive == []
+    assert cycles > 0
+    tracer.finalize()
+    assert tracer.metrics.gauges["cpu.cycles"] == cycles
+    assert tracer.records
 
 
 def test_execve_after_the_system_is_dropped_faults():
@@ -139,21 +159,38 @@ def test_execve_after_the_system_is_dropped_faults():
     assert "dropped" in str(process.fault)
 
 
-@pytest.mark.parametrize("uarch", ["inorder", "ooo"])
-def test_table1_cell_leaves_no_cyclic_cores(uarch):
-    """A quick Table I row leaves no core in the collector's garbage."""
+def _table1_garbage(argv):
+    """The type names a quick Table I run leaves in ``gc.garbage``."""
     from repro.cli import main
 
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
             assert main(["table1", "--quick", "--no-ledger",
-                         "--no-cell-cache", "--uarch", uarch]) == 0
+                         "--no-cell-cache", *argv]) == 0
         gc.collect()
-        kinds = {type(obj).__name__ for obj in gc.garbage}
+        return {type(obj).__name__ for obj in gc.garbage}
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert not kinds & {"Cpu", "OooCore", "Memory", "Cache",
-                        "CacheHierarchy", "SuperblockEngine"}
+
+
+_MACHINE_TYPES = {"Cpu", "OooCore", "Memory", "Cache", "CacheHierarchy",
+                  "SuperblockEngine"}
+
+
+@pytest.mark.parametrize("uarch", ["inorder", "ooo"])
+def test_table1_cell_leaves_no_cyclic_cores(uarch):
+    """A quick Table I row leaves no core in the collector's garbage."""
+    assert not _table1_garbage(["--uarch", uarch]) & _MACHINE_TYPES
+
+
+@pytest.mark.parametrize("uarch", ["inorder", "ooo"])
+def test_traced_table1_cell_leaves_no_cyclic_cores(uarch, tmp_path):
+    """So does a traced one: neither the tracer nor its channels hold
+    a core."""
+    kinds = _table1_garbage(["--uarch", uarch, "--trace",
+                             "--trace-out", str(tmp_path)])
+    assert not kinds & (_MACHINE_TYPES | {"Tracer", "TraceChannel"})
