@@ -42,7 +42,7 @@ import dataclasses
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.engine import engine_mode
-from repro.cpu.pmu import Pmu, direct_counters
+from repro.cpu.pmu import Pmu, direct_counters, op_tally
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
 from repro.errors import (
@@ -353,7 +353,7 @@ def speculate(core, start_pc, budget):
                 regs[rd] = int(core.cycles) & MASK32
         elif op == RDINSTRET:
             if rd != 0:
-                regs[rd] = counters["instructions"] & MASK32
+                regs[rd] = sum(core.op_counts) & MASK32
         elif op == NOP:
             pass
         else:
@@ -407,6 +407,7 @@ class Cpu:
         self.dtlb = Tlb()
         self.itlb = Tlb()
         self.counters = direct_counters()
+        self.op_counts = op_tally()
         self.cycles = 0.0
         self.shadow_stack = ShadowStack() if self.config.shadow_stack else None
         self.kernel_mode = False
@@ -417,6 +418,7 @@ class Cpu:
         self._decode_cache = {}
         self._base_cost = 1.0 / self.config.issue_width
         self._l1_latency = self.caches.config.l1_latency
+        self._iline_shift = self.caches.l1i._line_shift
         self._last_iline = -1
         self._last_ipage = -1
         # Engine selection binds once, like the tracer/profiler below:
@@ -466,7 +468,8 @@ class Cpu:
 
     @property
     def pmu(self):
-        """A :class:`~repro.cpu.pmu.Pmu` reading view of ``counters``."""
+        """A :class:`~repro.cpu.pmu.Pmu` reading view of ``counters``
+        and ``op_counts``."""
         return Pmu(self)
 
     def _cycles_now(self):
@@ -529,7 +532,7 @@ class Cpu:
         entry = self._decode_cache.get(pc)
         if entry is None:
             entry = self._decode_cache[pc] = decode_entry(self.memory, pc)
-        line = pc >> 6
+        line = pc >> self._iline_shift
         if line != self._last_iline:
             self._last_iline = line
             extra = (self.caches.instruction_access_fast(pc)[0]
@@ -604,64 +607,51 @@ class Cpu:
         if state.halted:
             return False
         config = self.config
-        counters = self.counters
         predictor = self.predictor
         pc = state.pc
         op, rd, rs1, rs2, imm, next_pc = self._fetch(pc)
         regs = state.regs
         self.cycles += self._base_cost
-        counters["instructions"] += 1
+        self.op_counts[op] += 1
 
         if ADD <= op <= SLTU:
-            counters["alu_instructions"] += 1
             if MUL <= op <= MOD:
-                counters["mul_div_instructions"] += 1
                 self.cycles += (
                     config.div_extra if op != MUL else config.mul_extra
                 )
             state.write_reg(rd, ALU[op](regs[rs1], regs[rs2]))
         elif ADDI <= op <= MOV:
-            counters["alu_instructions"] += 1
             if op == MULI:
-                counters["mul_div_instructions"] += 1
                 self.cycles += config.mul_extra
             state.write_reg(rd, ALU[op](regs[rs1], imm))
         elif op == LW:
-            counters["load_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             value = self.memory.load_word(address)
             self._charge_data_access(address, False)
             state.write_reg(rd, value)
         elif op == LB:
-            counters["load_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             value = self.memory.load_byte(address)
             self._charge_data_access(address, False)
             state.write_reg(rd, value)
         elif op == SW:
-            counters["store_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             self.memory.store_word(address, regs[rs2])
             self._charge_data_access(address, True)
         elif op == SB:
-            counters["store_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             self.memory.store_byte(address, regs[rs2])
             self._charge_data_access(address, True)
         elif op == PUSH:
-            counters["stack_instructions"] += 1
             self._push_word(regs[rs1])
         elif op == POP:
-            counters["stack_instructions"] += 1
             state.write_reg(rd, self._pop_word())
         elif BEQ <= op <= BGEU:
-            counters["branch_instructions"] += 1
-            counters["cond_branch_instructions"] += 1
             taken = TAKEN[op](regs[rs1], regs[rs2])
             predicted = predictor.predict_conditional(pc)
             mispredicted = predictor.resolve_conditional(pc, predicted, taken)
             if taken:
-                counters["branches_taken"] += 1
+                self.counters["branches_taken"] += 1
                 next_pc = (pc + imm) & MASK32
             if mispredicted:
                 wrong_path = (
@@ -670,11 +660,8 @@ class Cpu:
                 )
                 self._mispredict(wrong_path)
         elif op == JMP:
-            counters["branch_instructions"] += 1
             next_pc = (pc + imm) & MASK32
         elif op == JMPR:
-            counters["branch_instructions"] += 1
-            counters["indirect_jump_instructions"] += 1
             target = (regs[rs1] + imm) & MASK32
             predicted = predictor.predict_indirect(pc)
             mispredicted = predictor.resolve_indirect(pc, predicted, target)
@@ -684,8 +671,6 @@ class Cpu:
                 self._mispredict(predicted)
             next_pc = target
         elif op == CALL:
-            counters["branch_instructions"] += 1
-            counters["call_instructions"] += 1
             return_address = next_pc
             self._push_word(return_address)
             predictor.on_call(return_address)
@@ -693,9 +678,6 @@ class Cpu:
                 self.shadow_stack.on_call(return_address)
             next_pc = (pc + imm) & MASK32
         elif op == CALLR:
-            counters["branch_instructions"] += 1
-            counters["call_instructions"] += 1
-            counters["indirect_jump_instructions"] += 1
             target = (regs[rs1] + imm) & MASK32
             predicted = predictor.predict_indirect(pc)
             mispredicted = predictor.resolve_indirect(pc, predicted, target)
@@ -710,8 +692,6 @@ class Cpu:
                 self._mispredict(predicted)
             next_pc = target
         elif op == RET:
-            counters["branch_instructions"] += 1
-            counters["ret_instructions"] += 1
             target = self._pop_word()
             if self.shadow_stack is not None:
                 try:
@@ -727,7 +707,6 @@ class Cpu:
                 self._mispredict(predicted)
             next_pc = target
         elif op == CLFLUSH:
-            counters["clflush_instructions"] += 1
             if self.config.clflush_privileged and not self.kernel_mode:
                 raise PrivilegeFault(
                     "clflush is disabled for non-privileged code "
@@ -739,17 +718,13 @@ class Cpu:
                 self._flush_code_line(address)
             self.cycles += config.clflush_latency
         elif op == MFENCE:
-            counters["mfence_instructions"] += 1
             self.cycles += config.fence_latency
-            counters["fence_stall_cycles"] += int(config.fence_latency)
+            self.counters["fence_stall_cycles"] += int(config.fence_latency)
         elif op == RDCYCLE:
-            counters["alu_instructions"] += 1
             state.write_reg(rd, int(self.cycles) & MASK32)
         elif op == RDINSTRET:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, counters["instructions"] & MASK32)
+            state.write_reg(rd, sum(self.op_counts) & MASK32)
         elif op == SYSCALL:
-            counters["syscall_instructions"] += 1
             self.cycles += config.syscall_latency
             if self.syscall_handler is None:
                 raise CpuFault(f"syscall at {pc:#010x} with no handler")

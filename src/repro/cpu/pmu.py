@@ -6,12 +6,23 @@ them (Fig. 4); the six headline features are::
     total_cache_misses, total_cache_accesses, branch_instructions,
     branch_mispredictions, instructions, cycles
 
-The PMU composes its reading from three places: counters it increments
-itself (instruction mix, stalls, speculation), the cache hierarchy's
-per-level stats, and the predictor/TLB structures.  :meth:`read` returns
-the full 56-event dict; :meth:`snapshot`/:meth:`delta_since` implement
-the sampling the profiler uses.
+The PMU composes its reading from four places:
+
+* each core's per-opcode retire tally (``op_counts``, :func:`op_tally`),
+  from which :data:`repro.isa.semantics.EVENTS` derives ``instructions``
+  and the 13 other instruction-mix events (``alu_instructions`` ...
+  ``stack_instructions``, all but ``branches_taken``);
+* the events a core counts directly (:func:`direct_counters`): the ones
+  no table can give, ``branches_taken``, the stall and penalty cycles,
+  ``spec_*`` and ``squashed_instructions``;
+* the cache hierarchy's per-level stats;
+* the predictor and TLB structures.
+
+:meth:`read` returns the full 56-event dict; :meth:`snapshot`/
+:meth:`delta_since` implement the sampling the profiler uses.
 """
+
+from repro.isa.semantics import EVENTS
 
 # The canonical, ordered catalogue of the 56 events.
 EVENT_NAMES = (
@@ -95,23 +106,9 @@ PAPER_FEATURES = (
     "cycles",
 )
 
-# Events the PMU itself owns (everything not derived from a structure).
+#: Events a core counts itself: the ones no table can give.
 _DIRECT_EVENTS = (
-    "instructions",
-    "alu_instructions",
-    "mul_div_instructions",
-    "load_instructions",
-    "store_instructions",
-    "branch_instructions",
-    "cond_branch_instructions",
     "branches_taken",
-    "call_instructions",
-    "ret_instructions",
-    "indirect_jump_instructions",
-    "syscall_instructions",
-    "clflush_instructions",
-    "mfence_instructions",
-    "stack_instructions",
     "memory_stall_cycles",
     "mispredict_penalty_cycles",
     "fence_stall_cycles",
@@ -121,20 +118,30 @@ _DIRECT_EVENTS = (
     "squashed_instructions",
 )
 
+#: The events :meth:`Pmu.read` takes from the core, in reading order:
+#: the 15 instruction-mix events (all derived from the tally but
+#: ``branches_taken``), then the other direct events.
+_COUNTED = EVENT_NAMES[:15] + _DIRECT_EVENTS[1:]
+
 
 def direct_counters():
     """A fresh, zeroed dict of the events a core counts directly."""
-    return {name: 0 for name in _DIRECT_EVENTS}
+    return dict.fromkeys(_DIRECT_EVENTS, 0)
+
+
+def op_tally():
+    """A fresh, zeroed retire tally: one count per opcode byte."""
+    return [0] * 256
 
 
 class Pmu:
     """Composes the 56-event reading for one CPU.
 
     The core owns its ``counters`` dict (:func:`direct_counters`) and
-    builds a ``Pmu`` on each ``core.pmu`` access.  The view holds the
-    core, not the other way round, so a reading keeps what it reads
-    alive and the core has no back-edge to free through the cyclic
-    collector.
+    its ``op_counts`` tally (:func:`op_tally`), and builds a ``Pmu`` on
+    each ``core.pmu`` access.  The view holds the core, not the other
+    way round, so a reading keeps what it reads alive and the core has
+    no back-edge to free through the cyclic collector.
     """
 
     def __init__(self, cpu):
@@ -147,8 +154,15 @@ class Pmu:
         caches = cpu.caches
         predictor = cpu.predictor
         l1d, l1i, l2 = caches.l1d.stats, caches.l1i.stats, caches.l2.stats
-        counters = self.counters
-        values = dict(counters)
+        values = dict.fromkeys(_COUNTED, 0)
+        values.update(self.counters)
+        tally = cpu.op_counts
+        values["instructions"] = sum(tally)
+        for op, events in EVENTS.items():
+            count = tally[op]
+            if count:
+                for event in events:
+                    values[event] += count
         values["cycles"] = int(cpu.cycles)
         values["branch_mispredictions"] = predictor.total_mispredictions
         values["cond_branch_mispredictions"] = (
@@ -206,4 +220,4 @@ class Pmu:
         cycles = self._cpu.cycles
         if cycles <= 0:
             return 0.0
-        return self.counters["instructions"] / cycles
+        return sum(self._cpu.op_counts) / cycles

@@ -7,17 +7,17 @@ This module removes that tax for the straight-line portions of hot
 code.  When an entry PC has been dispatched :data:`SuperblockEngine.
 HOT_THRESHOLD` times, the run of translatable instructions starting
 there is compiled — once — into a single Python closure that executes
-the whole region with every piece of hot state (registers, PMU counter
-deltas, cycle count, fetch locality, the L1D hit path, the D-TLB MRU
-check, the BHT counters of its conditional branches) held in locals or
-bound directly, and the dispatcher thereafter executes the block as
-one call.
+the whole region with every piece of hot state (registers, retire and
+PMU counter deltas, cycle count, fetch locality, the L1D hit path, the
+D-TLB MRU check, the BHT counters of its conditional branches) held in
+locals or bound directly, and the dispatcher thereafter executes the
+block as one call.
 
 The region is a *superblock* proper, not just a basic block:
 unconditional direct jumps (``JMP``) do not end it — their constant
 target is followed at translation time (the jump itself costs exactly
-what step() charges: one ``branch_instructions`` bump plus the
-base cycle cost), so the short runs that assembly loops fracture into
+what step() charges: one retire-tally bump plus the base cycle cost),
+so the short runs that assembly loops fracture into
 ``…; jmp next`` chains fuse back into one closure.  Collection stops
 when a jump target (or sequential fall-through) re-enters a pc already
 in the block, so a loop whose final jump returns to the entry becomes
@@ -40,8 +40,8 @@ code therefore:
   cost sits on a dyadic (2^-20) grid, where float addition is exact and
   therefore order-insensitive; otherwise costs are emitted per
   instruction in program order;
-* batches PMU counter increments (plain int adds — commutative and
-  exact) into one flush per exit path.
+* batches the retire tally and the PMU counter increments (plain int
+  adds — commutative and exact) into one flush per exit path.
 
 Deoptimisation contract
 -----------------------
@@ -53,7 +53,7 @@ The remaining exits mid-block are:
 
 * **faults** (memory/alignment/protection): the closure's exception
   handler calls the shared out-of-line :func:`_fault_exit`, which
-  flushes the counters retired so far (a compile-time table keyed by
+  flushes the counts retired so far (a compile-time table keyed by
   the faulting mem-op occurrence), writes back registers, and syncs
   ``state.pc``/``cycles``/fetch locality to the faulting instruction —
   exactly the state the step loop leaves — then the closure re-raises;
@@ -98,14 +98,6 @@ from repro.isa.semantics import (
 _CODE_CACHE = {}
 _CODE_CACHE_MAX = 4096
 
-#: Counter order used by the partial/final flush tables.
-_COUNTER_NAMES = (
-    "instructions", "alu_instructions", "mul_div_instructions",
-    "load_instructions", "store_instructions", "stack_instructions",
-    "branch_instructions", "cond_branch_instructions", "branches_taken",
-)
-
-
 def _trace_taken(imm):
     """Which way collection follows a conditional branch.
 
@@ -134,20 +126,32 @@ def _dyadic(value):
     return scaled == int(scaled) and abs(value) < 1e6
 
 
-#: Index of ``cond_branch_instructions`` in :data:`_COUNTER_NAMES`: every
-#: internalised conditional branch is also one BHT prediction.
-_COND = _COUNTER_NAMES.index("cond_branch_instructions")
+def _retire(hw, counters, counts, times=1):
+    """Commit *times* copies of a block's ``(ops, taken)`` counts.
+
+    *ops* are ``(op, n)`` pairs for the core's retire tally, and each
+    conditional branch among them is also one BHT prediction; *taken*
+    counts the taken ones.
+    """
+    ops, taken = counts
+    tally = hw[4]
+    for op, n in ops:
+        tally[op] += n * times
+        if BEQ <= op <= BGEU:
+            hw[0].conditional_predictions += n * times
+    if taken:
+        counters["branches_taken"] += taken * times
 
 
 def _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
                 last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit):
     """Out-of-line side-exit commit shared by every compiled block.
 
-    Flushes the exit's retired-so-far counter deltas (each conditional
-    branch among them is also one BHT prediction), the batched memory
-    tallies (``n_*``: the D-TLB, L1D and L1I hit paths), and the
-    registers written so far, then returns the dispatcher tuple.  *hw*
-    is the core's ``(predictor, dtlb, l1d stats, l1i stats)``.  Side
+    Flushes the exit's retired-so-far counts (:func:`_retire`), the
+    batched memory tallies (``n_*``: the D-TLB, L1D and L1I hit paths),
+    and the registers written so far, then returns the dispatcher tuple.
+    *hw* is the core's ``(predictor, dtlb, l1d stats, l1i stats, retire
+    tally)``.  Side
     exits are off the hot path (the branch went the non-traced way, a
     mispredict, or an SMC deopt), so a function call here is cheap —
     and keeping the flush out of the generated source keeps
@@ -163,17 +167,11 @@ def _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
     full copies (``ccounts``/``kstep``).
     """
     counts, next_pc, k, widx, ccounts, kstep = row
+    _retire(hw, counters, counts)
     if it:
-        counts = tuple(
-            base + it * full for base, full in zip(counts, ccounts)
-        )
+        _retire(hw, counters, ccounts, it)
         k += it * kstep
-    for value, name in zip(counts, _COUNTER_NAMES):
-        if value:
-            counters[name] += value
-    predictor, dtlb, l1stats, i1stats = hw
-    if counts[_COND]:
-        predictor.conditional_predictions += counts[_COND]
+    dtlb, l1stats, i1stats = hw[1:4]
     if n_stall:
         counters["memory_stall_cycles"] += n_stall
     if n_tlb:
@@ -200,7 +198,7 @@ def _fault_exit(cpu, hw, counters, regs, row, it, pc, cycles, last_iline,
     """Out-of-line fault path shared by every block with a memory op.
 
     The closure catches the exception, calls this, and re-raises.  *row*
-    is the live mem-op occurrence's :func:`_flush_exit` row (its counter
+    is the live mem-op occurrence's :func:`_flush_exit` row (its count
     snapshot, scaled by *it* full unroll copies, and every register the
     block writes: the ones not yet written this call still hold their
     prologue values).  After the commit, ``state.pc``/``cycles``/fetch
@@ -251,14 +249,16 @@ class _Codegen:
             self.base_cost, self.mul_extra, self.div_extra))
         self.lines = []
         self.pending = 0.0
-        #: instructions, alu, mul_div, load, store, stack, branch
-        self.counts = [0] * len(_COUNTER_NAMES)
-        #: per-fault-site counter snapshots, indexed by the ``_pi``
+        #: ops retired so far in the current copy (``{op: n}``), and
+        #: how many of its conditional branches were taken
+        self.counts = {}
+        self.taken = 0
+        #: per-fault-site :meth:`_snapshot` rows, indexed by the ``_pi``
         #: occurrence local (a pc alone is ambiguous once loop bodies
         #: are unrolled: the same pc appears once per copy, each with
         #: different retired-so-far counts).  Slot 0 covers an
         #: asynchronous exception before the first memory op.
-        self.partial_list = [(0,) * len(_COUNTER_NAMES)]
+        self.partial_list = [((), 0)]
         #: per-side-exit ``(counts, next_pc, k, widx, ccounts, kstep)``
         #: rows consumed by :func:`_flush_exit`; generated exits are a
         #: single call indexing into this table.
@@ -268,7 +268,7 @@ class _Codegen:
         #: partial rows, and exits write back the full write set.
         self.loop_mode = False
         self.mem_occ = 0
-        #: one full copy's counter deltas, snapshotted after the peel.
+        #: one full copy's counts, snapshotted after the peel.
         self.copy_counts = None
         self.touched = set()
         self.writes = set()
@@ -317,12 +317,10 @@ class _Codegen:
         self.writes.add(index)
         return f"r{index}"
 
-    def _counter_flush_lines(self, counts, indent):
-        lines = []
-        for value, name in zip(counts, _COUNTER_NAMES):
-            if value:
-                lines.append(f'{indent}counters["{name}"] += {value}')
-        return lines
+    def _snapshot(self, taken=0):
+        """The ``(ops, taken)`` counts retired so far this copy, as
+        :func:`_retire` commits them, with *taken* more taken branches."""
+        return tuple(self.counts.items()), self.taken + taken
 
     def _dyn_flush_lines(self, indent):
         lines = []
@@ -406,7 +404,7 @@ class _Codegen:
         peel's end-state, which equals its own end-state (the body is
         a closed cycle), so every iteration's transitions line up.
         """
-        line = pc >> 6
+        line = pc >> self.l1i._line_shift
         page = pc >> 12
         if self.cur_line is None:
             self.emit(f"if {line} != last_iline:")
@@ -482,7 +480,7 @@ class _Codegen:
             self.emit(f"_pi = {self.mem_occ}")
         else:
             self.emit(f"_pi = {len(self.partial_list)}")
-            self.partial_list.append(tuple(self.counts))
+            self.partial_list.append(self._snapshot())
 
     def _tally_args(self):
         """The batched-tally arguments of the out-of-line helpers.
@@ -502,12 +500,13 @@ class _Codegen:
     def _vals(widx):
         return "(" + "".join(f"r{i}, " for i in widx) + ")"
 
-    def _exit_call(self, counts, next_pc, k):
+    def _exit_call(self, next_pc, k, taken=0):
         """One-line call committing through :func:`_flush_exit`.
 
-        Registers the exit's constant row (within-copy counter deltas,
-        resumption pc, retired count, registers written so far, and the
-        per-copy scaling constants) in the ``_exits`` table and returns
+        Registers the exit's constant row (within-copy counts, with
+        *taken* more taken branches, resumption pc, retired count,
+        registers written so far, and the per-copy scaling constants)
+        in the ``_exits`` table and returns
         the call expression.  A single line per exit keeps generated
         source — and therefore ``compile()`` time — small even when
         loop unrolling repeats the exit every iteration.
@@ -515,7 +514,7 @@ class _Codegen:
         j = len(self.exits)
         widx = tuple(sorted(self.writes))
         self.exits.append((
-            tuple(counts), next_pc, k, widx,
+            self._snapshot(taken), next_pc, k, widx,
             self.copy_counts, len(self.entries),
         ))
         it_expr = "_it" if self.loop_mode else "0"
@@ -537,7 +536,7 @@ class _Codegen:
         else:
             next_pc = self.entries[index + 1][0]
         self.emit(f"if _gen[0] != {self.engine.gen[0]}:")
-        self.emit("    " + self._exit_call(self.counts, next_pc, index + 1))
+        self.emit("    " + self._exit_call(next_pc, index + 1))
 
     # -- conditional branches (side exits) ----------------------------
     def _emit_branch(self, op, rs1, rs2, imm, index, pc):
@@ -557,8 +556,6 @@ class _Codegen:
         # Branches are cycle sync points: flush pending costs so every
         # exit (and the dispatcher's _mispredict) sees current cycles.
         self.flush_cycles()
-        self.counts[6] += 1
-        self.counts[7] += 1
         self.has_branch = True
         cond = COND[op].format(a=self.reg(rs1), b=self.reg(rs2))
         taken_pc = (pc + imm) & MASK32
@@ -569,7 +566,7 @@ class _Codegen:
         # the index is a compile-time constant of pc, ``_c`` is the
         # counter before training, and the prediction is ``_c >=
         # WEAK_TAKEN``.  Every internalised branch is one prediction,
-        # which the exits tally with the PMU counters; a mispredict is
+        # which the exits commit with the retire counts; a mispredict is
         # tallied here, on its way to the side exit.
         counter = f"_bht[{self.bht._index(pc)}]"
         self.emit(f"_c = {counter}")
@@ -578,8 +575,6 @@ class _Codegen:
         train_not_taken = [f"if _c > {STRONG_NOT_TAKEN}:",
                            f"    {counter} = _c - 1"]
         mispredict = "_pred.conditional_mispredictions += 1"
-        taken_counts = list(self.counts)
-        taken_counts[8] += 1
         if _trace_taken(imm):
             # Hot path: taken (loop backedge).  Exit on not-taken; a
             # not-taken mispredict means predicted-taken, so the wrong
@@ -590,7 +585,7 @@ class _Codegen:
             self.emit(f"    if _c >= {WEAK_TAKEN}:")
             self.emit(f"        _wp[0] = {taken_pc}")
             self.emit(f"        {mispredict}")
-            self.emit("    " + self._exit_call(self.counts, fall_pc, k))
+            self.emit("    " + self._exit_call(fall_pc, k))
             # Taken but mispredicted: exit too (the dispatcher must
             # speculate down the fall-through before anything newer
             # retires); re-entry continues at the target.
@@ -599,8 +594,8 @@ class _Codegen:
             self.emit(f"if _c < {WEAK_TAKEN}:")
             self.emit(f"    _wp[0] = {fall_pc}")
             self.emit(f"    {mispredict}")
-            self.emit("    " + self._exit_call(taken_counts, taken_pc, k))
-            self.counts[8] += 1  # the surviving path is taken
+            self.emit("    " + self._exit_call(taken_pc, k, 1))
+            self.taken += 1  # the surviving path is taken
         else:
             # Hot path: fall-through (forward branch).
             self.emit(f"if {cond}:")
@@ -609,22 +604,19 @@ class _Codegen:
             self.emit(f"    if _c < {WEAK_TAKEN}:")
             self.emit(f"        _wp[0] = {fall_pc}")
             self.emit(f"        {mispredict}")
-            self.emit("    " + self._exit_call(taken_counts, taken_pc, k))
+            self.emit("    " + self._exit_call(taken_pc, k, 1))
             for line in train_not_taken:
                 self.emit(line)
             self.emit(f"if _c >= {WEAK_TAKEN}:")
             self.emit(f"    _wp[0] = {taken_pc}")
             self.emit(f"    {mispredict}")
-            self.emit("    " + self._exit_call(self.counts, fall_pc, k))
+            self.emit("    " + self._exit_call(fall_pc, k))
 
     # -- per-opcode bodies -------------------------------------------
     def _emit_alu(self, op, rd, rs1, rs2, imm):
-        self.counts[1] += 1
         if op == MUL or op == MULI:
-            self.counts[2] += 1
             self.add_cycles(self.mul_extra)
         elif op == DIV or op == MOD:
-            self.counts[2] += 1
             self.add_cycles(self.div_extra)
             self.has_div = True
         if rd == 0:
@@ -638,7 +630,6 @@ class _Codegen:
         self.emit(f"{self.wreg(rd)} = {template.format(a=a, b=b)}")
 
     def _emit_load(self, op, rd, rs1, imm, pc):
-        self.counts[3] += 1
         self._emit_mem_sync(pc)
         a = self.reg(rs1)
         self.emit(f"_a = ({a} + {imm}) & 4294967295")
@@ -649,7 +640,6 @@ class _Codegen:
             self.emit(f"{self.wreg(rd)} = _v & 4294967295")
 
     def _emit_store(self, op, rs1, rs2, imm, index, pc):
-        self.counts[4] += 1
         self._emit_mem_sync(pc)
         a = self.reg(rs1)
         value = self.reg(rs2)
@@ -661,7 +651,6 @@ class _Codegen:
         self._emit_deopt_check(index, pc)
 
     def _emit_push(self, rs1, index, pc):
-        self.counts[5] += 1
         self._emit_mem_sync(pc)
         value = self.reg(rs1)
         self.reg(13)  # sp is read (decremented) before being written
@@ -675,7 +664,6 @@ class _Codegen:
         self._emit_deopt_check(index, pc)
 
     def _emit_pop(self, rd, index, pc):
-        self.counts[5] += 1
         self._emit_mem_sync(pc)
         self.reg(13)  # sp is read (load + increment) before the write
         sp = self.wreg(13)
@@ -692,16 +680,14 @@ class _Codegen:
         for index, (pc, entry) in enumerate(self.entries):
             op, rd, rs1, rs2, imm, _ = entry
             self._emit_fetch(index, pc)
-            self.counts[0] += 1
+            self.counts[op] = self.counts.get(op, 0) + 1
             self.add_cycles(self.base_cost)
-            if op == NOP:
+            if op == NOP or op == JMP:
+                # A JMP is followed at translation time; the next
+                # instruction's fetch emission handles the target's
+                # line/page locality.
                 continue
-            if op == JMP:
-                # Followed at translation time; the runtime cost is the
-                # counter bump (the next instruction's fetch emission
-                # handles the target's line/page locality).
-                self.counts[6] += 1
-            elif BEQ <= op <= BGEU:
+            if BEQ <= op <= BGEU:
                 self._emit_branch(op, rs1, rs2, imm, index, pc)
             elif op == LW or op == LB:
                 self._emit_load(op, rd, rs1, imm, pc)
@@ -718,7 +704,7 @@ class _Codegen:
     def build(self):
         """Emit the peel (+ unroll loop), then assemble the source."""
         self._emit_body()
-        self.copy_counts = tuple(self.counts)
+        self.copy_counts = self._snapshot()
         if self.copies > 1:
             # The body closed a cycle back to the entry pc, so the
             # peel's end locality state equals its start state and the
@@ -727,12 +713,13 @@ class _Codegen:
             # ``_it`` full copies (exits and the fault path scale by
             # the per-copy constants).
             self.loop_mode = True
-            self.counts = [0] * len(_COUNTER_NAMES)
+            self.counts = {}
+            self.taken = 0
             self.mem_occ = 0
             self.emit(f"for _it in range(1, {self.copies}):")
             start = len(self.lines)
             self._emit_body()
-            if self.copy_counts != tuple(self.counts):  # pragma: no cover
+            if self.copy_counts != self._snapshot():  # pragma: no cover
                 raise AssertionError("unroll body diverged from peel")
             self.lines[start:] = [
                 "    " + stmt for stmt in self.lines[start:]
@@ -748,7 +735,8 @@ class _Codegen:
         # check, and a weak reference for the fault path's sync.
         bound = {
             "_hw": (cpu.predictor, cpu.dtlb, cpu.caches.l1d.stats,
-                    cpu.caches.l1i.stats),
+                    cpu.caches.l1i.stats, cpu.op_counts),
+            "_tally": cpu.op_counts,
             "_gen": self.engine.gen,
         }
         if self.has_mem:
@@ -853,11 +841,15 @@ class _Codegen:
             # happened, an asynchronous exception rolls the whole block
             # back (the dispatcher's pc still points at the entry).
             src += [f"    {line}" for line in self.lines]
-        totals = [value * self.copies for value in self.copy_counts]
-        src += self._counter_flush_lines(totals, "    ")
-        if totals[_COND]:
+        ops, taken = self.copy_counts
+        copies = self.copies
+        src += [f"    _tally[{op}] += {n * copies}" for op, n in ops]
+        conds = sum(n for op, n in ops if BEQ <= op <= BGEU)
+        if conds:
             src.append(f"    _pred.conditional_predictions += "
-                       f"{totals[_COND]}")
+                       f"{conds * copies}")
+        if taken:
+            src.append(f'    counters["branches_taken"] += {taken * copies}')
         src += self._dyn_flush_lines("    ")
         src += self._writeback_lines("    ")
         src.append(f"    return {exit_pc}, {n}, cycles, "

@@ -20,6 +20,9 @@ values the committed path would and only the effects differ.
   ``TAKEN[op](a, b)``.
 * :func:`decode_entry` turns the instruction word at a pc into the one
   dispatch entry both cores cache.
+* :data:`EVENTS` names the instruction-mix PMU events each op bumps when
+  it retires.  The cores only count retired ops, per opcode; the PMU
+  derives the mix from that tally through this table.
 """
 
 from repro.errors import CpuFault, EncodingError
@@ -116,6 +119,44 @@ def _compile(templates):
 ALU = _compile(VALUE)
 #: ``TAKEN[op](a, b)``: whether a :data:`COND` branch is taken.
 TAKEN = _compile(COND)
+
+
+_ALU = ("alu_instructions",)
+_MUL_DIV = _ALU + ("mul_div_instructions",)
+_BRANCH = ("branch_instructions",)
+_CALL = _BRANCH + ("call_instructions",)
+
+#: The instruction-mix PMU events one retired op bumps, beyond
+#: ``instructions``, which every op bumps.  An op counts when it is
+#: fetched for commit, before it executes, so one that faults or halts
+#: counts too.
+EVENTS = {
+    NOP: (),
+    HALT: (),
+    **dict.fromkeys((ADD, SUB, AND, OR, XOR, SHL, SHR, SRA, SLT, SLTU,
+                     ADDI, ANDI, ORI, XORI, SHLI, SHRI, SRAI, SLTI, LI,
+                     MOV, RDCYCLE, RDINSTRET), _ALU),
+    **dict.fromkeys((MUL, DIV, MOD, MULI), _MUL_DIV),
+    LW: ("load_instructions",),
+    LB: ("load_instructions",),
+    SW: ("store_instructions",),
+    SB: ("store_instructions",),
+    PUSH: ("stack_instructions",),
+    POP: ("stack_instructions",),
+    **dict.fromkeys((BEQ, BNE, BLT, BGE, BLTU, BGEU),
+                    _BRANCH + ("cond_branch_instructions",)),
+    JMP: _BRANCH,
+    JMPR: _BRANCH + ("indirect_jump_instructions",),
+    CALL: _CALL,
+    CALLR: _CALL + ("indirect_jump_instructions",),
+    RET: _BRANCH + ("ret_instructions",),
+    SYSCALL: ("syscall_instructions",),
+    CLFLUSH: ("clflush_instructions",),
+    MFENCE: ("mfence_instructions",),
+}
+
+assert sorted(EVENTS) == sorted(map(int, Opcode)), (
+    "every opcode needs its PMU mix events")
 
 
 def decode_entry(memory, pc):

@@ -34,10 +34,7 @@ import json
 
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.opcodes import Opcode
-from repro.isa.semantics import (
-    BEQ, BGE, BGEU, BLT, BLTU, BNE, CALL, CALLR, CLFLUSH, JMP, JMPR,
-    MFENCE, RDCYCLE, RDINSTRET, RET, SYSCALL,
-)
+from repro.isa.semantics import EVENTS, RDCYCLE, RDINSTRET, SYSCALL
 
 #: Attribution buckets.  ``decode`` counts decode-cache misses (decode
 #: costs no *virtual* cycles — its price is wall clock); ``tracer``
@@ -55,9 +52,13 @@ PROFILE_FORMAT = "repro-prof/1"
 #: every block; only the export is ranked and truncated).
 DEFAULT_TOP_BLOCKS = 32
 
-_BRANCH_OPS = frozenset((BEQ, BNE, BLT, BGE, BLTU, BGEU, JMP, JMPR, CALL,
-                         CALLR, RET))
-_CACHE_OPS = frozenset((CLFLUSH, MFENCE))
+_BRANCH_OPS = frozenset(
+    op for op, events in EVENTS.items() if "branch_instructions" in events
+)
+_CACHE_OPS = frozenset(
+    op for op, events in EVENTS.items()
+    if "clflush_instructions" in events or "mfence_instructions" in events
+)
 _PMU_OPS = frozenset((RDCYCLE, RDINSTRET))
 
 _OP_NAMES = {int(op): op.name for op in Opcode}

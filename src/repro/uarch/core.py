@@ -13,7 +13,11 @@ Attributes
     ``memory``, ``caches``, ``predictor``, ``config`` (a
     :class:`~repro.cpu.cpu.CpuConfig`), ``state`` (a
     :class:`~repro.cpu.state.CpuState`), ``dtlb``/``itlb``, ``counters``
-    (the directly counted events) and ``pmu`` (a reading view of them),
+    (the directly counted events), ``op_counts`` (the retire tally: a
+    list indexed by opcode, bumped once per committed instruction as it
+    is fetched for commit, so a faulting or halting op counts too) and
+    ``pmu`` (a reading view of both, which derives the instruction mix
+    from the tally through :data:`repro.isa.semantics.EVENTS`),
     ``cycles`` (float virtual clock), ``shadow_stack`` (or ``None``),
     ``kernel_mode``, ``syscall_handler``, ``watchdog`` (duck-typed
     ``.charge(n)`` budget guard, or ``None``), plus the tracer bindings
@@ -24,7 +28,8 @@ Methods
     ``step()`` — retire one architectural instruction, ``False`` on
     halt; ``run(max_instructions=None)`` — retire until halt or the
     budget, returning the retired count, with every architectural
-    observable (``state``, ``cycles``, PMU counters, caches, TLBs)
+    observable (``state``, ``cycles``, PMU counters and retire tally,
+    caches, TLBs)
     synchronised on *every* exit path including faults; and
     ``reset_for_exec()`` — flush decode/translation/predictor return
     state after ``execve`` remaps the address space.

@@ -58,7 +58,7 @@ from heapq import heappushpop
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.cpu import CpuConfig, speculate
-from repro.cpu.pmu import Pmu, direct_counters
+from repro.cpu.pmu import Pmu, direct_counters, op_tally
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
 from repro.errors import CpuFault, PrivilegeFault, ShadowStackViolation
@@ -81,12 +81,6 @@ _HISTOGRAMS = ("ooo.spec.window", "ooo.rob.occupancy",
                "cpu.speculate.squashed")
 _COUNTERS = ("ooo.squashes", "ooo.wrong_path_uops", "ooo.commit_stalls",
              "ooo.dispatch_stalls", "ooo.lsq_stalls")
-
-#: The instruction-mix PMU events the dispatch loop tallies in locals,
-#: in the order :meth:`OooCore._fold` takes them.
-_MIX = ("alu_instructions", "mul_div_instructions", "load_instructions",
-        "store_instructions", "branch_instructions",
-        "cond_branch_instructions", "branches_taken")
 
 #: Hit-path state for a cache whose hit arm cannot be inlined: the
 #: lookup always misses, so every access takes the hierarchy.
@@ -158,6 +152,7 @@ class OooCore:
         self.dtlb = Tlb()
         self.itlb = Tlb()
         self.counters = direct_counters()
+        self.op_counts = op_tally()
         self.cycles = 0.0
         self.shadow_stack = (ShadowStack() if self.config.shadow_stack
                              else None)
@@ -242,7 +237,8 @@ class OooCore:
 
     @property
     def pmu(self):
-        """A :class:`~repro.cpu.pmu.Pmu` reading view of ``counters``."""
+        """A :class:`~repro.cpu.pmu.Pmu` reading view of ``counters``
+        and ``op_counts``."""
         return Pmu(self)
 
     def _cycles_now(self):
@@ -289,19 +285,13 @@ class OooCore:
                 metrics.inc(name, count)
                 counts[name] = 0
 
-    def _fold(self, instructions, alu, mul, load, store, branch, cond,
-              taken, miss, i_hits, d_reads, d_writes, dtlb_hits):
+    def _fold(self, taken, cond, miss, i_hits, d_reads, d_writes,
+              dtlb_hits):
         """Fold the dispatch loop's batched tallies into the PMU, the
-        predictor, the L1 stats and the D-TLB.
-
-        Conditional branches (*cond*) are tallied apart from the other
-        branches, and each one is also a BHT prediction.
-        """
-        counters = self.counters
-        counters["instructions"] = instructions
-        for name, count in zip(_MIX, (alu, mul, load, store,
-                                      branch + cond, cond, taken)):
-            counters[name] += count
+        predictor, the L1 stats and the D-TLB: *taken* branches, *cond*
+        BHT predictions and *miss* BHT mispredictions, and the inlined
+        hits."""
+        self.counters["branches_taken"] += taken
         self.predictor.conditional_predictions += cond
         self.predictor.conditional_mispredictions += miss
         self.dtlb.hits += dtlb_hits
@@ -448,10 +438,10 @@ class OooCore:
         has left), and ``self.cycles`` is written from them only where
         it is read — before recovery (wrong-path ``rdcycle``), at
         drains, and when tracing, before any call that may emit a
-        record.  The instruction-mix, predictor and inlined-hit tallies
-        live in locals: recovery and ``rdinstret`` read the instruction
-        count as ``instructions + executed``, and everything is folded
-        in before the syscall handler and on exit.
+        record.  Each dispatched op bumps the core's retire tally
+        (``op_counts``) as it is fetched; the taken-branch, predictor and
+        inlined-hit tallies live in locals, folded in before the syscall
+        handler and on exit.
         All observable state is synchronised — and the ROB drained — on
         every exit path, including faults (precise exceptions: older
         work commits, the faulting instruction never allocates).
@@ -461,6 +451,7 @@ class OooCore:
             return 0
         config = self.config
         counters = self.counters
+        tally = self.op_counts
         predictor = self.predictor
         memory = self.memory
         caches = self.caches
@@ -485,8 +476,10 @@ class OooCore:
         dtlb_access = dtlb.access
         itlb_access = self.itlb.access
         icache_fast = caches.instruction_access_fast
-        (i_shift, i_mask, i_ishift, i_maps, i_clocks, i_stamps, _,
-         _) = self._l1i_hit
+        # Fetch locality is per L1I line, whether or not its hit arm
+        # is inlined.
+        i_shift = caches.l1i._line_shift
+        _, i_mask, i_ishift, i_maps, i_clocks, i_stamps, _, _ = self._l1i_hit
         (d_shift, d_mask, d_ishift, d_maps, d_clocks, d_stamps, d_dirty,
          _) = self._l1d_hit
         bht = predictor.bht._counters
@@ -530,14 +523,13 @@ class OooCore:
         # ``seq + executed`` is the current instruction's sequence
         # number; recovery advances ``seq`` past wrong-path uops.
         seq = self._seq - 1
-        instructions = counters["instructions"]
         executed = 0
         mispredict = False
         wrong_path = None
-        # Batched tallies (see _fold): instruction mix, BHT
-        # mispredictions, inlined L1 / D-TLB hits.
-        n_alu = n_mul = n_load = n_store = n_branch = n_cond = 0
-        n_taken = n_miss = i_hits = d_reads = d_writes = dtlb_hits = 0
+        # Batched tallies (see _fold): taken branches, BHT predictions
+        # and mispredictions, inlined L1 / D-TLB hits.
+        n_taken = n_cond = n_miss = i_hits = d_reads = d_writes = 0
+        dtlb_hits = 0
 
         try:
             while not state.halted:
@@ -549,10 +541,9 @@ class OooCore:
                     entry = dcache[pc] = decode_entry(memory, pc)
                     if cursor is not None:
                         cursor.decode_miss()
-                line = pc >> 6
+                line = pc >> i_shift
                 if line != last_iline:
                     last_iline = line
-                    line = pc >> i_shift
                     index = line & i_mask
                     way = i_maps[index].get(line >> i_ishift)
                     if way is None:
@@ -576,6 +567,7 @@ class OooCore:
 
                 op, rd, rs1, rs2, imm, next_pc = entry
                 pool = rs_of[op]
+                tally[op] += 1
                 executed += 1
                 if cursor is not None:
                     # Finalises the *previous* instruction with this
@@ -596,18 +588,15 @@ class OooCore:
                 if pool is None:
                     fclock = dispatch + base_cost
                     if op == RDCYCLE:
-                        n_alu += 1
                         fclock = last = self._serialize(fclock, retire)
                         if rd:
                             regs[rd] = int(fclock) & MASK32
                             ready[rd] = fclock
                     elif op == MFENCE:
-                        counters["mfence_instructions"] += 1
                         fclock = last = self._serialize(fclock, retire,
                                                         fence_latency)
                         counters["fence_stall_cycles"] += fence_stall
                     elif op == CLFLUSH:
-                        counters["clflush_instructions"] += 1
                         if clflush_privileged and not self.kernel_mode:
                             raise PrivilegeFault(
                                 "clflush is disabled for non-privileged "
@@ -619,7 +608,6 @@ class OooCore:
                         fclock = last = self._serialize(fclock, retire,
                                                         clflush_latency)
                     elif op == SYSCALL:
-                        counters["syscall_instructions"] += 1
                         fclock = last = self._serialize(fclock, retire,
                                                         syscall_latency)
                         handler = self.syscall_handler
@@ -636,12 +624,9 @@ class OooCore:
                         self._fetch_clock = fclock
                         self._last_iline = last_iline
                         self._last_ipage = last_ipage
-                        self._fold(instructions + executed, n_alu, n_mul,
-                                   n_load, n_store, n_branch, n_cond,
-                                   n_taken, n_miss, i_hits, d_reads,
+                        self._fold(n_taken, n_cond, n_miss, i_hits, d_reads,
                                    d_writes, dtlb_hits)
-                        n_alu = n_mul = n_load = n_store = n_branch = 0
-                        n_cond = n_taken = n_miss = i_hits = d_reads = 0
+                        n_taken = n_cond = n_miss = i_hits = d_reads = 0
                         d_writes = dtlb_hits = 0
                         handler(self)
                         regs = state.regs
@@ -682,7 +667,6 @@ class OooCore:
                     fclock = dispatch + base_cost
 
                     if ADDI <= op <= MOV:
-                        n_alu += 1
                         # li reads no register; the others wait for rs1.
                         start = dispatch
                         if op != LI:
@@ -690,7 +674,6 @@ class OooCore:
                             if t > start:
                                 start = t
                         if op == MULI:
-                            n_mul += 1
                             done = start + mul_latency
                         else:
                             done = start + 1.0
@@ -732,11 +715,9 @@ class OooCore:
                                 mispredict = True
                                 wrong_path = (pc + imm) & MASK32
                     elif op == JMP:
-                        n_branch += 1
                         done = dispatch
                         next_pc = (pc + imm) & MASK32
                     elif ADD <= op <= SLTU:
-                        n_alu += 1
                         start = dispatch
                         t = ready[rs1]
                         if t > start:
@@ -745,7 +726,6 @@ class OooCore:
                         if t > start:
                             start = t
                         if MUL <= op <= MOD:
-                            n_mul += 1
                             done = start + (div_latency if op != MUL
                                             else mul_latency)
                         else:
@@ -754,7 +734,6 @@ class OooCore:
                             regs[rd] = ALU[op](regs[rs1], regs[rs2])
                             ready[rd] = done
                     elif op == LW or op == LB:
-                        n_load += 1
                         address = (regs[rs1] + imm) & MASK32
                         value = (load_word(address) if op == LW
                                  else load_byte(address))
@@ -783,7 +762,6 @@ class OooCore:
                             regs[rd] = value & MASK32
                             ready[rd] = done
                     elif op == SW or op == SB:
-                        n_store += 1
                         address = (regs[rs1] + imm) & MASK32
                         if op == SW:
                             store_word(address, regs[rs2])
@@ -816,7 +794,6 @@ class OooCore:
                         # serialised into the dependency chain.
                         done = start + 1.0
                     elif op == PUSH:
-                        counters["stack_instructions"] += 1
                         sp = (regs[13] - 4) & MASK32
                         regs[13] = sp
                         store_word(sp, regs[rs1])
@@ -832,7 +809,6 @@ class OooCore:
                         done = start + 1.0
                         ready[13] = done
                     elif op == POP:
-                        counters["stack_instructions"] += 1
                         sp = regs[13]
                         value = load_word(sp)
                         dtlb_access(sp)
@@ -848,8 +824,6 @@ class OooCore:
                             regs[rd] = value & MASK32
                             ready[rd] = done
                     elif op == CALL or op == CALLR:
-                        n_branch += 1
-                        counters["call_instructions"] += 1
                         start = dispatch
                         t = ready[13]
                         if t > start:
@@ -857,7 +831,6 @@ class OooCore:
                         if op == CALL:
                             target = (pc + imm) & MASK32
                         else:
-                            counters["indirect_jump_instructions"] += 1
                             target = (regs[rs1] + imm) & MASK32
                             wrong_path = predict_indirect(pc)
                             mispredict = resolve_indirect(pc, wrong_path,
@@ -882,8 +855,6 @@ class OooCore:
                             fclock += btb_miss_penalty
                         next_pc = target
                     elif op == RET:
-                        n_branch += 1
-                        counters["ret_instructions"] += 1
                         sp = regs[13]
                         target = load_word(sp)
                         dtlb_access(sp)
@@ -911,8 +882,6 @@ class OooCore:
                         ready[13] = done
                         next_pc = target
                     elif op == JMPR:
-                        n_branch += 1
-                        counters["indirect_jump_instructions"] += 1
                         target = (regs[rs1] + imm) & MASK32
                         wrong_path = predict_indirect(pc)
                         mispredict = resolve_indirect(pc, wrong_path,
@@ -929,10 +898,9 @@ class OooCore:
                             fclock += btb_miss_penalty
                         next_pc = target
                     elif op == RDINSTRET:
-                        n_alu += 1
                         done = dispatch + 1.0
                         if rd:
-                            regs[rd] = (instructions + executed) & MASK32
+                            regs[rd] = sum(tally) & MASK32
                             ready[rd] = done
                     else:  # pragma: no cover - every opcode handled
                         raise CpuFault(
@@ -950,7 +918,6 @@ class OooCore:
                         log.append((seq + executed, pc))
                     if mispredict:
                         mispredict = False
-                        counters["instructions"] = instructions + executed
                         self._sync_clock(retire)
                         fclock, seq = self._recover(pc, wrong_path, done,
                                                     fclock, seq)
@@ -968,9 +935,8 @@ class OooCore:
             self._last_iline = last_iline
             self._last_ipage = last_ipage
             self._seq = seq + executed + 1
-            self._fold(instructions + executed, n_alu, n_mul, n_load,
-                       n_store, n_branch, n_cond, n_taken, n_miss, i_hits,
-                       d_reads, d_writes, dtlb_hits)
+            self._fold(n_taken, n_cond, n_miss, i_hits, d_reads, d_writes,
+                       dtlb_hits)
             if self._metrics is not None:
                 # One ROB-occupancy sample per quantum (pre-drain) plus
                 # the quantum's tallies.

@@ -60,7 +60,7 @@ class TestInjectionExecution:
         process.run_to_completion(max_instructions=20_000_000)
         assert process.pid == pid
         # PMU evidence of the pre-execve host phase remains.
-        assert process.pmu.counters["instructions"] > 0
+        assert process.pmu.read()["instructions"] > 0
 
     def test_without_payload_host_is_benign(self, staged):
         system, _, _ = staged

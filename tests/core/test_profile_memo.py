@@ -89,7 +89,7 @@ def test_replay_leaves_the_noise_rng_where_profiling_does():
         second = replayed.profile(process, 4, memo_key=key)
     assert memo.counts() == {"hits": 1, "misses": 1, "stored": 1}
     assert _windows(first) == _windows(second)
-    assert process.pmu.counters["instructions"] == 0   # never stepped
+    assert process.pmu.read()["instructions"] == 0   # never stepped
     assert simulated._rng.random() == replayed._rng.random()
 
 

@@ -8,18 +8,27 @@ tables cannot hide behind itself.  Each generated ALU program runs in a
 counted loop long enough for the superblock engine to translate it, and
 its final registers must match the reference under ``--engine step``,
 under the superblock engine (which must have translated the loop) and
-on the out-of-order core.  The wrong-path case checks the values the
-speculative walk computes, on both cores, through the one cache line
-each of them fills.
+on the out-of-order core, and each executor's per-opcode retire tally
+must match the ops the reference retired, faulting runs included.  The
+wrong-path case checks the values the speculative walk computes, on
+both cores, through the one cache line each of them fills.  The fetch
+locality case checks the L1I accesses each executor charges against
+the line transitions of the reference pc stream, at line sizes other
+than the default.
 
 The example budget comes from the hypothesis profile: the default keeps
 tier-1 short, and ``--hypothesis-profile=ci`` runs a larger one.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.hierarchy import CacheConfig, CacheHierarchy
+from repro.cpu.cpu import CpuConfig
 from repro.cpu.engine import engine_override
+from repro.errors import MemoryFault, PrivilegeFault
 from repro.isa.encoding import encode_program
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -111,6 +120,21 @@ COUNTER = 15
 ITERATIONS = 24
 
 
+def reference_tally(ops):
+    """The per-opcode retire tally of the op sequence *ops*."""
+    tally = [0] * 256
+    for op, count in Counter(int(op) for op in ops).items():
+        tally[op] = count
+    return tally
+
+
+def loop_ops(body, iterations=ITERATIONS):
+    """The ops the loop :func:`_loop_program` builds retires, halt
+    included, when its counter starts at *iterations*."""
+    one = [insn.opcode for insn in body] + [Opcode.ADDI, Opcode.BNE]
+    return one * iterations + [Opcode.HALT]
+
+
 def reference_loop(body, initial_regs):
     """The registers after the loop :func:`_loop_program` builds ran
     from *initial_regs*."""
@@ -135,7 +159,8 @@ def _loop_program(body):
     ]
 
 
-def _machine(uarch, program, initial_regs, data_size=0):
+def _machine(uarch, program, initial_regs, data_size=0, line_size=64,
+             config=None):
     memory = Memory()
     blob = encode_program(program)
     memory.map_segment("text", 0x1000, max(4096, len(blob)),
@@ -143,27 +168,37 @@ def _machine(uarch, program, initial_regs, data_size=0):
     memory.write_bytes(0x1000, blob, force=True)
     if data_size:
         memory.map_segment("data", 0x100000, data_size, PERM_R | PERM_W)
-    core = make_core(uarch, memory)
+    caches = CacheHierarchy(CacheConfig(line_size=line_size))
+    core = make_core(uarch, memory, caches=caches, config=config)
     for index, value in enumerate(initial_regs):
         core.state.write_reg(index, value)
     core.state.pc = 0x1000
     return core
 
 
-def run_everywhere(program, initial_regs, data_size=0):
+def run_everywhere(program, initial_regs, data_size=0, fault=None,
+                   max_instructions=None, **machine):
     """Run *program* under step, sb and the OoO core; returns the cores.
 
-    Under sb the run must have translated at least one block, so the
-    compiled code is what the comparison checks.
+    Each run must halt, retire *max_instructions* or, given *fault*,
+    raise it.  Under sb the run
+    must have translated at least one block, so the compiled code is
+    what the comparison checks.  *machine* goes to :func:`_machine`.
     """
     cores = {}
     for name, uarch, engine in (("step", "inorder", "step"),
                                 ("sb", "inorder", "sb"),
                                 ("ooo", "ooo", "sb")):
         with engine_override(engine):
-            core = _machine(uarch, program, initial_regs, data_size)
-            core.run()
-        assert core.state.halted, name
+            core = _machine(uarch, program, initial_regs, data_size,
+                            **machine)
+            if fault is None:
+                retired = core.run(max_instructions)
+                assert core.state.halted or retired == max_instructions, \
+                    name
+            else:
+                with pytest.raises(fault):
+                    core.run()
         cores[name] = core
     engine = cores["sb"]._sb
     assert engine is not None and engine.stats["translated"] > 0
@@ -219,9 +254,11 @@ class TestDifferential:
            _regs_strategy())
     def test_cpu_matches_reference(self, body, initial):
         expected = reference_loop(body, initial)
+        tally = reference_tally(loop_ops(body))
         for name, core in run_everywhere(_loop_program(body),
                                          initial).items():
             assert list(core.state.regs) == expected, name
+            assert core.op_counts == tally, name
 
     @settings(deadline=None)
     @given(st.lists(_alu_instruction(_REGS), min_size=1, max_size=40))
@@ -379,3 +416,72 @@ class TestWrongPathValues:
                   if process.cpu.caches.probe_data(probe + 64 * line)]
         assert cached == [_wrong_path_line(op)]
         assert process.pmu.read()["spec_loads"] > 0
+
+
+class TestRetireTally:
+    """Every executor counts an op when it is fetched for commit, so a
+    faulting op counts too: the tallies match the reference's ops up to
+    and including the faulting one."""
+
+    def test_faulting_load_inside_a_compiled_block(self):
+        # The load walks off the end of the data segment on iteration
+        # FAULT_AT, long after the loop was translated.
+        fault_at = 20
+        body = [
+            Instruction(Opcode.ADDI, rd=1, rs1=1, imm=1),
+            Instruction(Opcode.LW, rd=3, rs1=4, imm=0),
+            Instruction(Opcode.ADDI, rd=4, rs1=4, imm=64),
+        ]
+        initial = [0] * 16
+        initial[4] = 0x100000
+        initial[COUNTER] = ITERATIONS + fault_at
+        cores = run_everywhere(_loop_program(body), initial,
+                               data_size=64 * fault_at, fault=MemoryFault)
+        ops = (loop_ops(body, fault_at)[:-1]
+               + [Opcode.ADDI, Opcode.LW])
+        for name, core in cores.items():
+            assert core.op_counts == reference_tally(ops), name
+            assert core.state.pc == 0x1008, name
+            assert core.pmu.read()["load_instructions"] == fault_at + 1
+
+    def test_privileged_clflush_fault(self):
+        body = [Instruction(Opcode.ADDI, rd=1, rs1=1, imm=1)] * 3
+        program = _loop_program(body)
+        program[-1] = Instruction(Opcode.CLFLUSH, rs1=0, imm=0)
+        initial = [0] * 16
+        initial[COUNTER] = ITERATIONS
+        cores = run_everywhere(program, initial, fault=PrivilegeFault,
+                               config=CpuConfig(clflush_privileged=True))
+        ops = loop_ops(body)[:-1] + [Opcode.CLFLUSH]
+        for name, core in cores.items():
+            assert core.op_counts == reference_tally(ops), name
+            assert core.pmu.read()["clflush_instructions"] == 1, name
+
+
+def _fetch_lines(pcs, line_size):
+    """L1I accesses of the pc stream *pcs*: one per change of line."""
+    lines = [pc // line_size for pc in pcs]
+    return sum(1 for index, line in enumerate(lines)
+               if index == 0 or line != lines[index - 1])
+
+
+class TestFetchLocality:
+    """A fetch charges the L1I once per new line of the configured
+    size, on every executor."""
+
+    @pytest.mark.parametrize("line_size", [32, 128])
+    def test_l1i_accesses_follow_line_size(self, line_size):
+        # ``loop: 40 x addi; jmp loop``, stopped by the instruction
+        # budget: no conditional branch, so no wrong path fetches.
+        body = [Instruction(Opcode.ADDI, rd=1, rs1=1, imm=1)] * 40
+        program = body + [Instruction(Opcode.JMP, imm=-8 * len(body))]
+        loop = [0x1000 + 8 * index for index in range(len(program))]
+        pcs = loop * ITERATIONS
+        cores = run_everywhere(program, [0] * 16,
+                               max_instructions=len(pcs),
+                               line_size=line_size)
+        expected = _fetch_lines(pcs, line_size)
+        readings = {name: core.pmu.read() for name, core in cores.items()}
+        for name, reading in readings.items():
+            assert reading["l1i_accesses"] == expected, name
+        assert readings["sb"] == readings["step"]

@@ -78,6 +78,7 @@ def _snapshot(process):
         "exit_code": cpu.state.exit_code,
         "cycles": cpu.cycles,
         "events": cpu.pmu.read(),
+        "op_counts": list(cpu.op_counts),
         "stdout": bytes(process.stdout),
     }
 

@@ -1,7 +1,39 @@
-"""PMU tests: the 56-event catalogue and sampling semantics."""
+"""PMU tests: the 56-event catalogue, the instruction-mix table and
+sampling semantics."""
+
+import pytest
 
 from repro.cpu.pmu import EVENT_NAMES, NUM_EVENTS, PAPER_FEATURES
+from repro.isa.opcodes import Opcode
+from repro.isa.semantics import EVENTS
+from repro.mem.memory import Memory
+from repro.uarch import make_core
 from tests.conftest import run_source
+
+_ALU = {"alu"}
+_MUL_DIV = {"alu", "mul_div"}
+_COND = {"branch", "cond_branch"}
+
+#: The mix events each opcode bumps beyond ``instructions``, written out
+#: from the ISA reference (docs/ISA.md) by mnemonic and short event name,
+#: independently of :data:`repro.isa.semantics.EVENTS`.
+REFERENCE_EVENTS = {
+    "NOP": set(), "HALT": set(),
+    "ADD": _ALU, "SUB": _ALU, "MUL": _MUL_DIV, "DIV": _MUL_DIV,
+    "MOD": _MUL_DIV, "AND": _ALU, "OR": _ALU, "XOR": _ALU, "SHL": _ALU,
+    "SHR": _ALU, "SRA": _ALU, "SLT": _ALU, "SLTU": _ALU,
+    "ADDI": _ALU, "MULI": _MUL_DIV, "ANDI": _ALU, "ORI": _ALU,
+    "XORI": _ALU, "SHLI": _ALU, "SHRI": _ALU, "SRAI": _ALU, "SLTI": _ALU,
+    "LI": _ALU, "MOV": _ALU, "RDCYCLE": _ALU, "RDINSTRET": _ALU,
+    "LW": {"load"}, "LB": {"load"}, "SW": {"store"}, "SB": {"store"},
+    "PUSH": {"stack"}, "POP": {"stack"},
+    "BEQ": _COND, "BNE": _COND, "BLT": _COND, "BGE": _COND,
+    "BLTU": _COND, "BGEU": _COND,
+    "JMP": {"branch"}, "JMPR": {"branch", "indirect_jump"},
+    "CALL": {"branch", "call"}, "CALLR": {"branch", "call", "indirect_jump"},
+    "RET": {"branch", "ret"},
+    "SYSCALL": {"syscall"}, "CLFLUSH": {"clflush"}, "MFENCE": {"mfence"},
+}
 
 
 class TestCatalogue:
@@ -22,6 +54,45 @@ class TestCatalogue:
             "instructions",
             "cycles",
         )
+
+
+class TestMixTable:
+    def test_events_match_reference(self):
+        table = {
+            Opcode(op).name: {event.removesuffix("_instructions")
+                              for event in events}
+            for op, events in EVENTS.items()
+        }
+        assert table == REFERENCE_EVENTS
+        assert all(len(set(events)) == len(events)
+                   for events in EVENTS.values())
+
+    def test_every_mix_event_is_an_instruction_mix_pmu_event(self):
+        mix = EVENT_NAMES[:EVENT_NAMES.index("cycles")]
+        derived = {event for events in EVENTS.values() for event in events}
+        assert derived == set(mix) - {"instructions", "branches_taken"}
+
+    @pytest.mark.parametrize("uarch", ["inorder", "ooo"])
+    def test_read_derives_mix_from_tally(self, uarch):
+        cpu = make_core(uarch, Memory())
+        tally = {"ADD": 3, "MULI": 2, "LW": 5, "BNE": 7, "CALLR": 1,
+                 "RET": 4, "HALT": 1, "SYSCALL": 2}
+        for name, count in tally.items():
+            cpu.op_counts[Opcode[name]] = count
+        cpu.counters["branches_taken"] = 6
+        reading = cpu.pmu.read()
+        expected = {}
+        for name, count in tally.items():
+            for event in REFERENCE_EVENTS[name]:
+                expected[event] = expected.get(event, 0) + count
+        for event in ("alu", "mul_div", "load", "store", "branch",
+                      "cond_branch", "call", "ret", "indirect_jump",
+                      "syscall", "clflush", "mfence", "stack"):
+            assert reading[event + "_instructions"] == \
+                expected.get(event, 0), event
+        assert reading["instructions"] == sum(tally.values())
+        assert reading["branches_taken"] == 6
+        assert list(reading) == list(cpu.pmu.read())
 
 
 class TestCounting:

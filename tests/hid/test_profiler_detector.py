@@ -49,7 +49,7 @@ class TestProfiler:
         process = _spawn()
         profiler.profile(process, 2)
         # 3 warmup + 2 kept = 5 quanta executed
-        assert process.pmu.counters["instructions"] == 5 * 500
+        assert process.pmu.read()["instructions"] == 5 * 500
 
     def test_short_process_returns_fewer(self):
         system = System(seed=3)

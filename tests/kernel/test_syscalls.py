@@ -100,7 +100,7 @@ class TestExecve:
         process = system.spawn("/bin/caller")
         process.run_to_completion()
         # Counters include both the caller's and the new image's work.
-        assert process.pmu.counters["syscall_instructions"] == 2
+        assert process.pmu.read()["syscall_instructions"] == 2
 
     def test_execve_missing_binary_faults(self):
         system = System(seed=3)
