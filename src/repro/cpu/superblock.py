@@ -1,28 +1,41 @@
-"""Superblock translation: hot straight-line runs become closures.
+"""Superblock translation: hot traces become closures.
 
 The in-order core's step() pays per-instruction dispatch: one method
 call, one decode-cache lookup, one opcode compare chain, several dict
 updates.
-This module removes that tax for the straight-line portions of hot
-code.  When an entry PC has been dispatched :data:`SuperblockEngine.
-HOT_THRESHOLD` times, the run of translatable instructions starting
-there is compiled — once — into a single Python closure that executes
-the whole region with every piece of hot state (registers, retire and
-PMU counter deltas, cycle count, fetch locality, the L1D hit path, the
-D-TLB MRU check, the BHT counters of its conditional branches) held in
-locals or bound directly, and the dispatcher thereafter executes the
-block as one call.
+This module removes that tax for the hot traces of a program.  When an
+entry PC has been dispatched :data:`SuperblockEngine.HOT_THRESHOLD`
+times, the trace of translatable instructions starting there is
+compiled — once — into a single Python closure that executes the whole
+region with every piece of hot state (registers, retire and PMU counter
+deltas, cycle count, fetch locality, the L1D hit path, the D-TLB MRU
+check, the BHT counters of its conditional branches) held in locals or
+bound directly, and the dispatcher thereafter executes the block as one
+call.
 
 The region is a *superblock* proper, not just a basic block:
-unconditional direct jumps (``JMP``) do not end it — their constant
-target is followed at translation time (the jump itself costs exactly
-what step() charges: one retire-tally bump plus the base cycle cost),
-so the short runs that assembly loops fracture into
-``…; jmp next`` chains fuse back into one closure.  Collection stops
-when a jump target (or sequential fall-through) re-enters a pc already
-in the block, so a loop whose final jump returns to the entry becomes
-one closure that the dispatcher re-enters through a single dict probe
-per iteration.
+
+* unconditional direct jumps (``JMP``) do not end it — their constant
+  target is followed at translation time (the jump itself costs exactly
+  what step() charges: one retire-tally bump plus the base cycle cost),
+  so the short runs that assembly loops fracture into
+  ``…; jmp next`` chains fuse back into one closure;
+* conditional branches do not end it either: collection follows each
+  one in the direction the core's 2-bit BHT counter predicts when the
+  block is translated, and the block leaves through a side exit when a
+  branch goes the other way;
+* the covert channel's serialising ops run inside it: ``rdcycle``
+  reads the block's synced cycle count, ``mfence`` charges its latency
+  and stall cycles, and ``clflush`` flushes its line (see the
+  deoptimisation contract for its two exits).
+
+Collection stops when a jump target, a followed branch or the
+sequential fall-through re-enters a pc already in the trace.  A trace
+that returns to its entry is a loop and becomes one closure that runs
+its body, compiled once, under a counted ``for`` loop; one that enters
+a loop past its head ends at the head, which then heats up and
+compiles as that loop, instead of unrolling it into straight-line
+source.
 
 Bit-exactness contract
 ----------------------
@@ -39,29 +52,40 @@ code therefore:
 * batches the *constant* per-instruction cycle costs only when every
   cost sits on a dyadic (2^-20) grid, where float addition is exact and
   therefore order-insensitive; otherwise costs are emitted per
-  instruction in program order;
+  instruction in program order.  ``rdcycle``, branches, memory ops and
+  every exit flush the batch first, so whatever reads ``cycles`` sees
+  step()'s value;
 * batches the retire tally and the PMU counter increments (plain int
   adds — commutative and exact) into one flush per exit path.
 
 Deoptimisation contract
 -----------------------
-Blocks contain no conditional control flow, no indirect jumps, no
-calls/returns, no syscalls and no serialising instructions — those
-*terminate* translation and stay in the dispatcher (only direct
-``JMP``, whose target is a compile-time constant, is internalised).
-The remaining exits mid-block are:
+Indirect jumps, calls, returns, syscalls, ``halt`` and ``rdinstret``
+(which reads the retire tally the block batches) *terminate*
+translation and stay in the dispatcher.  The exits mid-block are:
 
+* **side exits**: a conditional branch that goes against its traced
+  direction, or any mispredicted one, commits the block's progress
+  through the shared out-of-line :func:`_flush_exit`; a mispredict
+  parks its wrong-path pc for the dispatcher.  With the trace following
+  the predictor these are the uncommon case: the branch had to go
+  against its counter's prediction at translation time;
+* **privilege**: with ``clflush_privileged`` set, a ``clflush`` outside
+  kernel mode side-exits *before* the instruction, so step() executes
+  it and raises the fault.  Such a ``clflush`` never heads a trace, so
+  the exit always commits progress;
 * **faults** (memory/alignment/protection): the closure's exception
   handler calls the shared out-of-line :func:`_fault_exit`, which
   flushes the counts retired so far (a compile-time table keyed by
   the faulting mem-op occurrence), writes back registers, and syncs
   ``state.pc``/``cycles``/fetch locality to the faulting instruction —
   exactly the state the step loop leaves — then the closure re-raises;
-* **self-modifying code**: every store is followed by a generation
-  check; a store that hits an executable segment bumps the engine
-  generation (via the Memory code-write listener), and the closure
-  returns early with its partial progress so not a single stale
-  instruction executes;
+* **generation exits**: every store is followed by a generation check;
+  a store that hits an executable segment bumps the engine generation
+  (via the Memory code-write listener), and a ``clflush`` of a line
+  that holds code drops the translation caches the same way; either
+  way the closure returns with its partial progress so not a single
+  stale instruction executes;
 * **pause boundaries** (chunked ``run(max_instructions=…)`` calls and
   watchdog strides) never happen mid-block: the dispatcher only enters
   a block whose full length fits before the next boundary, and
@@ -83,8 +107,9 @@ from repro.branch.bht import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
 from repro.errors import CpuFault, MemoryFault
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.semantics import (
-    ADD, ADDI, BEQ, BGEU, COND, DIV, JMP, LB, LW, MASK32, MOD, MOV, MUL,
-    MULI, NOP, POP, PUSH, SB, SLTU, SW, VALUE, decode_entry, truncdiv,
+    ADD, ADDI, BEQ, BGEU, CLFLUSH, COND, DIV, JMP, LB, LW, MASK32, MFENCE,
+    MOD, MOV, MUL, MULI, NOP, POP, PUSH, RDCYCLE, SB, SLTU, SW, VALUE,
+    decode_entry, truncdiv,
 )
 
 #: Source-text -> code-object translation cache, shared process-wide.
@@ -98,16 +123,9 @@ from repro.isa.semantics import (
 _CODE_CACHE = {}
 _CODE_CACHE_MAX = 4096
 
-def _trace_taken(imm):
-    """Which way collection follows a conditional branch.
-
-    Backward branches are loop backedges and overwhelmingly taken, so
-    the trace continues at the target; forward branches are usually
-    not taken, so it continues at the fall-through.  The rule is a
-    pure function of the immediate so :meth:`SuperblockEngine._collect`
-    and :class:`_Codegen` agree without passing state around.
-    """
-    return imm < 0
+#: Stands for a loop block's full register write set in its exit calls
+#: until the body is complete and the set is known.
+_ALL_WRITES = "<all writes>"
 
 
 def _translatable(op):
@@ -116,6 +134,7 @@ def _translatable(op):
         ADD <= op <= SLTU
         or ADDI <= op <= MOV
         or LW <= op <= POP
+        or CLFLUSH <= op <= RDCYCLE
         or op == NOP
     )
 
@@ -129,9 +148,9 @@ def _dyadic(value):
 def _retire(hw, counters, counts, times=1):
     """Commit *times* copies of a block's ``(ops, taken)`` counts.
 
-    *ops* are ``(op, n)`` pairs for the core's retire tally, and each
-    conditional branch among them is also one BHT prediction; *taken*
-    counts the taken ones.
+    *ops* are ``(op, n)`` pairs for the core's retire tally; each
+    conditional branch among them is also one BHT prediction and each
+    ``mfence`` its fence stall; *taken* counts the taken branches.
     """
     ops, taken = counts
     tally = hw[4]
@@ -139,34 +158,30 @@ def _retire(hw, counters, counts, times=1):
         tally[op] += n * times
         if BEQ <= op <= BGEU:
             hw[0].conditional_predictions += n * times
+        elif op == MFENCE:
+            counters["fence_stall_cycles"] += hw[5] * n * times
     if taken:
         counters["branches_taken"] += taken * times
 
 
-def _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
-                last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit):
-    """Out-of-line side-exit commit shared by every compiled block.
+def _commit(hw, counters, regs, row, it, vals, n_stall, n_tlb, n_l1r,
+            n_l1w, n_ihit):
+    """Commit a block's progress at one of its exit rows.
 
-    Flushes the exit's retired-so-far counts (:func:`_retire`), the
+    Flushes the row's retired-so-far counts (:func:`_retire`), the
     batched memory tallies (``n_*``: the D-TLB, L1D and L1I hit paths),
-    and the registers written so far, then returns the dispatcher tuple.
-    *hw* is the core's ``(predictor, dtlb, l1d stats, l1i stats, retire
-    tally)``.  Side
-    exits are off the hot path (the branch went the non-traced way, a
-    mispredict, or an SMC deopt), so a function call here is cheap —
-    and keeping the flush out of the generated source keeps
-    ``compile()`` fast: an unrolled block would otherwise repeat ~30
-    flush lines for every exit of every copy, and block compilation
-    time would swamp the translation win.
+    and the registers written so far.  *hw* is the core's ``(predictor,
+    dtlb, l1d stats, l1i stats, retire tally, fence stall cycles,
+    engine stats)``.
 
     *row* is the exit's constant ``(counts, next_pc, k, widx, ccounts,
-    kstep)``.  *it* is the unroll iteration the exit fired on (0 for the
-    peeled first copy and for non-unrolled blocks): a loop body is
-    compiled once and run under ``for _it in range(1, K)``, so the
-    exit's absolute retired counts are its within-copy prefix plus *it*
-    full copies (``ccounts``/``kstep``).
+    kstep)``.  *it* is the loop iteration the exit fired on (0 for a
+    block that is not a loop): a loop body is compiled once and run
+    under ``for _it in range(copies)``, so the exit's absolute retired
+    counts are its within-body prefix plus *it* full bodies
+    (``ccounts``/``kstep``).  Returns the retired count.
     """
-    counts, next_pc, k, widx, ccounts, kstep = row
+    counts, _, k, widx, ccounts, kstep = row
     _retire(hw, counters, counts)
     if it:
         _retire(hw, counters, ccounts, it)
@@ -190,7 +205,23 @@ def _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
         i1stats.hits += n_ihit
     for index, value in zip(widx, vals):
         regs[index] = value
-    return next_pc, k, cycles, last_iline, last_ipage
+    return k
+
+
+def _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
+                last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit):
+    """Out-of-line side exit shared by every compiled block.
+
+    Counts the exit in the engine's ``side_exits``, commits through
+    :func:`_commit` and returns the dispatcher tuple.  Keeping the
+    commit out of the generated source keeps ``compile()`` fast: a
+    block would otherwise repeat ~30 flush lines for every exit, and
+    block compilation time would swamp the translation win.
+    """
+    hw[6]["side_exits"] += 1
+    k = _commit(hw, counters, regs, row, it, vals, n_stall, n_tlb, n_l1r,
+                n_l1w, n_ihit)
+    return row[1], k, cycles, last_iline, last_ipage
 
 
 def _fault_exit(cpu, hw, counters, regs, row, it, pc, cycles, last_iline,
@@ -198,16 +229,16 @@ def _fault_exit(cpu, hw, counters, regs, row, it, pc, cycles, last_iline,
     """Out-of-line fault path shared by every block with a memory op.
 
     The closure catches the exception, calls this, and re-raises.  *row*
-    is the live mem-op occurrence's :func:`_flush_exit` row (its count
-    snapshot, scaled by *it* full unroll copies, and every register the
+    is the live mem-op occurrence's :func:`_commit` row (its count
+    snapshot, scaled by *it* full loop bodies, and every register the
     block writes: the ones not yet written this call still hold their
     prologue values).  After the commit, ``state.pc``/``cycles``/fetch
     locality are synced to the faulting instruction — exactly the state
     the step loop leaves.  The run() dispatcher keeps no copies of that
     state, so the synced object is final.
     """
-    _flush_exit(hw, counters, regs, row, it, cycles, last_iline,
-                last_ipage, vals, n_stall, n_tlb, n_l1r, n_l1w, n_ihit)
+    _commit(hw, counters, regs, row, it, vals, n_stall, n_tlb, n_l1r,
+            n_l1w, n_ihit)
     cpu.state.pc = pc
     cpu.cycles = cycles
     cpu._last_iline = last_iline
@@ -215,12 +246,13 @@ def _fault_exit(cpu, hw, counters, regs, row, it, pc, cycles, last_iline,
 
 
 class _Codegen:
-    """Builds the closure source for one run of decoded entries.
+    """Builds the closure source for one trace of decoded entries.
 
-    *entries* is a list of ``(pc, decoded)`` pairs — pcs are not
-    necessarily sequential because collection follows direct jumps.
-    *exit_pc* is where execution continues after the block (the
-    sequential successor, or the final jump's target).
+    *entries* is a list of ``(pc, decoded, taken)`` triples — pcs are
+    not necessarily sequential because collection follows jumps and
+    branches, and *taken* is the direction a conditional branch was
+    traced in.  *exit_pc* is where execution continues after the block
+    (the sequential successor, or the final transfer's target).
     """
 
     def __init__(self, cpu, engine, entry_pc, entries, copies, exit_pc):
@@ -228,16 +260,18 @@ class _Codegen:
         self.engine = engine
         self.entry_pc = entry_pc
         self.entries = entries
-        #: unroll factor: *entries* is ONE loop-body copy; the body is
-        #: compiled once (peeled) plus a ``for _it in range(1, copies)``
-        #: re-running it, so generated source — and ``compile()`` time —
-        #: stays proportional to the body, not the unroll.
+        #: loop count: *entries* is ONE loop body, compiled once and run
+        #: under ``for _it in range(copies)``, so generated source — and
+        #: ``compile()`` time — stays proportional to the body.
         self.copies = copies
         self.exit_pc = exit_pc
         config = cpu.config
         self.base_cost = cpu._base_cost
         self.mul_extra = config.mul_extra
         self.div_extra = config.div_extra
+        self.fence_latency = config.fence_latency
+        self.clflush_latency = config.clflush_latency
+        self.privileged = config.clflush_privileged
         self.l1_latency = cpu._l1_latency
         self.l1d = cpu.caches.l1d
         self.d_state = self.l1d.inline_state()
@@ -246,29 +280,23 @@ class _Codegen:
         self.i_state = self.l1i.inline_state()
         self.inline_i = self.i_state is not None
         self.batch_cycles = all(_dyadic(cost) for cost in (
-            self.base_cost, self.mul_extra, self.div_extra))
+            self.base_cost, self.mul_extra, self.div_extra,
+            self.fence_latency, self.clflush_latency))
         self.lines = []
         self.pending = 0.0
-        #: ops retired so far in the current copy (``{op: n}``), and
-        #: how many of its conditional branches were taken
+        #: ops retired so far in the body (``{op: n}``), and how many of
+        #: its conditional branches were taken
         self.counts = {}
         self.taken = 0
         #: per-fault-site :meth:`_snapshot` rows, indexed by the ``_pi``
-        #: occurrence local (a pc alone is ambiguous once loop bodies
-        #: are unrolled: the same pc appears once per copy, each with
-        #: different retired-so-far counts).  Slot 0 covers an
-        #: asynchronous exception before the first memory op.
+        #: occurrence local.  Slot 0 covers an asynchronous exception
+        #: before the first memory op.
         self.partial_list = [((), 0)]
-        #: per-side-exit ``(counts, next_pc, k, widx, ccounts, kstep)``
-        #: rows consumed by :func:`_flush_exit`; generated exits are a
-        #: single call indexing into this table.
+        #: per-side-exit ``(counts, next_pc, k, widx)`` rows; bound as
+        #: :func:`_commit` rows, so generated exits are a single call
+        #: indexing into this table.
         self.exits = []
-        #: True while re-emitting the body for the unroll loop: memory
-        #: syncs replay occurrence indices instead of appending new
-        #: partial rows, and exits write back the full write set.
-        self.loop_mode = False
-        self.mem_occ = 0
-        #: one full copy's counts, snapshotted after the peel.
+        #: one full body's counts, snapshotted once the body is emitted.
         self.copy_counts = None
         self.touched = set()
         self.writes = set()
@@ -287,9 +315,9 @@ class _Codegen:
         #: equal the entry's line/page as compile-time constants.
         self.cur_line = None
         self.cur_page = None
-        self.has_mem = any(
-            LW <= entry[0] <= POP for _, entry in entries
-        )
+        ops = [entry[0] for _, entry, _ in entries]
+        self.has_mem = any(LW <= op <= POP for op in ops)
+        self.has_clflush = CLFLUSH in ops
 
     # -- small emission helpers --------------------------------------
     def emit(self, line):
@@ -318,7 +346,7 @@ class _Codegen:
         return f"r{index}"
 
     def _snapshot(self, taken=0):
-        """The ``(ops, taken)`` counts retired so far this copy, as
+        """The ``(ops, taken)`` counts retired so far this body, as
         :func:`_retire` commits them, with *taken* more taken branches."""
         return tuple(self.counts.items()), self.taken + taken
 
@@ -391,18 +419,16 @@ class _Codegen:
             f"{indent}    _n_ihit += 1",
         ]
 
-    def _emit_fetch(self, index, pc):
+    def _emit_fetch(self, pc):
         """I-cache line / I-TLB page charges, as step() does them.
 
-        The first-ever instruction checks against the live locality
-        state; after that check ``last_iline``/``last_ipage`` equal the
-        entry's line/page whichever way it went, so every interior
-        instruction's locality is a compile-time constant
-        (``cur_line``/``cur_page``) even across followed jumps: a
-        crossing emits an unconditional charge, a non-crossing emits
-        nothing.  The unroll loop's body re-emission starts from the
-        peel's end-state, which equals its own end-state (the body is
-        a closed cycle), so every iteration's transitions line up.
+        The entry instruction checks against the live locality state —
+        on every loop iteration, since the body is emitted once; after
+        that check ``last_iline``/``last_ipage`` equal the entry's
+        line/page whichever way it went, so every later instruction's
+        locality is a compile-time constant (``cur_line``/``cur_page``)
+        even across followed jumps and branches: a crossing emits an
+        unconditional charge, a non-crossing emits nothing.
         """
         line = pc >> self.l1i._line_shift
         page = pc >> 12
@@ -469,18 +495,13 @@ class _Codegen:
     def _emit_mem_sync(self, pc):
         """Flush batched cycles and mark *pc* as the live fault point.
 
-        ``_pi`` is the mem-op occurrence *within the current copy*; the
-        fault handler adds ``_it`` full copies on top (the unroll loop
-        replays the same occurrence sequence every iteration).
+        ``_pi`` is the mem-op occurrence *within the body*; the fault
+        handler adds ``_it`` full bodies on top.
         """
         self.flush_cycles()
         self.emit(f"pc = {pc}")
-        if self.loop_mode:
-            self.mem_occ += 1
-            self.emit(f"_pi = {self.mem_occ}")
-        else:
-            self.emit(f"_pi = {len(self.partial_list)}")
-            self.partial_list.append(self._snapshot())
+        self.emit(f"_pi = {len(self.partial_list)}")
+        self.partial_list.append(self._snapshot())
 
     def _tally_args(self):
         """The batched-tally arguments of the out-of-line helpers.
@@ -503,48 +524,52 @@ class _Codegen:
     def _exit_call(self, next_pc, k, taken=0):
         """One-line call committing through :func:`_flush_exit`.
 
-        Registers the exit's constant row (within-copy counts, with
-        *taken* more taken branches, resumption pc, retired count,
-        registers written so far, and the per-copy scaling constants)
-        in the ``_exits`` table and returns
-        the call expression.  A single line per exit keeps generated
-        source — and therefore ``compile()`` time — small even when
-        loop unrolling repeats the exit every iteration.
+        Registers the exit's row (within-body counts, with *taken* more
+        taken branches, resumption pc, retired count and the registers
+        written so far) in the ``_exits`` table and returns the call
+        expression.  A loop's exit may fire on any iteration, after the
+        whole body has run, so it writes back the full write set, which
+        :meth:`_assemble` fills in once the body is complete.
         """
         j = len(self.exits)
-        widx = tuple(sorted(self.writes))
-        self.exits.append((
-            self._snapshot(taken), next_pc, k, widx,
-            self.copy_counts, len(self.entries),
-        ))
-        it_expr = "_it" if self.loop_mode else "0"
+        if self.copies > 1:
+            widx, vals, it_expr = None, _ALL_WRITES, "_it"
+        else:
+            widx = tuple(sorted(self.writes))
+            vals, it_expr = self._vals(widx), "0"
+        self.exits.append((self._snapshot(taken), next_pc, k, widx))
         return (f"return _fx(_hw, counters, regs, _exits[{j}], {it_expr}, "
-                f"cycles, last_iline, last_ipage, {self._vals(widx)}, "
+                f"cycles, last_iline, last_ipage, {vals}, "
                 f"{self._tally_args()})")
 
-    def _emit_deopt_check(self, index, pc):
+    def _generation_exit(self, index):
+        """The exit leaving after entry *index* once the translation
+        caches were dropped under the block (SMC, or ``clflush`` of
+        code); None when nothing is left to run stale."""
+        last = index == len(self.entries) - 1
+        if last and self.copies == 1:
+            return None  # the normal exit syncs
+        # Stores and clflush fall through sequentially, so the
+        # resumption point is the next entry's pc (== pc +
+        # INSTRUCTION_SIZE) — or, for the last entry of a loop body,
+        # the next iteration's re-entry at the block head.
+        next_pc = self.entry_pc if last else self.entries[index + 1][0]
+        return self._exit_call(next_pc, index + 1)
+
+    def _emit_deopt_check(self, index):
         """Post-store generation check: SMC deoptimises mid-block."""
-        if index == len(self.entries) - 1 and self.copies == 1:
-            return  # nothing left to run stale; the normal exit syncs
-        # A store always falls through sequentially, so the resumption
-        # point is the next entry's pc (== pc + INSTRUCTION_SIZE) — or,
-        # for the last entry of an unrolled body, the next copy's
-        # re-entry at the block head (the remaining copies are the
-        # stale code).
-        if index == len(self.entries) - 1:
-            next_pc = self.entry_pc
-        else:
-            next_pc = self.entries[index + 1][0]
-        self.emit(f"if _gen[0] != {self.engine.gen[0]}:")
-        self.emit("    " + self._exit_call(next_pc, index + 1))
+        exit_call = self._generation_exit(index)
+        if exit_call is not None:
+            self.emit(f"if _gen[0] != {self.engine.gen[0]}:")
+            self.emit("    " + exit_call)
 
     # -- conditional branches (side exits) ----------------------------
-    def _emit_branch(self, op, rs1, rs2, imm, index, pc):
+    def _emit_branch(self, op, rs1, rs2, imm, index, pc, traced_taken):
         """Conditional branch with compiled side exits.
 
-        The trace continues along the predicted-hot direction (see
-        :func:`_trace_taken`); the other direction — and *any*
-        mispredict — takes a side exit that flushes every batched
+        The trace continues in *traced_taken*'s direction, the one the
+        BHT predicted at translation time; the other direction — and
+        *any* mispredict — takes a side exit that flushes every batched
         piece of state and returns.  A mispredict additionally parks
         the wrong-path pc in the engine's hand-off cell so the
         dispatcher runs ``Cpu._mispredict`` *after* the closure has
@@ -575,10 +600,9 @@ class _Codegen:
         train_not_taken = [f"if _c > {STRONG_NOT_TAKEN}:",
                            f"    {counter} = _c - 1"]
         mispredict = "_pred.conditional_mispredictions += 1"
-        if _trace_taken(imm):
-            # Hot path: taken (loop backedge).  Exit on not-taken; a
-            # not-taken mispredict means predicted-taken, so the wrong
-            # path is the target.
+        if traced_taken:
+            # Exit on not-taken; a not-taken mispredict means
+            # predicted-taken, so the wrong path is the target.
             self.emit(f"if not ({cond}):")
             for line in train_not_taken:
                 self.emit("    " + line)
@@ -597,7 +621,6 @@ class _Codegen:
             self.emit("    " + self._exit_call(taken_pc, k, 1))
             self.taken += 1  # the surviving path is taken
         else:
-            # Hot path: fall-through (forward branch).
             self.emit(f"if {cond}:")
             for line in train_taken:
                 self.emit("    " + line)
@@ -648,7 +671,7 @@ class _Codegen:
                   else f"_sbyte(_a, {value})")
         self._emit_dtlb("_a")
         self._emit_l1d("_a", True)
-        self._emit_deopt_check(index, pc)
+        self._emit_deopt_check(index)
 
     def _emit_push(self, rs1, index, pc):
         self._emit_mem_sync(pc)
@@ -661,7 +684,7 @@ class _Codegen:
         self.emit(f"_sw({sp}, {value})")
         self._emit_dtlb(sp)
         self._emit_l1d(sp, True)
-        self._emit_deopt_check(index, pc)
+        self._emit_deopt_check(index)
 
     def _emit_pop(self, rd, index, pc):
         self._emit_mem_sync(pc)
@@ -674,12 +697,44 @@ class _Codegen:
         if rd:
             self.emit(f"{self.wreg(rd)} = _v & 4294967295")
 
+    # -- serialising ops -----------------------------------------------
+    def _emit_privilege_check(self, index, pc):
+        """Hand a user-mode ``clflush`` to step(), which raises.
+
+        The exit fires *before* the instruction is fetched or counted,
+        so step() executes it from exactly the state it would have.
+        """
+        self.flush_cycles()
+        self.emit("if not _core().kernel_mode:")
+        self.emit("    " + self._exit_call(pc, index))
+
+    def _emit_clflush(self, rs1, imm, index):
+        """Flush the line; a line that holds code takes the generation
+        exit once ``Cpu._flush_code_line`` has dropped the translation
+        caches."""
+        self.add_cycles(self.clflush_latency)
+        self.flush_cycles()
+        self.emit(f"_a = ({self.reg(rs1)} + {imm}) & 4294967295")
+        self.emit("_flush_line(_a)")
+        self.emit("if _exec_at(_a):")
+        self.emit("    _core()._flush_code_line(_a)")
+        exit_call = self._generation_exit(index)
+        if exit_call is not None:
+            self.emit("    " + exit_call)
+
+    def _emit_rdcycle(self, rd):
+        self.flush_cycles()  # the read sees every cost retired so far
+        if rd:
+            self.emit(f"{self.wreg(rd)} = int(cycles) & 4294967295")
+
     # -- assembly ------------------------------------------------------
     def _emit_body(self):
-        """Emit one copy of the body (the peel, or the loop's body)."""
-        for index, (pc, entry) in enumerate(self.entries):
+        """Emit the body once: the whole block, or one loop iteration."""
+        for index, (pc, entry, taken) in enumerate(self.entries):
             op, rd, rs1, rs2, imm, _ = entry
-            self._emit_fetch(index, pc)
+            if op == CLFLUSH and self.privileged:
+                self._emit_privilege_check(index, pc)
+            self._emit_fetch(pc)
             self.counts[op] = self.counts.get(op, 0) + 1
             self.add_cycles(self.base_cost)
             if op == NOP or op == JMP:
@@ -688,7 +743,7 @@ class _Codegen:
                 # line/page locality.
                 continue
             if BEQ <= op <= BGEU:
-                self._emit_branch(op, rs1, rs2, imm, index, pc)
+                self._emit_branch(op, rs1, rs2, imm, index, pc, taken)
             elif op == LW or op == LB:
                 self._emit_load(op, rd, rs1, imm, pc)
             elif op == SW or op == SB:
@@ -697,48 +752,53 @@ class _Codegen:
                 self._emit_push(rs1, index, pc)
             elif op == POP:
                 self._emit_pop(rd, index, pc)
+            elif op == CLFLUSH:
+                self._emit_clflush(rs1, imm, index)
+            elif op == MFENCE:
+                self.add_cycles(self.fence_latency)
+            elif op == RDCYCLE:
+                self._emit_rdcycle(rd)
             else:
                 self._emit_alu(op, rd, rs1, rs2, imm)
         self.flush_cycles()
 
     def build(self):
-        """Emit the peel (+ unroll loop), then assemble the source."""
+        """Emit the body (under the loop, for a loop), then assemble."""
         self._emit_body()
         self.copy_counts = self._snapshot()
         if self.copies > 1:
-            # The body closed a cycle back to the entry pc, so the
-            # peel's end locality state equals its start state and the
-            # body can simply re-run: one compiled copy under a Python
-            # loop.  Retired-count bookkeeping is within-copy plus
-            # ``_it`` full copies (exits and the fault path scale by
-            # the per-copy constants).
-            self.loop_mode = True
-            self.counts = {}
-            self.taken = 0
-            self.mem_occ = 0
-            self.emit(f"for _it in range(1, {self.copies}):")
-            start = len(self.lines)
-            self._emit_body()
-            if self.copy_counts != self._snapshot():  # pragma: no cover
-                raise AssertionError("unroll body diverged from peel")
-            self.lines[start:] = [
-                "    " + stmt for stmt in self.lines[start:]
+            # The body closed a cycle back to the entry pc, so it simply
+            # re-runs: one compiled copy under a Python loop, with the
+            # entry's fetch check at the top of every iteration.
+            # Retired-count bookkeeping is within-body plus ``_it`` full
+            # bodies (exits and the fault path scale by the per-body
+            # constants).
+            writes = self._vals(sorted(self.writes))
+            self.lines = [f"for _it in range({self.copies}):"] + [
+                "    " + stmt.replace(_ALL_WRITES, writes)
+                for stmt in self.lines
             ]
         return self._assemble()
 
     def _bindings(self):
         """Name -> object defaults the closure binds at definition."""
         cpu = self.cpu
+        engine = self.engine
         # The closure is stored in the engine, which the core owns, so
         # it binds the core's parts and never the core or the engine:
         # ``_hw`` for the side exits, the generation cell for the SMC
-        # check, and a weak reference for the fault path's sync.
+        # check, and a weak reference for the fault path's sync and
+        # ``clflush``'s privilege check and code-line flush.
         bound = {
             "_hw": (cpu.predictor, cpu.dtlb, cpu.caches.l1d.stats,
-                    cpu.caches.l1i.stats, cpu.op_counts),
+                    cpu.caches.l1i.stats, cpu.op_counts,
+                    int(self.fence_latency), engine.stats),
             "_tally": cpu.op_counts,
-            "_gen": self.engine.gen,
+            "_gen": engine.gen,
         }
+        widx = tuple(sorted(self.writes))
+        if self.has_mem or self.has_clflush:
+            bound["_core"] = weakref.ref(cpu)
         if self.has_mem:
             memory = cpu.memory
             bound.update({
@@ -759,21 +819,26 @@ class _Codegen:
                     "_l1dirty": d_state["dirty"],
                     "_l1stats": d_state["stats"],
                 })
-        if self.has_mem:
-            # One _flush_exit row per mem-op occurrence (pc and k are
+            # One _commit row per mem-op occurrence (pc and k are
             # unused: the fault path syncs the object and re-raises).
-            widx = tuple(sorted(self.writes))
             bound["_fe"] = _fault_exit
-            bound["_core"] = weakref.ref(cpu)
             bound["_frows"] = tuple(
                 (counts, None, 0, widx, self.copy_counts, 0)
                 for counts in self.partial_list
             )
+        if self.has_clflush:
+            bound["_flush_line"] = cpu.caches.flush_line
+            bound["_exec_at"] = cpu.memory.executable_at
         if self.has_div:
             bound["truncdiv"] = truncdiv
         if self.exits:
+            kstep = len(self.entries)
             bound["_fx"] = _flush_exit
-            bound["_exits"] = tuple(self.exits)
+            bound["_exits"] = tuple(
+                (counts, next_pc, k, widx if row_widx is None else row_widx,
+                 self.copy_counts, kstep)
+                for counts, next_pc, k, row_widx in self.exits
+            )
         if self.inline_i:
             i_state = self.i_state
             bound.update({
@@ -786,7 +851,7 @@ class _Codegen:
             bound.update({
                 "_bht": self.bht._counters,
                 "_pred": cpu.predictor,
-                "_wp": self.engine.wp,
+                "_wp": engine.wp,
             })
         bound.update({
             "_icache_fast": cpu.caches.instruction_access_fast,
@@ -801,13 +866,14 @@ class _Codegen:
         params = ["regs", "counters", "cycles", "last_iline", "last_ipage"]
         params += [f"{name}={name}" for name in bound]
         src = [f"def _blk({', '.join(params)}):"]
-        if self.has_mem:
-            # The fault path writes back every written register, so all
-            # of them must be bound, even write-only ones.
+        if self.has_mem or (self.copies > 1 and self.exits):
+            # The fault path, and a loop's exits, write back every
+            # written register, so all of them must be bound, even
+            # write-only ones.
             prologue_regs = self.touched
         else:
-            # No fault/deopt exits: write-only registers never need
-            # their stale values, and ``pc`` is never consulted.
+            # Write-only registers never need their stale values, and
+            # ``pc`` is never consulted.
             prologue_regs = self.need_load
         for i in sorted(prologue_regs):
             src.append(f"    r{i} = regs[{i}]")
@@ -837,9 +903,9 @@ class _Codegen:
                        f"{self._tally_args()})")
             src.append("        raise")
         else:
-            # ALU-only blocks cannot fault; with no writeback having
-            # happened, an asynchronous exception rolls the whole block
-            # back (the dispatcher's pc still points at the entry).
+            # Blocks without memory ops cannot fault; with no writeback
+            # having happened, an asynchronous exception rolls the whole
+            # block back (the dispatcher's pc still points at the entry).
             src += [f"    {line}" for line in self.lines]
         ops, taken = self.copy_counts
         copies = self.copies
@@ -848,6 +914,10 @@ class _Codegen:
         if conds:
             src.append(f"    _pred.conditional_predictions += "
                        f"{conds * copies}")
+        fences = sum(n for op, n in ops if op == MFENCE)
+        if fences:
+            stall = int(self.fence_latency) * fences * copies
+            src.append(f'    counters["fence_stall_cycles"] += {stall}')
         if taken:
             src.append(f'    counters["branches_taken"] += {taken * copies}')
         src += self._dyn_flush_lines("    ")
@@ -893,6 +963,7 @@ class SuperblockEngine:
             "instructions_translated": 0,
             "invalidations": 0,
             "code_writes": 0,
+            "side_exits": 0,
         }
 
     # -- invalidation --------------------------------------------------
@@ -910,30 +981,41 @@ class SuperblockEngine:
 
     # -- translation ---------------------------------------------------
     def _collect(self, cpu, pc):
-        """The translatable superblock at *pc*: body, unroll, exit pc.
+        """The translatable superblock at *pc*: body, loop count, exit pc.
 
         Returns ``(entries, copies, exit_pc)`` where entries are
-        ``(pc, decoded)`` pairs for ONE body copy.  Collection walks
+        ``(pc, decoded, taken)`` triples for ONE body.  Collection walks
         sequentially, follows direct ``JMP``s to their constant
-        targets, traces through conditional branches along the
-        predicted direction, and stops at the first terminator or at
-        :data:`MAX_LENGTH`.  A trace that returns to its entry pc is a
-        loop: *copies* says how many complete bodies fit under
-        :data:`MAX_LENGTH` — the translator compiles the body once and
-        unrolls it with a counted loop, amortising the closure's
+        targets, follows each conditional branch in the direction its
+        BHT counter predicts now (*taken*, which the codegen traces
+        too), and stops at the first terminator, at a pc already in the
+        trace, or at :data:`MAX_LENGTH`.  A trace that returns to its
+        entry pc is a loop: *copies* says how many complete bodies fit
+        under :data:`MAX_LENGTH` — the translator compiles the body
+        once and runs it under a counted loop, amortising the closure's
         call/flush overhead over more retired instructions (side exits
-        keep every copy's branches architecturally exact).
+        keep every iteration's branches architecturally exact).
         Decode-cache misses are decoded fresh but *not* cached:
         translation observes the code, step() owns the cache.
         """
         dcache = cpu._decode_cache
         memory = cpu.memory
+        predict = cpu.predictor.bht.predict
+        # A user-mode clflush leaves through its privilege check before
+        # it retires, so one heading the trace would retire nothing.
+        privileged = cpu.config.clflush_privileged
         entries = []
+        seen = set()
         p = pc
         while len(entries) < self.MAX_LENGTH:
-            if p == pc and entries:
-                # The trace closed back on its entry: a loop.
-                return entries, self.MAX_LENGTH // len(entries), p
+            if p in seen:
+                if p == pc:
+                    # The trace closed back on its entry: a loop.
+                    return entries, self.MAX_LENGTH // len(entries), p
+                # It entered a loop past its head: end the block there,
+                # so the head is dispatched and compiles as the loop.
+                break
+            seen.add(p)
             entry = dcache.get(p)
             if entry is None:
                 try:
@@ -942,17 +1024,18 @@ class SuperblockEngine:
                     break
             op = entry[0]
             if op == JMP:
-                entries.append((p, entry))
+                entries.append((p, entry, False))
                 p = (p + entry[4]) & MASK32
                 continue
             if BEQ <= op <= BGEU:
-                entries.append((p, entry))
-                p = ((p + entry[4]) & MASK32 if _trace_taken(entry[4])
-                     else entry[5])
+                taken = predict(p)
+                entries.append((p, entry, taken))
+                p = (p + entry[4]) & MASK32 if taken else entry[5]
                 continue
-            if not _translatable(op):
+            if not _translatable(op) or (
+                    op == CLFLUSH and privileged and not entries):
                 break
-            entries.append((p, entry))
+            entries.append((p, entry, False))
             nxt = p + INSTRUCTION_SIZE
             if nxt > MASK32:
                 p = nxt & MASK32
@@ -991,7 +1074,7 @@ class SuperblockEngine:
         # Interior pcs are no longer dispatched on the fall-through
         # path; drop their warmup heat so only real (branch-target)
         # entries re-accumulate it.
-        for interior_pc, _ in entries:
+        for interior_pc, _, _ in entries:
             self.heat.pop(interior_pc, None)
         self.stats["translated"] += 1
         self.stats["instructions_translated"] += length

@@ -8,8 +8,9 @@ registers, virtual cycles, all 56 PMU events, cache and TLB counters,
 process output — across branchy code, full Spectre attacks
 (mispredicts + wrong-path speculation), syscalls, the ``execve`` image
 swap that replaces the register file and flushes the decode cache
-mid-run, and faults raised both from cold code (run by step()) and
-from inside a compiled block.
+mid-run, faults raised both from cold code (run by step()) and
+from inside a compiled block, and the flush+reload timer's ``rdcycle``,
+``mfence`` and ``clflush`` run inside blocks.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.errors import (
     PrivilegeFault,
     ShadowStackViolation,
 )
+from repro.isa.semantics import CLFLUSH, MFENCE, NOP, RDCYCLE
 from repro.kernel import System, build_binary
 
 SECRET = b"HW!"
@@ -220,6 +222,24 @@ loop:
 buf: .word 7
 """
 
+#: Flushes ``buf`` every iteration, from the loop's block once hot.
+_CLFLUSH_LOOP = """
+main:
+    li   t0, 0
+    la   s0, buf
+loop:
+    addi t0, t0, 1
+    lw   t1, 0(s0)
+flush:
+    clflush 0(s0)
+    slti t2, t0, 1000
+    bne  t2, zero, loop
+    li   a0, 0
+    call libc_exit
+.data
+buf: .word 7
+"""
+
 #: f bumps its own return address by 4 on call {n}; its ret then
 #: disagrees with the shadow stack.
 _SHADOW_SMASH = """
@@ -239,9 +259,94 @@ f:
     ret
 """
 
+#: The flush+reload timer: a load between two cycle reads, every
+#: iteration.  s1 sums the measured times; t3 keeps the last raw read.
+_TIMED_LOAD = """
+main:
+    li   t0, 0
+    li   s1, 0
+    la   s0, buf
+loop:
+    addi t0, t0, 1
+    clflush 0(s0)
+    mfence
+    rdcycle t1
+    lw   t2, 0(s0)
+    rdcycle t3
+    sub  t2, t3, t1
+    add  s1, s1, t2
+    slti t2, t0, {n}
+    bne  t2, zero, loop
+    andi a0, s1, 0xFF
+    call libc_exit
+.data
+buf: .word 7
+"""
+
+#: Every iteration flushes ``buf``, except iteration {n}, which flushes
+#: the loop's own code line instead; the address is picked without a
+#: branch, so the clflush sits in the loop's block either way.
+_CODE_CLFLUSH_AT = """
+main:
+    li   t0, 0
+    li   s1, 0
+    la   s0, buf
+    la   a1, loop
+    xor  a1, a1, s0     ; code ^ data
+loop:
+    addi t0, t0, 1
+    xori t1, t0, {n}
+    sltu t1, zero, t1   ; 0 on iteration n, else 1
+    addi t1, t1, -1     ; all ones on iteration n, else 0
+    and  t2, a1, t1
+    xor  t2, t2, s0     ; the code line on iteration n, else buf
+    clflush 0(t2)
+after:
+    addi s1, s1, 1
+    slti t3, t0, {limit}
+    bne  t3, zero, loop
+    andi a0, s1, 0xFF
+    call libc_exit
+.data
+buf: .word 7
+"""
+
 #: Iteration at which the hot variants fault: far past HOT_THRESHOLD,
 #: so the loop runs as compiled blocks by then.
 _HOT = 200
+
+
+class _StepRecorder:
+    """Wraps ``cpu.step``: notes each pc it is entered at, whether it
+    is running or raised, and how many *op* it retired."""
+
+    def __init__(self, cpu, op=NOP):
+        self.cpu = cpu
+        self.op = op
+        self.pcs = []
+        self.active = False
+        self.raised = False
+        self.retired = 0
+        self._step = cpu.step
+        cpu.step = self._recording_step
+
+    def _recording_step(self):
+        cpu = self.cpu
+        before = cpu.op_counts[self.op]
+        self.pcs.append(cpu.state.pc)
+        self.active = True
+        try:
+            return self._step()
+        except Exception:
+            self.raised = True
+            raise
+        finally:
+            self.active = False
+            self.retired += cpu.op_counts[self.op] - before
+
+    def in_blocks(self):
+        """How many *op* retired inside compiled blocks."""
+        return self.cpu.op_counts[self.op] - self.retired
 
 
 class TestFaultParity:
@@ -278,24 +383,14 @@ class TestFaultParity:
         with engine_override("sb"):
             dispatched = _spawn(source, cpu_config=config)
             reference = _spawn(source, cpu_config=config)
-        raised_in_step = []
-        step = dispatched.cpu.step
-
-        def recording_step():
-            try:
-                return step()
-            except Exception:
-                raised_in_step.append(True)
-                raise
-
-        dispatched.cpu.step = recording_step
+        recorder = _StepRecorder(dispatched.cpu)
         with pytest.raises(fault_type) as from_run:
             dispatched.cpu.run()
         with pytest.raises(fault_type) as from_step:
             _run_stepwise(reference.cpu)
         assert (self._fault_state(dispatched, from_run.value)
                 == self._fault_state(reference, from_step.value))
-        return dispatched.cpu._sb.stats, bool(raised_in_step)
+        return dispatched.cpu._sb.stats, recorder.raised
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cold_fault_matches_step(self, case):
@@ -307,9 +402,95 @@ class TestFaultParity:
     def test_hot_fault_matches_step(self, case):
         stats, raised_in_step = self._run(case, _HOT)
         assert stats["translated"] >= 1
-        # clflush and ret terminate blocks, so step() raises those two
-        # right after a block exit; the load faults inside the closure.
+        # The clflush sits past the loop's exit and ret ends every
+        # block, so step() raises those two right after a block exit;
+        # the load faults inside the closure.
         assert raised_in_step == (case != "unmapped_load")
+
+    @staticmethod
+    def _pair(source, config=None):
+        with engine_override("sb"):
+            return (_spawn(source, cpu_config=config),
+                    _spawn(source, cpu_config=config))
+
+    def test_rdcycle_in_block_matches_step(self):
+        fast, reference = self._pair(_TIMED_LOAD.format(n=_HOT))
+        recorder = _StepRecorder(fast.cpu, RDCYCLE)
+        fast.cpu.run()
+        _run_stepwise(reference.cpu)
+        # Registers hold every measured time and the last raw read.
+        assert _snapshot(fast) == _snapshot(reference)
+        assert recorder.in_blocks() > 0
+
+    def test_mfence_in_block_matches_step(self):
+        fast, reference = self._pair(_TIMED_LOAD.format(n=_HOT))
+        recorder = _StepRecorder(fast.cpu, MFENCE)
+        fast.cpu.run()
+        _run_stepwise(reference.cpu)
+        events = fast.cpu.pmu.read()
+        assert events["fence_stall_cycles"] > 0
+        assert _snapshot(fast) == _snapshot(reference)
+        assert recorder.in_blocks() > 0
+
+    def test_clflush_of_code_in_block_takes_generation_exit(self):
+        fast, reference = self._pair(
+            _CODE_CLFLUSH_AT.format(n=_HOT, limit=_HOT + 50))
+        cpu = fast.cpu
+        recorder = _StepRecorder(cpu, CLFLUSH)
+        flushes = []
+        flush_code_line = cpu._flush_code_line
+
+        def recording_flush(address):
+            # (inside a block?, index of the next step() call)
+            flushes.append((not recorder.active, len(recorder.pcs)))
+            return flush_code_line(address)
+
+        cpu._flush_code_line = recording_flush
+        cpu.run()
+        _run_stepwise(reference.cpu)
+        assert _snapshot(fast) == _snapshot(reference)
+        assert recorder.in_blocks() > 0
+        assert flushes == [(True, flushes[0][1])]
+        # The block returned right after the clflush: the dispatcher's
+        # next instruction, on the dropped caches, is step() at
+        # ``after``, not a stale rest of the body.
+        assert recorder.pcs[flushes[0][1]] == fast.image.address_of("after")
+        assert cpu._sb.stats["invalidations"] == 1
+
+    def test_privileged_clflush_in_block_matches_step(self):
+        # Kernel mode first, where clflush is allowed, so the loop's
+        # block holds it; then user mode, where its check hands the
+        # clflush to step(), which raises.
+        source = _CLFLUSH_LOOP
+        fast, reference = self._pair(
+            source, CpuConfig(clflush_privileged=True))
+        image = fast.image
+        prologue = (image.address_of("loop")
+                    - image.address_of("main")) // 8
+        # Pause at the loop head, after 300 iterations.
+        chunk = prologue + 300 * 5
+        recorder = _StepRecorder(fast.cpu, CLFLUSH)
+        for process in (fast, reference):
+            process.cpu.kernel_mode = True
+        fast.cpu.run(max_instructions=chunk)
+        _run_stepwise(reference.cpu, max_instructions=chunk)
+        assert fast.cpu.state.pc == image.address_of("loop")
+        assert recorder.in_blocks() > 0
+        side_exits = fast.cpu._sb.stats["side_exits"]
+        stepped = len(recorder.pcs)
+        for process in (fast, reference):
+            process.cpu.kernel_mode = False
+        with pytest.raises(PrivilegeFault) as from_run:
+            fast.cpu.run()
+        with pytest.raises(PrivilegeFault) as from_step:
+            _run_stepwise(reference.cpu)
+        assert (self._fault_state(fast, from_run.value)
+                == self._fault_state(reference, from_step.value))
+        # The loop's block left through the privilege check, and step()
+        # raised on the clflush it was handed.
+        assert fast.cpu._sb.stats["side_exits"] == side_exits + 1
+        assert recorder.raised
+        assert recorder.pcs[stepped:] == [image.address_of("flush")]
 
 
 #: A counted loop whose forward branch is taken every 4th iteration;
@@ -381,22 +562,12 @@ class TestPredictorInBlocks:
         with engine_override("sb"):
             fast = _spawn(source)
             reference = _spawn(source)
-        step = fast.cpu.step
-        raised_in_step = []
-
-        def recording_step():
-            try:
-                return step()
-            except Exception:
-                raised_in_step.append(True)
-                raise
-
-        fast.cpu.step = recording_step
+        recorder = _StepRecorder(fast.cpu)
         with pytest.raises(MemoryFault) as from_run:
             fast.cpu.run()
         with pytest.raises(MemoryFault) as from_step:
             _run_stepwise(reference.cpu)
-        assert not raised_in_step          # raised inside a closure
+        assert not recorder.raised         # raised inside a closure
         assert str(from_run.value) == str(from_step.value)
         assert _snapshot(fast) == _snapshot(reference)
         assert (self._predictor_state(fast.cpu)

@@ -19,6 +19,7 @@ import pytest
 from repro.attack import SpectreConfig, build_spectre
 from repro.core.resilience.watchdog import Watchdog
 from repro.cpu import engine_override
+from repro.cpu.superblock import SuperblockEngine
 from repro.errors import BudgetExceededError
 from repro.kernel import System, build_binary
 from repro.mem.memory import PERM_W
@@ -107,6 +108,24 @@ done:
     call libc_exit
 """
 
+#: A forward branch taken 7 times in 8: its BHT counter predicts taken,
+#: so the trace follows it to ``skip`` although its offset is positive.
+_MOSTLY_TAKEN = """
+main:
+    li   t0, 0
+    li   s1, 0
+loop:
+    addi t0, t0, 1
+    andi t1, t0, 7
+    bne  t1, zero, skip
+    addi s1, s1, 1      ; every 8th iteration
+skip:
+    slti t2, t0, {n}
+    bne  t2, zero, loop
+    andi a0, s1, 0xFF
+    call libc_exit
+"""
+
 
 def _spawn(source=None, program=None, seed=9, target_data=None,
            uarch="inorder"):
@@ -188,6 +207,32 @@ class TestSuperblockVariantParity:
         assert engine is not None
         assert engine.stats["translated"] > 0
         assert engine.stats["instructions_translated"] > 0
+
+
+class TestPredictorDirectedTraces:
+    """Collection follows each branch the way the BHT predicts it."""
+
+    ITERATIONS = 400
+
+    def test_side_exits_only_on_not_taken_iterations(self):
+        source = _MOSTLY_TAKEN.format(n=self.ITERATIONS)
+        with engine_override("sb"):
+            sb = _spawn(source)
+            sb.cpu.run()
+        with engine_override("step"):
+            reference = _spawn(source)
+            reference.cpu.run()
+        assert _snapshot(sb) == _snapshot(reference)
+        # The loop entry turns hot on its HOT_THRESHOLD-th iteration,
+        # and every later iteration runs in a block whose trace takes
+        # the forward branch.  Only an iteration that falls through to
+        # ``addi s1`` leaves its block, and so does the loop's own
+        # final exit.
+        first_compiled = SuperblockEngine.HOT_THRESHOLD
+        not_taken = sum(1 for i in range(first_compiled,
+                                         self.ITERATIONS + 1)
+                        if i % 8 == 0)
+        assert sb.cpu._sb.stats["side_exits"] == not_taken + 1
 
 
 class TestSuperblockTracedParity:
