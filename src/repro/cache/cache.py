@@ -41,6 +41,21 @@ class CacheStats:
     def snapshot(self):
         return dataclasses.replace(self)
 
+    def count_hits(self, reads, writes=0):
+        """Fold hits an inlined hit arm batched, as :meth:`Cache.access`
+        counts them: *reads* read hits and *writes* write hits."""
+        if reads or writes:
+            self.accesses += reads + writes
+            self.hits += reads + writes
+            self.read_accesses += reads
+            self.write_accesses += writes
+
+
+#: The hit path of a cache whose hit arm cannot be inlined (see
+#: :meth:`Cache.hit_path`): its one set never holds a line, so every
+#: lookup misses and the access takes the full path.
+NO_INLINE = (0, 0, 0, ({},), None, None, None)
+
 
 class Cache:
     """One level of a set-associative cache."""
@@ -125,6 +140,22 @@ class Cache:
             "dirty": self._dirty,
             "stats": self.stats,
         }
+
+    def hit_path(self):
+        """:meth:`inline_state` unpacked for an interpreter loop.
+
+        ``(line_shift, set_mask, index_shift, maps, clocks, stamps,
+        dirty)``, or :data:`NO_INLINE` when the hit arm cannot be
+        inlined, so the loop needs no second branch for that case.
+        The caller folds its batched hits with
+        :meth:`CacheStats.count_hits`.
+        """
+        state = self.inline_state()
+        if state is None:
+            return NO_INLINE
+        return (state["line_shift"], state["set_mask"],
+                state["index_shift"], state["maps"], state["clocks"],
+                state["stamps"], state["dirty"])
 
     # ---- operations ----------------------------------------------------
     def access(self, address, is_write=False):
