@@ -14,7 +14,11 @@ wrong-path case checks the values the speculative walk computes, on
 both cores, through the one cache line each of them fills.  The fetch
 locality case checks the L1I accesses each executor charges against
 the line transitions of the reference pc stream, at line sizes other
-than the default.
+than the default.  The memory case generates loops of loads, stores,
+pushes, pops, calls and returns mixed with ALU ops, at in-range,
+unaligned and unmapped addresses, and checks that the three executors
+agree with each other: registers, the data region, the shared PMU
+events and the fault type and pc.
 
 The example budget comes from the hypothesis profile: the default keeps
 tier-1 short, and ``--hypothesis-profile=ci`` runs a larger one.
@@ -28,7 +32,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.hierarchy import CacheConfig, CacheHierarchy
 from repro.cpu.cpu import CpuConfig
 from repro.cpu.engine import engine_override
-from repro.errors import MemoryFault, PrivilegeFault
+from repro.cpu.pmu import EVENT_NAMES
+from repro.errors import MemoryFault, PrivilegeFault, ReproError
 from repro.isa.encoding import encode_program
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -485,3 +490,103 @@ class TestFetchLocality:
         for name, reading in readings.items():
             assert reading["l1i_accesses"] == expected, name
         assert readings["sb"] == readings["step"]
+
+
+#: The data segment :func:`_machine` maps, and where a memory program's
+#: base register (r4) and stack pointer start inside it.
+DATA = 0x100000
+DATA_SIZE = 4096
+BASE = DATA + 0x800
+STACK = DATA + 0xC00
+#: The instruction-mix events: both cores count these alike.
+SHARED_EVENTS = EVENT_NAMES[:15]
+#: Registers a generated memory op may write: not r0, the base r4, sp
+#: or the loop counter.
+_MEM_DEST = st.sampled_from([1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 14])
+#: Registers a push may store.  ``push sp`` is left out: step() stores
+#: the value sp had before the push, the other executors the value after.
+_PUSH_SRC = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14,
+                             15])
+#: Offsets from r4: in range and aligned, unaligned, or unmapped.
+_OFFSET = st.one_of(
+    st.integers(min_value=-0x200, max_value=0x1FF).map(lambda i: 4 * i),
+    st.integers(min_value=-0x800, max_value=0x7FF),
+    st.sampled_from([-0x100000, 0x7FF000, 0x10000000]),
+)
+
+
+def _memory_instruction():
+    """One memory op, or a ``call`` placeholder :func:`_memory_program`
+    points at the leaf."""
+    loads = st.builds(
+        lambda op, rd, imm: Instruction(op, rd=rd, rs1=4, imm=imm),
+        st.sampled_from([Opcode.LW, Opcode.LB]), _MEM_DEST, _OFFSET)
+    stores = st.builds(
+        lambda op, rs2, imm: Instruction(op, rs1=4, rs2=rs2, imm=imm),
+        st.sampled_from([Opcode.SW, Opcode.SB]), _REGS, _OFFSET)
+    push = st.builds(lambda rs1: Instruction(Opcode.PUSH, rs1=rs1),
+                     _PUSH_SRC)
+    pop = st.builds(lambda rd: Instruction(Opcode.POP, rd=rd), _MEM_DEST)
+    call = st.just(Instruction(Opcode.CALL))
+    ret = st.just(Instruction(Opcode.RET))
+    return st.one_of(loads, stores, push, pop, call, ret)
+
+
+def _memory_program(body, stride):
+    """``loop: body; addi r4, r4, stride; <counter>; halt; leaf: ret``.
+
+    Each ``call`` in *body* calls the leaf, so it returns to its
+    successor; the base register moves by *stride* per iteration, so
+    in-range offsets leave the segment on a later iteration, after the
+    loop was translated.
+    """
+    body = body + [Instruction(Opcode.ADDI, rd=4, rs1=4, imm=stride)]
+    program = _loop_program(body)
+    leaf = 8 * len(program)
+    program = [
+        Instruction(Opcode.CALL, imm=leaf - 8 * index)
+        if insn.opcode == Opcode.CALL else insn
+        for index, insn in enumerate(program)
+    ]
+    return program + [Instruction(Opcode.RET)]
+
+
+def _memory_run(uarch, engine, program, initial):
+    """Run *program* on one executor; returns the core and its fault."""
+    with engine_override(engine):
+        core = _machine(uarch, program, initial, data_size=DATA_SIZE)
+        try:
+            core.run(4000)
+            fault = None
+        except ReproError as exc:
+            fault = type(exc)
+    return core, fault
+
+
+class TestMemoryPrograms:
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(_memory_instruction(), _alu_instruction(
+               _MEM_DEST)), min_size=1, max_size=20),
+           st.sampled_from([0, 64, -64, 256]), _regs_strategy())
+    def test_executors_agree(self, body, stride, initial):
+        initial = list(initial)
+        initial[4] = BASE
+        initial[13] = STACK
+        program = _memory_program(body, stride)
+        runs = {name: _memory_run(uarch, engine, program, initial)
+                for name, uarch, engine in (("step", "inorder", "step"),
+                                            ("sb", "inorder", "sb"),
+                                            ("ooo", "ooo", "sb"))}
+        step, step_fault = runs["step"]
+        step_pmu = step.pmu.read()
+        for name, (core, fault) in runs.items():
+            assert fault == step_fault, name
+            assert core.state.pc == step.state.pc, name
+            assert list(core.state.regs) == list(step.state.regs), name
+            assert core.memory.read_bytes(DATA, DATA_SIZE) == \
+                step.memory.read_bytes(DATA, DATA_SIZE), name
+            pmu = core.pmu.read()
+            assert [pmu[event] for event in SHARED_EVENTS] == \
+                [step_pmu[event] for event in SHARED_EVENTS], name
+        assert runs["sb"][0].pmu.read() == step_pmu
+        assert repr(runs["sb"][0].cycles) == repr(step.cycles)
