@@ -7,7 +7,8 @@ the run.  The test reruns the artefact through the CLI and compares
 bytes; on a mismatch it prints ``repro compare``'s section diff, so
 the failure names the first divergent section.  Table I drives the
 wrong-path walk hardest; fig4 on the out-of-order core drives its
-stack ops.
+stack ops; fig5 and fig6 drive the ``ret`` and ``callr`` paths of both
+cores, and hardening the shadow stack and the other countermeasures.
 
 The pins hold under either engine: CI reruns this file under
 ``REPRO_ENGINE=step``.  Only a change that means to move an artefact
@@ -26,7 +27,8 @@ from repro.obs.compare import diff_manifests, format_compare
 from repro.obs.ledger import manifest_bytes, read_index, load_manifest
 
 HERE = pathlib.Path(__file__).parent
-PINS = [(experiment, uarch) for experiment in ("table1", "fig4")
+PINS = [(experiment, uarch)
+        for experiment in ("table1", "fig4", "fig5", "fig6", "hardening")
         for uarch in ("inorder", "ooo")]
 
 
