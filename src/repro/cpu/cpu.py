@@ -54,9 +54,10 @@ from repro.errors import (
 from repro.cpu.superblock import SuperblockEngine
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.semantics import (
-    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT, JMP, JMPR,
-    LW, MASK32, MEMORY, MFENCE, MOD, MOV, MUL, MULI, NOP, POP, PUSH,
-    RDCYCLE, RDINSTRET, RET, SLTU, SYSCALL, TAKEN, WRONG_PATH, decode_entry,
+    ADD, ADDI, ALU, BEQ, BGEU, BTB, CALL, CLFLUSH, CONTROL, HALT, JMP, JMPR,
+    LW, MASK32, MEMORY, MFENCE, MOV, NOP, PC_IMM, POP, PUSH, RDCYCLE,
+    RDINSTRET, RET, RS1_IMM, SLTU, STACK_WORD, SYSCALL, TAKEN, WRONG_PATH,
+    cost_table, decode_entry,
 )
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
@@ -89,9 +90,11 @@ class CpuConfig:
     invisible_speculation: bool = False
 
 
-#: The walk's view of each memory op: its :data:`MEMORY` access, then
-#: its :data:`WRONG_PATH` departures, in one lookup.
-_WALK_ACCESS = {op: MEMORY[op] + WRONG_PATH[op] for op in MEMORY}
+#: The walk's view of each memory op: its :data:`MEMORY` access, its
+#: :data:`WRONG_PATH` departures, then its :data:`CONTROL` target form
+#: (0 for a data op), in one lookup.
+_WALK_ACCESS = {op: MEMORY[op] + WRONG_PATH[op] + (CONTROL.get(op, (0,))[0],)
+                for op in MEMORY}
 
 
 def speculate(core, start_pc, budget):
@@ -206,7 +209,12 @@ def speculate(core, start_pc, budget):
             # The one data access: MEMORY[op] says what it is, and
             # WRONG_PATH[op] how the walk departs from the committed
             # path.  Stores only reach the store buffer.
-            size, write, sp, to_dtlb, to_l1d, load = _WALK_ACCESS[op]
+            size, write, sp, to_dtlb, to_l1d, load, form = _WALK_ACCESS[op]
+            # A call's target is resolved before its push moves sp.
+            if form == PC_IMM:
+                target = (pc + imm) & MASK32
+            elif form == RS1_IMM:
+                target = (regs[rs1] + imm) & MASK32
             if sp < 0:
                 address = regs[13] = (regs[13] - 4) & MASK32
             elif sp:
@@ -215,7 +223,7 @@ def speculate(core, start_pc, budget):
                 address = (regs[rs1] + imm) & MASK32
             faulted = False
             if write:
-                value = (next_pc if op >= CALL else regs[rs1] if sp
+                value = (next_pc if form else regs[rs1] if sp
                          else regs[rs2])
                 store_buffer[(address, size)] = (value if size == 4
                                                  else value & 0xFF)
@@ -267,23 +275,19 @@ def speculate(core, start_pc, budget):
                 break
             if sp > 0:
                 regs[13] = (address + 4) & MASK32
-            if op < CALL:
-                if not write and rd != 0:
-                    regs[rd] = value & MASK32
-            elif op == RET:
+            if form == STACK_WORD:
                 next_pc = value & MASK32
-            elif op == CALL:
-                next_pc = (pc + imm) & MASK32
-            else:
-                next_pc = (regs[rs1] + imm) & MASK32
+            elif form:
+                next_pc = target
+            elif not write and rd != 0:
+                regs[rd] = value & MASK32
         elif BEQ <= op <= BGEU:
             # Nested branches resolve immediately on the wrong path.
             if TAKEN[op](regs[rs1], regs[rs2]):
                 next_pc = (pc + imm) & MASK32
-        elif op == JMP:
-            next_pc = (pc + imm) & MASK32
-        elif op == JMPR:
-            next_pc = (regs[rs1] + imm) & MASK32
+        elif JMP <= op <= JMPR:
+            base = regs[rs1] if CONTROL[op][0] == RS1_IMM else pc
+            next_pc = (base + imm) & MASK32
         elif op == RDCYCLE:
             if rd != 0:
                 regs[rd] = int(core.cycles) & MASK32
@@ -341,6 +345,7 @@ class Cpu:
         self.watchdog = None
         self._decode_cache = {}
         self._base_cost = 1.0 / self.config.issue_width
+        self._costs = cost_table(self.config)
         self._l1_latency = self.caches.config.l1_latency
         self._iline_shift = self.caches.l1i._line_shift
         self._last_iline = -1
@@ -470,13 +475,15 @@ class Cpu:
             self.itlb.access(pc)
         return entry
 
-    def _access(self, op, address, value=0):
+    def _access(self, op, address, source=0, value=0):
         """Perform *op*'s data access and charge it to the D-TLB and the
-        caches; returns the value read, or *value*, which a write stores.
+        caches; returns the value read, or the value a write stores.
 
         :data:`~repro.isa.semantics.MEMORY` gives the access: a ``rs1 +
         imm`` op accesses *address*; a push form moves sp down first and
-        accesses it, a pop form accesses sp and moves it up after.
+        accesses it, a pop form accesses sp and moves it up after.  A
+        write stores register *source*, read after sp moves (``push sp``
+        stores the decremented sp), or *value* when *source* is 0.
         """
         size, write, sp = MEMORY[op]
         state = self.state
@@ -486,6 +493,8 @@ class Cpu:
             address = state.sp
         memory = self.memory
         if write:
+            if source:
+                value = state.regs[source]
             if size == 4:
                 memory.store_word(address, value)
             else:
@@ -550,78 +559,60 @@ class Cpu:
         self.op_counts[op] += 1
 
         if ADD <= op <= SLTU:
-            if MUL <= op <= MOD:
-                self.cycles += (
-                    config.div_extra if op != MUL else config.mul_extra
-                )
             state.write_reg(rd, ALU[op](regs[rs1], regs[rs2]))
         elif ADDI <= op <= MOV:
-            if op == MULI:
-                self.cycles += config.mul_extra
             state.write_reg(rd, ALU[op](regs[rs1], imm))
         elif LW <= op <= POP:
             value = self._access(op, (regs[rs1] + imm) & MASK32,
-                                 regs[rs1] if op == PUSH else regs[rs2])
+                                 rs1 if op == PUSH else rs2)
             if not MEMORY[op][1]:
                 state.write_reg(rd, value)
         elif BEQ <= op <= BGEU:
             taken = TAKEN[op](regs[rs1], regs[rs2])
             predicted = predictor.predict_conditional(pc)
             mispredicted = predictor.resolve_conditional(pc, predicted, taken)
+            target = (pc + imm) & MASK32
             if taken:
                 self.counters["branches_taken"] += 1
-                next_pc = (pc + imm) & MASK32
             if mispredicted:
-                wrong_path = (
-                    (pc + imm) & MASK32 if predicted
-                    else (pc + INSTRUCTION_SIZE) & MASK32
-                )
-                self._mispredict(wrong_path)
-        elif op == JMP:
-            next_pc = (pc + imm) & MASK32
-        elif op == JMPR:
-            target = (regs[rs1] + imm) & MASK32
-            predicted = predictor.predict_indirect(pc)
-            mispredicted = predictor.resolve_indirect(pc, predicted, target)
-            if predicted is None:
+                # The wrong path runs the way the BHT predicted.
+                self._mispredict(target if predicted else next_pc)
+            if taken:
+                next_pc = target
+        elif JMP <= op <= RET:
+            # The one control arm, in CONTROL's order: the target, the
+            # BTB, the stack word, the RSB, then recovery or penalty.
+            form, kind = CONTROL[op]
+            if form == PC_IMM:
+                target = (pc + imm) & MASK32
+            elif form == RS1_IMM:
+                target = (regs[rs1] + imm) & MASK32
+            if kind == BTB:
+                predicted = predictor.predict_indirect(pc)
+                mispredicted = predictor.resolve_indirect(pc, predicted,
+                                                          target)
+            if op >= CALL:
+                word = self._access(op, 0, value=next_pc)
+                if form != STACK_WORD:
+                    predictor.on_call(next_pc)
+                    if self.shadow_stack is not None:
+                        self.shadow_stack.on_call(next_pc)
+                else:
+                    target = word
+                    if self.shadow_stack is not None:
+                        try:
+                            self.shadow_stack.on_return(target)
+                        except ShadowStackViolation:
+                            if self._tr_cpu is not None:
+                                self._tr_cpu.event("cpu.shadow_divergence",
+                                                   pc=pc, target=target)
+                            raise
+                    predicted = predictor.predict_return()
+                    mispredicted = predictor.resolve_return(predicted,
+                                                            target)
+            if kind == BTB and predicted is None:
                 self.cycles += config.btb_miss_penalty
-            elif mispredicted:
-                self._mispredict(predicted)
-            next_pc = target
-        elif op == CALL:
-            return_address = next_pc
-            self._access(op, 0, return_address)
-            predictor.on_call(return_address)
-            if self.shadow_stack is not None:
-                self.shadow_stack.on_call(return_address)
-            next_pc = (pc + imm) & MASK32
-        elif op == CALLR:
-            target = (regs[rs1] + imm) & MASK32
-            predicted = predictor.predict_indirect(pc)
-            mispredicted = predictor.resolve_indirect(pc, predicted, target)
-            return_address = next_pc
-            self._access(op, 0, return_address)
-            predictor.on_call(return_address)
-            if self.shadow_stack is not None:
-                self.shadow_stack.on_call(return_address)
-            if predicted is None:
-                self.cycles += config.btb_miss_penalty
-            elif mispredicted:
-                self._mispredict(predicted)
-            next_pc = target
-        elif op == RET:
-            target = self._access(op, 0)
-            if self.shadow_stack is not None:
-                try:
-                    self.shadow_stack.on_return(target)
-                except ShadowStackViolation:
-                    if self._tr_cpu is not None:
-                        self._tr_cpu.event("cpu.shadow_divergence",
-                                           pc=pc, target=target)
-                    raise
-            predicted = predictor.predict_return()
-            mispredicted = predictor.resolve_return(predicted, target)
-            if mispredicted:
+            elif kind and mispredicted:
                 self._mispredict(predicted)
             next_pc = target
         elif op == CLFLUSH:
@@ -634,29 +625,27 @@ class Cpu:
             self.caches.flush_line(address)
             if self.memory.executable_at(address):
                 self._flush_code_line(address)
-            self.cycles += config.clflush_latency
         elif op == MFENCE:
-            self.cycles += config.fence_latency
             self.counters["fence_stall_cycles"] += int(config.fence_latency)
         elif op == RDCYCLE:
             state.write_reg(rd, int(self.cycles) & MASK32)
         elif op == RDINSTRET:
             state.write_reg(rd, sum(self.op_counts) & MASK32)
-        elif op == SYSCALL:
-            self.cycles += config.syscall_latency
-            if self.syscall_handler is None:
-                raise CpuFault(f"syscall at {pc:#010x} with no handler")
-            state.pc = next_pc  # handlers (execve) may overwrite this
-            self.syscall_handler(self)
-            return not state.halted
-        elif op == NOP:
-            pass
+        elif op == NOP or op == SYSCALL:
+            pass  # a syscall traps below, once its cost is charged
         elif op == HALT:
             state.halted = True
             return False
         else:  # pragma: no cover - every opcode is handled above
             raise CpuFault(f"unhandled opcode {op:#04x} at {pc:#010x}")
 
+        self.cycles += self._costs[op]  # its COST, once its effects are done
+        if op == SYSCALL:
+            if self.syscall_handler is None:
+                raise CpuFault(f"syscall at {pc:#010x} with no handler")
+            state.pc = next_pc  # handlers (execve) may overwrite this
+            self.syscall_handler(self)
+            return not state.halted
         state.pc = next_pc
         return True
 

@@ -107,9 +107,9 @@ from repro.branch.bht import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
 from repro.errors import CpuFault, MemoryFault
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.semantics import (
-    ADD, ADDI, BEQ, BGEU, CLFLUSH, COND, DIV, JMP, LW, MASK32, MEMORY,
-    MFENCE, MOD, MOV, MUL, MULI, NOP, POP, RDCYCLE, SLTU, VALUE,
-    decode_entry, truncdiv,
+    ADD, ADDI, BEQ, BGEU, CLFLUSH, COND, COST, DIV, JMP, LW, MASK32,
+    MEMORY, MFENCE, MOD, MOV, NOP, POP, RDCYCLE, SLTU, VALUE, decode_entry,
+    truncdiv,
 )
 
 #: Source-text -> code-object translation cache, shared process-wide.
@@ -255,13 +255,9 @@ class _Codegen:
         #: ``compile()`` time — stays proportional to the body.
         self.copies = copies
         self.exit_pc = exit_pc
-        config = cpu.config
         self.base_cost = cpu._base_cost
-        self.mul_extra = config.mul_extra
-        self.div_extra = config.div_extra
-        self.fence_latency = config.fence_latency
-        self.clflush_latency = config.clflush_latency
-        self.privileged = config.clflush_privileged
+        self.costs = cpu._costs  # the core's bound COST table
+        self.privileged = cpu.config.clflush_privileged
         self.l1_latency = cpu._l1_latency
         self.l1d = cpu.caches.l1d
         self.d_state = self.l1d.inline_state()
@@ -269,9 +265,8 @@ class _Codegen:
         self.l1i = cpu.caches.l1i
         self.i_state = self.l1i.inline_state()
         self.inline_i = self.i_state is not None
-        self.batch_cycles = all(_dyadic(cost) for cost in (
-            self.base_cost, self.mul_extra, self.div_extra,
-            self.fence_latency, self.clflush_latency))
+        self.batch_cycles = _dyadic(self.base_cost) and all(
+            _dyadic(self.costs[op]) for op in COST if _translatable(op))
         self.lines = []
         self.pending = 0.0
         #: ops retired so far in the body (``{op: n}``), and how many of
@@ -627,10 +622,7 @@ class _Codegen:
 
     # -- per-opcode bodies -------------------------------------------
     def _emit_alu(self, op, rd, rs1, rs2, imm):
-        if op == MUL or op == MULI:
-            self.add_cycles(self.mul_extra)
-        elif op == DIV or op == MOD:
-            self.add_cycles(self.div_extra)
+        if op == DIV or op == MOD:
             self.has_div = True
         if rd == 0:
             return  # writes to r0 are discarded; nothing to compute
@@ -690,7 +682,6 @@ class _Codegen:
         """Flush the line; a line that holds code takes the generation
         exit once ``Cpu._flush_code_line`` has dropped the translation
         caches."""
-        self.add_cycles(self.clflush_latency)
         self.flush_cycles()
         self.emit(f"_a = ({self.reg(rs1)} + {imm}) & 4294967295")
         self.emit("_flush_line(_a)")
@@ -715,10 +706,11 @@ class _Codegen:
             self._emit_fetch(pc)
             self.counts[op] = self.counts.get(op, 0) + 1
             self.add_cycles(self.base_cost)
-            if op == NOP or op == JMP:
+            self.add_cycles(self.costs[op])
+            if op == NOP or op == JMP or op == MFENCE:
                 # A JMP is followed at translation time; the next
                 # instruction's fetch emission handles the target's
-                # line/page locality.
+                # line/page locality.  An mfence's stall rides _retire.
                 continue
             if BEQ <= op <= BGEU:
                 self._emit_branch(op, rs1, rs2, imm, index, pc, taken)
@@ -726,8 +718,6 @@ class _Codegen:
                 self._emit_access(op, rd, rs1, rs2, imm, index, pc)
             elif op == CLFLUSH:
                 self._emit_clflush(rs1, imm, index)
-            elif op == MFENCE:
-                self.add_cycles(self.fence_latency)
             elif op == RDCYCLE:
                 self._emit_rdcycle(rd)
             else:
@@ -764,7 +754,7 @@ class _Codegen:
         bound = {
             "_hw": (cpu.predictor, cpu.dtlb, cpu.caches.l1d.stats,
                     cpu.caches.l1i.stats, cpu.op_counts,
-                    int(self.fence_latency), engine.stats),
+                    int(self.costs[MFENCE]), engine.stats),
             "_tally": cpu.op_counts,
             "_gen": engine.gen,
         }
@@ -888,7 +878,7 @@ class _Codegen:
                        f"{conds * copies}")
         fences = sum(n for op, n in ops if op == MFENCE)
         if fences:
-            stall = int(self.fence_latency) * fences * copies
+            stall = int(self.costs[MFENCE]) * fences * copies
             src.append(f'    counters["fence_stall_cycles"] += {stall}')
         if taken:
             src.append(f'    counters["branches_taken"] += {taken * copies}')

@@ -31,6 +31,11 @@ values the committed path would and only the effects differ.
   access departs from the committed path's: which ops touch the D-TLB
   and the L1D there, and which are speculative loads (docs/MICROARCH.md,
   "Wrong-path memory model").
+* :data:`CONTROL` holds each control transfer's target form and the
+  predictor class that predicts it, and :data:`COST` the
+  :class:`~repro.cpu.cpu.CpuConfig` field charging each op's cycles
+  beyond the base cost, which each core binds through
+  :func:`cost_table`.
 """
 
 from repro.errors import CpuFault, EncodingError
@@ -209,6 +214,50 @@ WRONG_PATH = {
 
 assert sorted(WRONG_PATH) == sorted(MEMORY), (
     "every memory op needs its wrong-path entry")
+
+
+#: Target forms of :data:`CONTROL`: ``pc + imm``, ``rs1 + imm``, or the
+#: word a ``ret`` pops; nonzero, so 0 can mark an op that is no transfer.
+PC_IMM, RS1_IMM, STACK_WORD = 1, 2, 3
+#: Predictor classes of :data:`CONTROL`; ``None`` for ``jmp`` and
+#: ``call``, whose targets are constants of the pc.
+BHT, BTB, RSB = 1, 2, 3
+
+#: Each control transfer's ``(target form, predictor class)``.  Every
+#: executor resolves a transfer in this order: the target, before the
+#: stack word moves; the BTB lookup and training of ``jmpr``/``callr``,
+#: before a ``callr`` pushes; the push or pop (:data:`MEMORY`); then a
+#: call's RSB push, or a ``ret``'s shadow-stack check followed by its
+#: RSB prediction; and last the mispredict recovery or the BTB-miss
+#: penalty.
+CONTROL = {
+    **dict.fromkeys((BEQ, BNE, BLT, BGE, BLTU, BGEU), (PC_IMM, BHT)),
+    JMP: (PC_IMM, None),
+    JMPR: (RS1_IMM, BTB),
+    CALL: (PC_IMM, None),
+    CALLR: (RS1_IMM, BTB),
+    RET: (STACK_WORD, RSB),
+}
+
+#: The :class:`~repro.cpu.cpu.CpuConfig` field that charges each op's
+#: cycles beyond the base cost; every other op costs the base cost
+#: alone.  The in-order core adds the value to its clock; the
+#: out-of-order core adds it to an ALU op's one-cycle latency, or to a
+#: serialising op's drain.
+COST = {
+    **dict.fromkeys((MUL, MULI), "mul_extra"),
+    **dict.fromkeys((DIV, MOD), "div_extra"),
+    MFENCE: "fence_latency",
+    CLFLUSH: "clflush_latency",
+    SYSCALL: "syscall_latency",
+}
+
+
+def cost_table(config):
+    """``costs[op]``: *op*'s :data:`COST` under *config*, indexed by
+    opcode; 0.0 for an op that costs the base cost alone."""
+    return tuple(getattr(config, COST[op]) if op in COST else 0.0
+                 for op in range(256))
 
 
 def decode_entry(memory, pc):

@@ -63,9 +63,9 @@ from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
 from repro.errors import CpuFault, PrivilegeFault, ShadowStackViolation
 from repro.isa.semantics import (
-    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT, JMP, JMPR, LI,
-    LW, MASK32, MEMORY, MFENCE, MOD, MOV, MUL, MULI, NOP, POP, RDCYCLE,
-    RDINSTRET, RET, SLTU, SYSCALL, TAKEN, decode_entry,
+    ADD, ADDI, ALU, BEQ, BGEU, BTB, CLFLUSH, CONTROL, HALT, JMP, JMPR, LI,
+    LW, MASK32, MEMORY, MFENCE, MOV, NOP, PC_IMM, POP, RDCYCLE, RDINSTRET,
+    RET, RS1_IMM, SLTU, SYSCALL, TAKEN, cost_table, decode_entry,
 )
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
@@ -81,6 +81,12 @@ _HISTOGRAMS = ("ooo.spec.window", "ooo.rob.occupancy",
                "cpu.speculate.squashed")
 _COUNTERS = ("ooo.squashes", "ooo.wrong_path_uops", "ooo.commit_stalls",
              "ooo.dispatch_stalls", "ooo.lsq_stalls")
+
+#: The data-and-control arm's view of each op it takes, in one lookup:
+#: its :data:`MEMORY` access (size 0 for ``jmpr``) and its
+#: :data:`CONTROL` entry (``(0, None)`` for a data op).
+_ACCESS = {op: MEMORY.get(op, (0, False, 0)) + CONTROL.get(op, (0, None))
+           for op in (*MEMORY, JMPR)}
 
 @dataclasses.dataclass(frozen=True)
 class OooParams:
@@ -137,6 +143,9 @@ class OooCore:
         self.watchdog = None
         self._decode_cache = {}
         self._base_cost = 1.0 / self.config.issue_width
+        self._costs = cost_table(self.config)
+        #: An ALU op's latency: one cycle plus its COST.
+        self._op_latency = tuple(1.0 + cost for cost in self._costs)
         self._l1_latency = self.caches.config.l1_latency
         self._last_iline = -1
         self._last_ipage = -1
@@ -466,13 +475,9 @@ class OooCore:
         shadow = self.shadow_stack
         base_cost = self._base_cost
         l1_latency = self._l1_latency
-        mul_latency = 1.0 + config.mul_extra
-        div_latency = 1.0 + config.div_extra
+        costs = self._costs
+        op_latency = self._op_latency
         btb_miss_penalty = config.btb_miss_penalty
-        fence_latency = config.fence_latency
-        fence_stall = int(config.fence_latency)
-        clflush_latency = config.clflush_latency
-        syscall_latency = config.syscall_latency
         clflush_privileged = config.clflush_privileged
         watchdog = self.watchdog
         stride = self.WATCHDOG_STRIDE
@@ -563,60 +568,7 @@ class OooCore:
                 retire = dispatch
                 if pool is None:
                     fclock = dispatch + base_cost
-                    if op == RDCYCLE:
-                        fclock = last = self._serialize(fclock, retire)
-                        if rd:
-                            regs[rd] = int(fclock) & MASK32
-                            ready[rd] = fclock
-                    elif op == MFENCE:
-                        fclock = last = self._serialize(fclock, retire,
-                                                        fence_latency)
-                        counters["fence_stall_cycles"] += fence_stall
-                    elif op == CLFLUSH:
-                        if clflush_privileged and not self.kernel_mode:
-                            raise PrivilegeFault(
-                                "clflush is disabled for non-privileged "
-                                "code (countermeasure active)"
-                            )
-                        if traced:
-                            self._sync_clock(retire)
-                        caches.flush_line((regs[rs1] + imm) & MASK32)
-                        fclock = last = self._serialize(fclock, retire,
-                                                        clflush_latency)
-                    elif op == SYSCALL:
-                        fclock = last = self._serialize(fclock, retire,
-                                                        syscall_latency)
-                        handler = self.syscall_handler
-                        if handler is None:
-                            raise CpuFault(
-                                f"syscall at {pc:#010x} with no handler"
-                            )
-                        # Sync the architectural state the handler sees
-                        # — then reload everything it may have changed
-                        # (``execve`` remaps memory, resets the pipeline
-                        # and installs a *new* regs list).
-                        pc = next_pc
-                        state.pc = pc
-                        self._fetch_clock = fclock
-                        self._last_iline = last_iline
-                        self._last_ipage = last_ipage
-                        self._fold(n_taken, n_cond, n_miss, i_hits, d_reads,
-                                   d_writes, dtlb_hits)
-                        n_taken = n_cond = n_miss = i_hits = d_reads = 0
-                        d_writes = dtlb_hits = 0
-                        handler(self)
-                        regs = state.regs
-                        ready = self._ready
-                        pc = state.pc
-                        fclock = self._fetch_clock
-                        if fclock < self.cycles:
-                            fclock = self.cycles
-                        last_iline = self._last_iline
-                        last_ipage = self._last_ipage
-                        if watchdog is not None and executed % stride == 0:
-                            watchdog.charge(stride)
-                        continue
-                    elif op == NOP:
+                    if op == NOP:
                         last = max(last + inv_commit, dispatch)
                         times_append(last)
                         if log is not None:
@@ -624,10 +576,59 @@ class OooCore:
                     elif op == HALT:
                         state.halted = True
                         next_pc = pc
-                    else:  # pragma: no cover - every opcode handled
-                        raise CpuFault(
-                            f"unhandled opcode {op:#04x} at {pc:#010x}"
-                        )
+                    else:
+                        # rdcycle, mfence, clflush and syscall serialise:
+                        # drain, then retire after the op's COST.
+                        cost = costs[op]
+                        if op == CLFLUSH:
+                            if clflush_privileged and not self.kernel_mode:
+                                raise PrivilegeFault(
+                                    "clflush is disabled for non-privileged "
+                                    "code (countermeasure active)"
+                                )
+                            if traced:
+                                self._sync_clock(retire)
+                            caches.flush_line((regs[rs1] + imm) & MASK32)
+                        fclock = last = self._serialize(fclock, retire, cost)
+                        if op == RDCYCLE:
+                            if rd:
+                                regs[rd] = int(fclock) & MASK32
+                                ready[rd] = fclock
+                        elif op == MFENCE:
+                            counters["fence_stall_cycles"] += int(cost)
+                        elif op == SYSCALL:
+                            handler = self.syscall_handler
+                            if handler is None:
+                                raise CpuFault(
+                                    f"syscall at {pc:#010x} with no handler"
+                                )
+                            # Sync the architectural state the handler
+                            # sees — then reload everything it may have
+                            # changed (``execve`` remaps memory, resets
+                            # the pipeline and installs a *new* regs
+                            # list).
+                            pc = next_pc
+                            state.pc = pc
+                            self._fetch_clock = fclock
+                            self._last_iline = last_iline
+                            self._last_ipage = last_ipage
+                            self._fold(n_taken, n_cond, n_miss, i_hits,
+                                       d_reads, d_writes, dtlb_hits)
+                            n_taken = n_cond = n_miss = i_hits = 0
+                            d_reads = d_writes = dtlb_hits = 0
+                            handler(self)
+                            regs = state.regs
+                            ready = self._ready
+                            pc = state.pc
+                            fclock = self._fetch_clock
+                            if fclock < self.cycles:
+                                fclock = self.cycles
+                            last_iline = self._last_iline
+                            last_ipage = self._last_ipage
+                            if (watchdog is not None
+                                    and executed % stride == 0):
+                                watchdog.charge(stride)
+                            continue
                 else:
                     t = pool[0]
                     if t > dispatch:
@@ -649,10 +650,7 @@ class OooCore:
                             t = ready[rs1]
                             if t > start:
                                 start = t
-                        if op == MULI:
-                            done = start + mul_latency
-                        else:
-                            done = start + 1.0
+                        done = start + op_latency[op]
                         if rd:
                             regs[rd] = ALU[op](regs[rs1], imm)
                             ready[rd] = done
@@ -701,153 +699,122 @@ class OooCore:
                         t = ready[rs2]
                         if t > start:
                             start = t
-                        if MUL <= op <= MOD:
-                            done = start + (div_latency if op != MUL
-                                            else mul_latency)
-                        else:
-                            done = start + 1.0
+                        done = start + op_latency[op]
                         if rd:
                             regs[rd] = ALU[op](regs[rs1], regs[rs2])
                             ready[rd] = done
-                    elif LW <= op <= POP:
-                        # The one data access (MEMORY[op]): the D-TLB
-                        # MRU page and the L1D hit arm are inline, and
-                        # only a miss goes through the hierarchy.
-                        size, write, sp = MEMORY[op]
+                    elif LW <= op <= POP or JMPR <= op <= RET:
+                        # The one data-and-control arm, in CONTROL's
+                        # order: a transfer's target and a BTB op's
+                        # lookup first; then MEMORY[op]'s access, with
+                        # the D-TLB MRU page and the L1D hit arm inline
+                        # and only a miss through the hierarchy; then
+                        # the RSB; and last the BTB-miss penalty.
+                        size, write, sp, form, kind = _ACCESS[op]
                         start = dispatch
-                        if sp:
-                            t = ready[13]
-                            if t > start:
-                                start = t
-                            address = regs[13]
-                            if sp < 0:
-                                address = regs[13] = (address - 4) & MASK32
-                        else:
+                        if form == RS1_IMM:
                             t = ready[rs1]
                             if t > start:
                                 start = t
-                            address = (regs[rs1] + imm) & MASK32
-                        if write:
-                            data = rs1 if sp else rs2
-                            t = ready[data]
-                            if t > start:
-                                start = t
-                            if size == 4:
-                                store_word(address, regs[data])
-                            else:
-                                store_byte(address, regs[data])
-                        elif size == 4:
-                            value = load_word(address)
-                        else:
-                            value = load_byte(address)
-                        if address >> 12 == dtlb._last_page:
-                            dtlb_hits += 1
-                        else:
-                            dtlb_access(address)
-                        line = address >> d_shift
-                        index = line & d_mask
-                        way = d_maps[index].get(line >> d_ishift)
-                        if way is None:
-                            latency = self._data_access(address, write,
-                                                        retire)
-                        else:
-                            clock = d_clocks[index] + 1
-                            d_clocks[index] = clock
-                            d_stamps[index][way] = clock
-                            if write:
-                                d_dirty[index][way] = True
-                                d_writes += 1
-                            else:
-                                d_reads += 1
-                            latency = l1_latency
-                        if write:
-                            # Stores retire from the store queue off the
-                            # critical path: the miss latency is not
-                            # serialised into the dependency chain.
-                            done = start + 1.0
-                        else:
-                            done = start + latency
-                        if sp:
-                            if sp > 0:
-                                regs[13] = (address + 4) & MASK32
-                            ready[13] = done
-                        if not write and rd:
-                            regs[rd] = value & MASK32
-                            ready[rd] = done
-                    elif op == CALL or op == CALLR:
-                        start = dispatch
-                        t = ready[13]
-                        if t > start:
-                            start = t
-                        if op == CALL:
-                            target = (pc + imm) & MASK32
-                        else:
                             target = (regs[rs1] + imm) & MASK32
                             wrong_path = predict_indirect(pc)
                             mispredict = resolve_indirect(pc, wrong_path,
                                                           target)
-                            t = ready[rs1]
-                            if t > start:
-                                start = t
-                        sp = (regs[13] - 4) & MASK32
-                        regs[13] = sp
-                        store_word(sp, next_pc)
-                        dtlb_access(sp)
-                        self._data_access(sp, True, retire)
-                        on_call(next_pc)
-                        if shadow is not None:
-                            shadow.on_call(next_pc)
-                        done = start + 1.0
-                        ready[13] = done
-                        if op == CALLR and wrong_path is None:
-                            mispredict = False
-                            if fclock < done:
-                                fclock = done
-                            fclock += btb_miss_penalty
-                        next_pc = target
-                    elif op == RET:
-                        sp = regs[13]
-                        target = load_word(sp)
-                        dtlb_access(sp)
-                        latency = self._data_access(sp, False, retire)
-                        regs[13] = (sp + 4) & MASK32
-                        if shadow is not None:
-                            try:
-                                shadow.on_return(target)
-                            except ShadowStackViolation:
-                                if self._tr_cpu is not None:
-                                    self._sync_clock(retire)
-                                    self._tr_cpu.event(
-                                        "cpu.shadow_divergence",
-                                        pc=pc, target=target,
-                                    )
-                                raise
-                        wrong_path = predictor.predict_return()
-                        mispredict = predictor.resolve_return(wrong_path,
-                                                              target)
-                        start = dispatch
-                        t = ready[13]
-                        if t > start:
-                            start = t
-                        done = start + latency
-                        ready[13] = done
-                        next_pc = target
-                    elif op == JMPR:
-                        target = (regs[rs1] + imm) & MASK32
-                        wrong_path = predict_indirect(pc)
-                        mispredict = resolve_indirect(pc, wrong_path,
-                                                      target)
-                        start = dispatch
-                        t = ready[rs1]
-                        if t > start:
-                            start = t
-                        done = start + 1.0
-                        if wrong_path is None:
-                            mispredict = False
-                            if fclock < done:
-                                fclock = done
-                            fclock += btb_miss_penalty
-                        next_pc = target
+                        elif form == PC_IMM:
+                            target = (pc + imm) & MASK32
+                        if size:
+                            if sp:
+                                t = ready[13]
+                                if t > start:
+                                    start = t
+                                address = regs[13]
+                                if sp < 0:
+                                    address = regs[13] = (address - 4) & MASK32
+                            else:
+                                t = ready[rs1]
+                                if t > start:
+                                    start = t
+                                address = (regs[rs1] + imm) & MASK32
+                            if write:
+                                value = next_pc  # a call's return address
+                                if not form:
+                                    data = rs1 if sp else rs2
+                                    t = ready[data]
+                                    if t > start:
+                                        start = t
+                                    value = regs[data]
+                                if size == 4:
+                                    store_word(address, value)
+                                else:
+                                    store_byte(address, value)
+                            elif size == 4:
+                                value = load_word(address)
+                            else:
+                                value = load_byte(address)
+                            if address >> 12 == dtlb._last_page:
+                                dtlb_hits += 1
+                            else:
+                                dtlb_access(address)
+                            line = address >> d_shift
+                            index = line & d_mask
+                            way = d_maps[index].get(line >> d_ishift)
+                            if way is None:
+                                latency = self._data_access(address, write,
+                                                            retire)
+                            else:
+                                clock = d_clocks[index] + 1
+                                d_clocks[index] = clock
+                                d_stamps[index][way] = clock
+                                if write:
+                                    d_dirty[index][way] = True
+                                    d_writes += 1
+                                else:
+                                    d_reads += 1
+                                latency = l1_latency
+                            if write:
+                                # Stores retire from the store queue off
+                                # the critical path: their miss latency
+                                # is not serialised into the chain.
+                                done = start + 1.0
+                            else:
+                                done = start + latency
+                            if sp:
+                                if sp > 0:
+                                    regs[13] = (address + 4) & MASK32
+                                ready[13] = done
+                            if not form:
+                                if not write and rd:
+                                    regs[rd] = value & MASK32
+                                    ready[rd] = done
+                            elif write:
+                                on_call(next_pc)
+                                if shadow is not None:
+                                    shadow.on_call(next_pc)
+                            else:
+                                target = value
+                                if shadow is not None:
+                                    try:
+                                        shadow.on_return(target)
+                                    except ShadowStackViolation:
+                                        if self._tr_cpu is not None:
+                                            self._sync_clock(retire)
+                                            self._tr_cpu.event(
+                                                "cpu.shadow_divergence",
+                                                pc=pc, target=target,
+                                            )
+                                        raise
+                                wrong_path = predictor.predict_return()
+                                mispredict = predictor.resolve_return(
+                                    wrong_path, target)
+                        else:
+                            done = start + 1.0
+                        if form:
+                            if kind == BTB and wrong_path is None:
+                                mispredict = False
+                                if fclock < done:
+                                    fclock = done
+                                fclock += btb_miss_penalty
+                            next_pc = target
                     elif op == RDINSTRET:
                         done = dispatch + 1.0
                         if rd:

@@ -503,10 +503,9 @@ SHARED_EVENTS = EVENT_NAMES[:15]
 #: Registers a generated memory op may write: not r0, the base r4, sp
 #: or the loop counter.
 _MEM_DEST = st.sampled_from([1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 14])
-#: Registers a push may store.  ``push sp`` is left out: step() stores
-#: the value sp had before the push, the other executors the value after.
-_PUSH_SRC = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14,
-                             15])
+#: Registers a push may store: any, ``push sp`` included, which stores
+#: the decremented sp.
+_PUSH_SRC = _REGS
 #: Offsets from r4: in range and aligned, unaligned, or unmapped.
 _OFFSET = st.one_of(
     st.integers(min_value=-0x200, max_value=0x1FF).map(lambda i: 4 * i),
@@ -551,12 +550,12 @@ def _memory_program(body, stride):
     return program + [Instruction(Opcode.RET)]
 
 
-def _memory_run(uarch, engine, program, initial):
+def _memory_run(uarch, engine, program, initial, budget=4000):
     """Run *program* on one executor; returns the core and its fault."""
     with engine_override(engine):
         core = _machine(uarch, program, initial, data_size=DATA_SIZE)
         try:
-            core.run(4000)
+            core.run(budget)
             fault = None
         except ReproError as exc:
             fault = type(exc)
@@ -574,9 +573,7 @@ class TestMemoryPrograms:
         initial[13] = STACK
         program = _memory_program(body, stride)
         runs = {name: _memory_run(uarch, engine, program, initial)
-                for name, uarch, engine in (("step", "inorder", "step"),
-                                            ("sb", "inorder", "sb"),
-                                            ("ooo", "ooo", "sb"))}
+                for name, uarch, engine in _EXECUTORS}
         step, step_fault = runs["step"]
         step_pmu = step.pmu.read()
         for name, (core, fault) in runs.items():
@@ -590,3 +587,203 @@ class TestMemoryPrograms:
                 [step_pmu[event] for event in SHARED_EVENTS], name
         assert runs["sb"][0].pmu.read() == step_pmu
         assert repr(runs["sb"][0].cycles) == repr(step.cycles)
+
+    def test_push_sp_stores_the_decremented_sp(self):
+        body = [Instruction(Opcode.PUSH, rs1=13),
+                Instruction(Opcode.POP, rd=1)]
+        initial = [0] * 16
+        initial[4] = BASE
+        initial[13] = STACK
+        initial[COUNTER] = ITERATIONS
+        program = _memory_program(body, 0)
+        for name, uarch, engine in _EXECUTORS:
+            core, fault = _memory_run(uarch, engine, program, initial)
+            assert fault is None, name
+            assert core.state.regs[1] == STACK - 4, name
+
+
+#: ``(name, uarch, engine)`` of the three executors.
+_EXECUTORS = (("step", "inorder", "step"), ("sb", "inorder", "sb"),
+              ("ooo", "ooo", "sb"))
+#: The shared instruction-mix events and the branch-prediction events:
+#: both cores predict every committed transfer alike.
+PREDICTION_EVENTS = ("branch_mispredictions", "cond_branch_mispredictions",
+                     "return_mispredictions", "indirect_mispredictions",
+                     "btb_hits", "btb_misses", "rsb_overflows")
+#: Where ``rdcycle`` writes in a control program: each core has its own
+#: clock, so no other op reads it and only sb and step compare it.
+CLOCK = 12
+#: The depth counter of the recursive subroutine.
+DEPTH = 5
+#: Scratch of the indirect transfers: the selector and the target.
+_SEL, _TGT = 7, 8
+#: The accumulator the indirect targets update.
+ACC = 9
+_CTRL_DEST = st.sampled_from([1, 2, 3, 6, ACC, 10, 11, 14])
+_CTRL_SRC = st.sampled_from([r for r in range(16) if r != CLOCK])
+#: The ops :data:`repro.isa.semantics.COST` charges beyond the base cost,
+#: bar ``syscall``, plus ``rdcycle``, which reads what they charged.
+_COST_OPS = st.one_of(
+    st.builds(lambda op, rd, rs1, rs2: Instruction(op, rd=rd, rs1=rs1,
+                                                   rs2=rs2),
+              st.sampled_from([Opcode.MUL, Opcode.DIV, Opcode.MOD]),
+              _CTRL_DEST, _CTRL_SRC, _CTRL_SRC),
+    st.builds(lambda rd, rs1, imm: Instruction(Opcode.MULI, rd=rd, rs1=rs1,
+                                               imm=imm),
+              _CTRL_DEST, _CTRL_SRC, _IMM),
+    st.just(Instruction(Opcode.MFENCE)),
+    st.just(Instruction(Opcode.RDCYCLE, rd=CLOCK)),
+    # A data line, or a code line of the text at 0x1000.
+    st.builds(lambda imm: Instruction(Opcode.CLFLUSH, rs1=4, imm=imm),
+              st.integers(min_value=-0x800, max_value=0x7FF)),
+    st.builds(lambda imm: Instruction(Opcode.CLFLUSH, rs1=0, imm=imm),
+              st.integers(min_value=0x1000, max_value=0x1400)),
+)
+
+
+def _control_item():
+    """One piece of a control program: ``("op", instruction)``,
+    ``("deep", depth)``, or ``("jmpr" | "callr", mask)``."""
+    alu = st.builds(lambda op, rd, rs1, rs2, imm: Instruction(
+        op, rd=rd, rs1=rs1, rs2=rs2 if op in _RRR_OPS else 0,
+        imm=0 if op in _RRR_OPS else imm),
+        st.sampled_from(_RRR_OPS + _RRI_OPS), _CTRL_DEST, _CTRL_SRC,
+        _CTRL_SRC, _IMM)
+    return st.one_of(
+        st.tuples(st.just("op"), st.one_of(alu, _COST_OPS)),
+        # Deeper than the 16-entry RSB.
+        st.tuples(st.just("deep"), st.integers(min_value=17, max_value=20)),
+        # The target changes with the loop counter: a BTB miss first,
+        # then mispredicts.
+        st.tuples(st.sampled_from(["jmpr", "callr"]), st.sampled_from([1, 3])),
+    )
+
+
+def _item_size(kind, arg):
+    if kind == "jmpr":
+        return 5 + 2 * (arg + 1)
+    return {"op": 1, "deep": 2, "callr": 5}[kind]
+
+
+def _control_program(items):
+    """``loop: head; items; <counter>; halt; deep; subs``.
+
+    A ``deep`` item recurses *depth* levels into ``deep: addi depth, -1;
+    beq depth, zero, +16; call deep; ret``.  A ``jmpr`` item jumps to
+    case ``counter & mask`` of an inline switch, each case adding to the
+    accumulator and jumping past the switch; a ``callr`` item calls
+    subroutine ``counter & mask`` of four that each update it and
+    return.  The three-op head makes the loop translatable.
+    """
+    text = 0x1000
+    head = [Instruction(Opcode.ADDI, rd=ACC, rs1=ACC, imm=1),
+            Instruction(Opcode.XOR, rd=10, rs1=10, rs2=ACC),
+            Instruction(Opcode.ADDI, rd=11, rs1=11, imm=3)]
+    length = len(head) + sum(_item_size(*item) for item in items)
+    deep = text + 8 * (length + 3)
+    subs = deep + 32
+    body = list(head)
+    for kind, arg in items:
+        pc = text + 8 * len(body)
+        if kind == "op":
+            body.append(arg)
+        elif kind == "deep":
+            body += [Instruction(Opcode.LI, rd=DEPTH, imm=arg),
+                     Instruction(Opcode.CALL, imm=deep - pc - 8)]
+        else:
+            # _TGT + _SEL * 16 + imm: the case, or subroutine, selected.
+            first = pc + 40 if kind == "jmpr" else subs
+            body += [Instruction(Opcode.ANDI, rd=_SEL, rs1=COUNTER, imm=arg),
+                     Instruction(Opcode.SHLI, rd=_SEL, rs1=_SEL, imm=4),
+                     Instruction(Opcode.LI, rd=_TGT, imm=first - 16),
+                     Instruction(Opcode.ADD, rd=_TGT, rs1=_TGT, rs2=_SEL)]
+            if kind == "callr":
+                body.append(Instruction(Opcode.CALLR, rs1=_TGT, imm=16))
+                continue
+            body.append(Instruction(Opcode.JMPR, rs1=_TGT, imm=16))
+            join = first + 16 * (arg + 1)
+            for case in range(arg + 1):
+                at = first + 16 * case
+                body += [Instruction(Opcode.ADDI, rd=ACC, rs1=ACC,
+                                     imm=7 * case + 1),
+                         Instruction(Opcode.JMP, imm=join - at - 8)]
+    assert len(body) == length
+    program = _loop_program(body)
+    program += [
+        Instruction(Opcode.ADDI, rd=DEPTH, rs1=DEPTH, imm=-1),
+        Instruction(Opcode.BEQ, rs1=DEPTH, rs2=0, imm=16),
+        Instruction(Opcode.CALL, imm=-16),
+        Instruction(Opcode.RET),
+        Instruction(Opcode.ADDI, rd=ACC, rs1=ACC, imm=5),
+        Instruction(Opcode.RET),
+        Instruction(Opcode.XORI, rd=ACC, rs1=ACC, imm=0x55),
+        Instruction(Opcode.RET),
+        Instruction(Opcode.MULI, rd=ACC, rs1=ACC, imm=3),
+        Instruction(Opcode.RET),
+        Instruction(Opcode.SHRI, rd=ACC, rs1=ACC, imm=1),
+        Instruction(Opcode.RET),
+    ]
+    return program
+
+
+def _control_runs(items, initial):
+    """Run the control program of *items* on every executor and check
+    that they agree; returns step's core."""
+    initial = list(initial)
+    initial[4] = BASE
+    initial[DEPTH] = 0
+    initial[CLOCK] = 0
+    initial[13] = STACK
+    program = _control_program(items)
+    runs = {name: _memory_run(uarch, engine, program, initial, 20000)
+            for name, uarch, engine in _EXECUTORS}
+    step, step_fault = runs["step"]
+    step_pmu = step.pmu.read()
+    events = SHARED_EVENTS + PREDICTION_EVENTS
+    for name, (core, fault) in runs.items():
+        assert fault == step_fault, name
+        assert core.state.pc == step.state.pc, name
+        regs = list(core.state.regs)
+        assert regs[:CLOCK] + regs[CLOCK + 1:] == \
+            step.state.regs[:CLOCK] + step.state.regs[CLOCK + 1:], name
+        assert core.memory.read_bytes(DATA, DATA_SIZE) == \
+            step.memory.read_bytes(DATA, DATA_SIZE), name
+        pmu = core.pmu.read()
+        assert [pmu[event] for event in events] == \
+            [step_pmu[event] for event in events], name
+    sb = runs["sb"][0]
+    # A clflush of code drops every block, so a loop that runs one
+    # never gets hot enough to translate.
+    if not any(kind == "op" and arg.opcode == Opcode.CLFLUSH and arg.rs1 == 0
+               for kind, arg in items):
+        assert sb._sb.stats["translated"] > 0
+    assert sb.state.regs[CLOCK] == step.state.regs[CLOCK]
+    assert sb.pmu.read() == step_pmu
+    assert repr(sb.cycles) == repr(step.cycles)
+    return step
+
+
+class TestControlPrograms:
+    """Generated loops of call chains deeper than the RSB, ``jmpr`` and
+    ``callr`` whose targets change between iterations, and the ops with
+    a cycle cost, agree on step, sb and the out-of-order core."""
+
+    @settings(deadline=None)
+    @given(st.lists(_control_item(), min_size=1, max_size=10),
+           _regs_strategy())
+    def test_executors_agree(self, items, initial):
+        _control_runs(items, initial)
+
+    def test_reaches_the_predictor_edges(self):
+        items = [("deep", 20), ("jmpr", 3), ("callr", 1),
+                 ("op", Instruction(Opcode.DIV, rd=1, rs1=ACC, rs2=11)),
+                 ("op", Instruction(Opcode.MFENCE)),
+                 ("op", Instruction(Opcode.CLFLUSH, rs1=4, imm=64)),
+                 ("op", Instruction(Opcode.RDCYCLE, rd=CLOCK))]
+        initial = [0] * 15 + [ITERATIONS]
+        step = _control_runs(items, initial)
+        pmu = step.pmu.read()
+        for event in ("rsb_overflows", "return_mispredictions", "btb_misses",
+                      "indirect_mispredictions"):
+            assert pmu[event] > 0, event
+        assert step.state.halted

@@ -8,7 +8,9 @@ wrong path (the pattern of ``tests/cpu/test_speculation.py``).  The
 body aims its access at line 3 of a flushed probe array.  Three more
 cases aim a wrong-path ``lw``, ``pop`` and ``ret`` at an unmapped
 address: the strike's out-of-bounds index moves the address far past
-every segment, while the training runs access the probe.
+every segment, while the training runs access the probe.  One more,
+``callr-sp``, calls through sp itself, so its target is the one the
+ISA resolves before the push moves sp (``CONTROL``'s order).
 
 Every case runs on both microarchitectures (the in-order core under
 both engines), with and without ``invisible_speculation``, and pins
@@ -32,7 +34,8 @@ import pytest
 
 from repro.cpu import engine_override
 from repro.cpu.cpu import CpuConfig
-from repro.kernel import System
+from repro.kernel import System, build_binary
+from repro.mem.layout import AddressSpaceLayout
 from tests.conftest import run_source
 
 _TEMPLATE = """
@@ -92,6 +95,11 @@ BODIES = {
     "call": "    addi sp, t1, 196\n    call leaf\n    mov  sp, s0",
     "callr": ("    la   s1, leaf\n    addi sp, t1, 196\n    callr s1\n"
               "    mov  sp, s0"),
+    # ``callr sp, imm`` with sp + imm == leaf: the target is resolved
+    # before the push, so the walk calls leaf, whose ret pops the
+    # return address from the store buffer.
+    "callr-sp": ("    addi sp, t1, 196\n    callr sp, {leaf}\n"
+                 "    mov  sp, s0"),
     # Probe line 3 starts with the landing address: the committed ret
     # returns there.
     "ret": "    addi sp, t1, 192\n    ret\nlanding:\n    mov  sp, s0",
@@ -106,11 +114,19 @@ BODIES = {
 CORES = (("inorder", "sb"), ("inorder", "step"), ("ooo", "sb"))
 
 
-def _source(case):
+def _source(case, leaf=0):
     flushes = "\n".join(f"    clflush {64 * line}(t1)" for line in range(16))
     landing = "landing" if case.startswith("ret") else 0
-    return _TEMPLATE.format(flushes=flushes, body=BODIES[case],
-                            landing=landing)
+    return _TEMPLATE.format(flushes=flushes, body=BODIES[case].format(
+        leaf=leaf), landing=landing)
+
+
+def _leaf_from_sp(case):
+    """The immediate taking sp, at probe + 196, to ``leaf``."""
+    program = build_binary("testprog", _source(case))
+    layout = AddressSpaceLayout()
+    return (layout.text_base + program.symbol("leaf").offset
+            - layout.data_base - program.symbol("probe").offset - 196)
 
 
 def measure(case, uarch, engine, invisible):
@@ -121,8 +137,9 @@ def measure(case, uarch, engine, invisible):
     """
     config = CpuConfig(invisible_speculation=invisible)
     with engine_override(engine):
-        process = run_source(_source(case), system=System(
-            seed=9, uarch=uarch, cpu_config=config))
+        process = run_source(_source(case, _leaf_from_sp(case)),
+                             system=System(seed=9, uarch=uarch,
+                                           cpu_config=config))
     assert process.exit_code == 0
     cpu = process.cpu
     caches = cpu.caches
@@ -193,6 +210,34 @@ GOLDEN = {
     ('callr', 'ooo', True): (
         (34, 31, 3, 20, 1, 14, 2, 0, 1, 16),
         (77, 70, 7, 77, 7, 0, 0, 0, 0, 16),
+        (32, 2),
+        (3, 0, 51),
+        (),
+    ),
+    ('callr-sp', 'inorder', False): (
+        (37, 34, 3, 23, 1, 14, 2, 0, 1, 16),
+        (85, 79, 6, 85, 6, 0, 0, 0, 0, 16),
+        (35, 2),
+        (3, 0, 60),
+        (),
+    ),
+    ('callr-sp', 'inorder', True): (
+        (34, 31, 3, 20, 1, 14, 2, 0, 1, 16),
+        (85, 79, 6, 85, 6, 0, 0, 0, 0, 16),
+        (32, 2),
+        (3, 0, 60),
+        (),
+    ),
+    ('callr-sp', 'ooo', False): (
+        (37, 34, 3, 23, 1, 14, 2, 0, 1, 16),
+        (76, 70, 6, 76, 6, 0, 0, 0, 0, 16),
+        (35, 2),
+        (3, 0, 51),
+        (),
+    ),
+    ('callr-sp', 'ooo', True): (
+        (34, 31, 3, 20, 1, 14, 2, 0, 1, 16),
+        (76, 70, 6, 76, 6, 0, 0, 0, 0, 16),
         (32, 2),
         (3, 0, 51),
         (),
