@@ -591,7 +591,7 @@ class Cpu:
                 predicted = predictor.predict_indirect(pc)
                 mispredicted = predictor.resolve_indirect(pc, predicted,
                                                           target)
-            if op >= CALL:
+            if op in MEMORY:  # the stack word of a call or a ret
                 word = self._access(op, 0, value=next_pc)
                 if form != STACK_WORD:
                     predictor.on_call(next_pc)

@@ -319,7 +319,7 @@ class OooCore:
                                else "ooo.dispatch.stall", ts0, **args)
         return commit
 
-    def _serialize(self, fclock, retire, extra=0.0):
+    def _serialize(self, fclock, retire, extra):
         """Drain, then retire a serialising op; returns the new fetch
         clock (== ``self.cycles``: the machine is momentarily in-order).
         """

@@ -18,7 +18,10 @@ than the default.  The memory case generates loops of loads, stores,
 pushes, pops, calls and returns mixed with ALU ops, at in-range,
 unaligned and unmapped addresses, and checks that the three executors
 agree with each other: registers, the data region, the shared PMU
-events and the fault type and pc.
+events and the fault type and pc.  The control case does the same for
+loops of call chains deeper than the RSB, ``jmpr`` and ``callr`` whose
+targets change between iterations, and the ops with a cycle cost, and
+compares the branch-prediction events too.
 
 The example budget comes from the hypothesis profile: the default keeps
 tier-1 short, and ``--hypothesis-profile=ci`` runs a larger one.
@@ -461,6 +464,23 @@ class TestRetireTally:
         for name, core in cores.items():
             assert core.op_counts == reference_tally(ops), name
             assert core.pmu.read()["clflush_instructions"] == 1, name
+
+
+class TestCosts:
+    def test_privileged_clflush_faults_before_its_cost(self):
+        """The fault leaves the cycles of a clflush that costs nothing
+        beyond the base cost, whatever its ``clflush_latency``."""
+        program = [Instruction(Opcode.CLFLUSH, rs1=0, imm=0),
+                   Instruction(Opcode.HALT)]
+        for uarch in ("inorder", "ooo"):
+            cycles = set()
+            for latency in (0.0, 6.0, 1000.0):
+                core = _machine(uarch, program, [0] * 16, config=CpuConfig(
+                    clflush_privileged=True, clflush_latency=latency))
+                with pytest.raises(PrivilegeFault):
+                    core.run()
+                cycles.add(repr(core.cycles))
+            assert len(cycles) == 1, uarch
 
 
 def _fetch_lines(pcs, line_size):
