@@ -184,6 +184,11 @@ def _machine(uarch, program, initial_regs, data_size=0, line_size=64,
     return core
 
 
+#: ``(name, uarch, engine)`` of the three executors.
+_EXECUTORS = (("step", "inorder", "step"), ("sb", "inorder", "sb"),
+              ("ooo", "ooo", "sb"))
+
+
 def run_everywhere(program, initial_regs, data_size=0, fault=None,
                    max_instructions=None, **machine):
     """Run *program* under step, sb and the OoO core; returns the cores.
@@ -194,9 +199,7 @@ def run_everywhere(program, initial_regs, data_size=0, fault=None,
     what the comparison checks.  *machine* goes to :func:`_machine`.
     """
     cores = {}
-    for name, uarch, engine in (("step", "inorder", "step"),
-                                ("sb", "inorder", "sb"),
-                                ("ooo", "ooo", "sb")):
+    for name, uarch, engine in _EXECUTORS:
         with engine_override(engine):
             core = _machine(uarch, program, initial_regs, data_size,
                             **machine)
@@ -622,11 +625,8 @@ class TestMemoryPrograms:
             assert core.state.regs[1] == STACK - 4, name
 
 
-#: ``(name, uarch, engine)`` of the three executors.
-_EXECUTORS = (("step", "inorder", "step"), ("sb", "inorder", "sb"),
-              ("ooo", "ooo", "sb"))
-#: The shared instruction-mix events and the branch-prediction events:
-#: both cores predict every committed transfer alike.
+#: The branch-prediction events: both cores predict every committed
+#: transfer alike.
 PREDICTION_EVENTS = ("branch_mispredictions", "cond_branch_mispredictions",
                      "return_mispredictions", "indirect_mispredictions",
                      "btb_hits", "btb_misses", "rsb_overflows")
