@@ -115,7 +115,8 @@ def speculate(core, start_pc, budget):
     :data:`~repro.isa.semantics.MEMORY`'s entry, and
     :data:`~repro.isa.semantics.WRONG_PATH` names where the walk departs
     from the committed path (docs/MICROARCH.md, "Wrong-path memory
-    model").
+    model").  Transfers take their targets from
+    :data:`~repro.isa.semantics.CONTROL`'s form, a call's before its push.
 
     This walk dominates wall time on mispredict-heavy workloads, so
     — like the superblock closures — it inlines the L1I/L1D LRU hit
